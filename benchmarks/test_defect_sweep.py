@@ -3,9 +3,9 @@
 For every (non-large) Table I circuit this builds the minimum viable chip,
 degrades it with random, connectivity-preserving defects at a sweep of rates
 (killing tile slots and degrading/disabling corridor segments), compiles
-``ecmas_dd_min`` and ``ecmas_ls_min`` on the degraded chip with both engines,
-asserts bit-identical reference-vs-fast schedules plus a clean validator
-replay, and records the cycle counts into
+``ecmas_dd_min`` and ``ecmas_ls_min`` on the degraded chip, asserts the
+schedule is bit-identical to the test oracle's reference engine plus a clean
+validator replay, and records the cycle counts into
 ``benchmarks/results/defect_sweep.txt``.
 
 The table answers the scenario question of the defect-aware milestone: how
@@ -19,6 +19,7 @@ communicating qubits adjacent even with dead tiles in the window.
 from __future__ import annotations
 
 from conftest import full_benchmarks_enabled
+from oracle import reference_compile
 
 from repro.chip import SurfaceCodeModel, random_defects
 from repro.circuits.generators import default_suite
@@ -37,15 +38,15 @@ _METHODS = {
 
 
 def _compile_cell(circuit, method, chip):
-    """Compile one cell with both engines; returns (cycles, compile seconds)."""
-    reference = run_pipeline_method(circuit, method, chip=chip, engine="reference")
-    fast = run_pipeline_method(circuit, method, chip=chip, engine="fast")
-    assert reference.encoded.operations == fast.encoded.operations, (
-        f"{method} on {circuit.name}: engines diverged on a defective chip"
+    """Compile one cell, checked against the reference engine; returns its cycles."""
+    production = run_pipeline_method(circuit, method, chip=chip)
+    reference = reference_compile(circuit, method, chip=chip)
+    assert production.encoded.operations == reference.encoded.operations, (
+        f"{method} on {circuit.name}: diverged from the reference engine on a defective chip"
     )
-    report = validate_encoded_circuit(circuit, fast.encoded)
+    report = validate_encoded_circuit(circuit, production.encoded)
     assert report.valid, f"{method} on {circuit.name}: {report.errors[:3]}"
-    return fast.encoded.num_cycles, fast.compile_seconds
+    return production.encoded.num_cycles
 
 
 def test_defect_sweep(save_result):
@@ -62,7 +63,7 @@ def test_defect_sweep(save_result):
                 defects = random_defects(
                     chip, rate, seed=int(rate * 100), min_alive_tiles=circuit.num_qubits
                 )
-                cycles, _seconds = _compile_cell(circuit, method, chip.with_defects(defects))
+                cycles = _compile_cell(circuit, method, chip.with_defects(defects))
                 row[f"{prefix}_r{rate}"] = cycles
                 if rate == 0.0:
                     baseline = cycles
@@ -83,5 +84,5 @@ def test_defect_sweep(save_result):
 
     # Sanity on the aggregate: defective chips may cost cycles but must not
     # change the answer — every cell above already passed the validator and
-    # the engine-parity assertion.
+    # the reference-engine parity assertion.
     assert all(row[f"{p}_r0.0"] > 0 for row in rows for p in ("dd", "ls"))

@@ -17,6 +17,9 @@ from conftest import full_benchmarks_enabled
 from repro.chip import SurfaceCodeModel
 from repro.eval import figure11_parallelism, format_sweep
 
+#: The deterministic columns of the tracked table (no wall-clock times).
+COLUMNS = ("series", "x", "cycles", "method", "group_size")
+
 
 def _parameters():
     if full_benchmarks_enabled():
@@ -37,7 +40,9 @@ def test_figure11a_lattice_surgery(benchmark, save_result):
         rounds=1,
         iterations=1,
     )
-    text = format_sweep(points, title="Figure 11a — Effect of circuit parallelism (lattice surgery)")
+    text = format_sweep(
+        points, title="Figure 11a — Effect of circuit parallelism (lattice surgery)", columns=COLUMNS
+    )
     print("\n" + text)
     save_result("fig11a_lattice_surgery.txt", text)
 
@@ -58,7 +63,9 @@ def test_figure11b_double_defect(benchmark, save_result):
         rounds=1,
         iterations=1,
     )
-    text = format_sweep(points, title="Figure 11b — Effect of circuit parallelism (double defect)")
+    text = format_sweep(
+        points, title="Figure 11b — Effect of circuit parallelism (double defect)", columns=COLUMNS
+    )
     print("\n" + text)
     save_result("fig11b_double_defect.txt", text)
 

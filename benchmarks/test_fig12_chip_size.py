@@ -2,8 +2,9 @@
 
 For circuits of parallelism 11 and 21 (49 qubits, depth 50) the chip size is
 swept so the corridor bandwidth rises from 1 to 5, reporting the averaged
-cycle count and the compile-time ratio relative to the smallest chip, for
-both surface-code models.
+cycle count for both surface-code models.  The tracked table leaves out the
+compile-time columns (``compile_s`` and the compile-time ratio relative to
+the smallest chip), which change from run to run.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from conftest import full_benchmarks_enabled
 
 from repro.chip import SurfaceCodeModel
 from repro.eval import figure12_chip_size, format_sweep
+
+#: The deterministic columns of the tracked table.
+COLUMNS = ("series", "x", "cycles", "bandwidth", "parallelism")
 
 
 def _parameters():
@@ -41,7 +45,8 @@ def _check_trend(points, series_prefix):
 
 def test_figure12_double_defect(benchmark, save_result):
     points = benchmark.pedantic(lambda: _run(SurfaceCodeModel.DOUBLE_DEFECT), rounds=1, iterations=1)
-    text = format_sweep(points, title="Figure 12 — Effect of chip size (double defect)")
+    title = "Figure 12 — Effect of chip size (double defect)"
+    text = format_sweep(points, title=title, columns=COLUMNS)
     print("\n" + text)
     save_result("fig12_double_defect.txt", text)
     _check_trend(points, "ecmas")
@@ -49,7 +54,8 @@ def test_figure12_double_defect(benchmark, save_result):
 
 def test_figure12_lattice_surgery(benchmark, save_result):
     points = benchmark.pedantic(lambda: _run(SurfaceCodeModel.LATTICE_SURGERY), rounds=1, iterations=1)
-    text = format_sweep(points, title="Figure 12 — Effect of chip size (lattice surgery)")
+    title = "Figure 12 — Effect of chip size (lattice surgery)"
+    text = format_sweep(points, title=title, columns=COLUMNS)
     print("\n" + text)
     save_result("fig12_lattice_surgery.txt", text)
     _check_trend(points, "ecmas")

@@ -3,9 +3,9 @@
 The topology-agnostic chip milestone's acceptance run.  Two graph
 geometries — a heavy-hex lattice (IBM-style degree <= 3 with mid-edge flag
 tiles) and a seeded degree-3 sparse graph — host every Table I circuit that
-fits their tile count, compiled as ``ecmas_dd_min`` and ``ecmas_ls_min``
-with both engines.  Every cell asserts bit-identical reference-vs-fast
-schedules and a clean validator replay; cycle counts land in
+fits their tile count, compiled as ``ecmas_dd_min`` and ``ecmas_ls_min``.
+Every cell asserts a schedule bit-identical to the test oracle's reference
+engine and a clean validator replay; cycle counts land in
 ``benchmarks/results/geometry_suite.txt``.
 
 A Figure-11-style parallelism sweep (QUEKO circuits pinned to the heavy-hex
@@ -22,6 +22,7 @@ most of it).
 from __future__ import annotations
 
 from conftest import full_benchmarks_enabled
+from oracle import reference_compile
 
 from repro.chip import Chip, SurfaceCodeModel, degree3_sparse, heavy_hex
 from repro.circuits.generators import default_suite
@@ -43,15 +44,15 @@ _METHODS = {
 
 
 def _compile_cell(circuit, method, chip):
-    """Compile one cell with both engines; returns the validated cycle count."""
-    reference = run_pipeline_method(circuit, method, chip=chip, engine="reference")
-    fast = run_pipeline_method(circuit, method, chip=chip, engine="fast")
-    assert reference.encoded.operations == fast.encoded.operations, (
-        f"{method} on {circuit.name}: engines diverged on a graph chip"
+    """Compile one cell, checked against the reference engine; returns its cycles."""
+    production = run_pipeline_method(circuit, method, chip=chip)
+    reference = reference_compile(circuit, method, chip=chip)
+    assert production.encoded.operations == reference.encoded.operations, (
+        f"{method} on {circuit.name}: diverged from the reference engine on a graph chip"
     )
-    report = validate_encoded_circuit(circuit, fast.encoded)
+    report = validate_encoded_circuit(circuit, production.encoded)
     assert report.valid, f"{method} on {circuit.name}: {report.errors[:3]}"
-    return fast.encoded.num_cycles
+    return production.encoded.num_cycles
 
 
 def test_geometry_suite(save_result):
@@ -83,7 +84,7 @@ def test_geometry_suite(save_result):
             title=(
                 "Geometry suite — cycles on non-square graph chips "
                 "(hhex = heavy_hex 3x3, 18 tiles; sp3 = degree-3 sparse n=24 seed=7; "
-                "both engines bit-identical, validator-clean; '-' = does not fit)"
+                "reference-engine parity, validator-clean; '-' = does not fit)"
             ),
         )
     ]

@@ -13,7 +13,7 @@ from repro.circuits import qasm
 from repro.circuits.generators import random_parallel_circuit, standard
 from repro.core.metrics import para_finding
 from repro.partition import best_placement
-from repro.routing import CapacityUsage, find_path
+from repro.routing import CapacityUsage, FastRouter
 
 
 def test_qasm_parse_qft20(benchmark):
@@ -44,7 +44,8 @@ def test_kl_placement_qft30(benchmark):
 def test_single_path_routing_large_chip(benchmark):
     chip = Chip.with_tile_array(SurfaceCodeModel.DOUBLE_DEFECT, 3, 12, 12, bandwidth=2)
     graph = RoutingGraph(chip)
-    path = benchmark(lambda: find_path(graph, CapacityUsage(), tile_node(0, 0), tile_node(11, 11)))
+    # A fresh router per call: the cold query, landmark-table build included.
+    path = benchmark(lambda: FastRouter(graph).find(CapacityUsage(), tile_node(0, 0), tile_node(11, 11)))
     assert path is not None
 
 

@@ -7,8 +7,8 @@ network access (no build isolation, no ``wheel`` package) via either::
 
 or the legacy ``python setup.py develop``.
 
-``numpy`` is a *runtime* dependency, not a dev convenience: the fast
-engine's flat-array routing core (``repro.chip.graph_arrays``) builds its
+``numpy`` is a *runtime* dependency, not a dev convenience: the
+scheduler's flat-array routing core (``repro.chip.graph_arrays``) builds its
 CSR adjacency and capacity tables as numpy arrays.  It is declared here so
 ``pip install`` pulls it in; ``requirements-dev.txt`` pins the same package
 for the PYTHONPATH-based CI jobs that never install the distribution.

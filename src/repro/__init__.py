@@ -47,7 +47,7 @@ from repro.pipeline import (
     run_batch,
     run_pipeline_method,
 )
-from repro.profiling import EngineComparison, EngineCounters, compare_engines
+from repro.profiling import EngineCounters
 
 __version__ = "1.4.0"
 
@@ -87,6 +87,4 @@ __all__ = [
     "default_cache_dir",
     "run_batch",
     "EngineCounters",
-    "EngineComparison",
-    "compare_engines",
 ]

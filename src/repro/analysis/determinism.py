@@ -1,10 +1,10 @@
 """Determinism rules: DET001-DET004.
 
-The compiler's headline contract is bit-identical reproducibility: the fast
-and reference engines must emit the same schedule for the same input
-(``tests/test_differential_engines.py``), and the batch cache serves results
-across processes on the premise that a compile is a pure function of its
-fingerprint.  Anything order- or clock-dependent in a compilation path breaks
+The compiler's headline contract is bit-identical reproducibility: the
+scheduler must emit the same schedule as the test oracle's reference engine
+(``tests/test_differential_engines.py``), and the batch cache serves
+results across processes on the premise that a compile is a pure function
+of its fingerprint.  Anything order- or clock-dependent in a compilation path breaks
 that silently, so these rules flag the four ways it has nearly happened:
 
 * **DET001** — iterating a ``set`` (or ``dict.keys()`` view) in the

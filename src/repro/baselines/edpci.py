@@ -16,20 +16,8 @@ from __future__ import annotations
 
 from repro.chip.chip import Chip
 from repro.circuits.circuit import Circuit
-from repro.core.mapping import InitialMapping, build_initial_mapping
 from repro.core.schedule import EncodedCircuit
 from repro.pipeline.registry import run_pipeline_method
-
-
-def edpci_mapping(circuit: Circuit, chip: Chip) -> InitialMapping:
-    """EDPCI's trivial snake mapping without bandwidth adjusting."""
-    return build_initial_mapping(
-        circuit,
-        chip,
-        cut_types=None,
-        placement_strategy="trivial",
-        adjust=False,
-    )
 
 
 def compile_edpci(circuit: Circuit, chip: Chip | None = None, code_distance: int = 3) -> EncodedCircuit:

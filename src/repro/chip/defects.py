@@ -223,7 +223,7 @@ def chip_is_routable(chip) -> bool:
     junctions of capacity >= 1) and requires every pair of alive tiles to
     share at least one component among their corner junctions, which is
     exactly the feasibility condition of
-    :func:`repro.routing.router.find_path` on an empty usage state.
+    :meth:`repro.routing.fast_router.FastRouter.find` on an empty usage state.
     """
     from collections import deque
 

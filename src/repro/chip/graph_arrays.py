@@ -5,7 +5,7 @@ capacities and the canonical path contract are all defined over its
 ``("j", r, c)`` / ``("t", i, j)`` nodes.  The hot path, however, spends its
 time hashing those tuples.  :class:`CompactRoutingGraph` compiles the graph
 once into contiguous integer node ids and CSR-style numpy arrays so that the
-fast engine's landmark tables and A* search run over flat arrays instead of
+router's landmark tables and A* search run over flat arrays instead of
 dict-of-dicts.
 
 Node-id ordering invariant
@@ -17,9 +17,9 @@ before tile tuples (``"j" < "t"``) and both families sort row-major, so
 
 Consequently the lexicographic order of two *id sequences* equals the
 lexicographic order of the corresponding *node-tuple sequences* — the
-canonical tie-break of :func:`repro.routing.router.find_path` survives the
-translation to integers unchanged, which is what lets the array router return
-bit-identical paths (``tests/test_graph_arrays.py`` round-trips this).
+canonical path tie-break survives the translation to integers unchanged,
+which is what lets the array router return bit-identical paths
+(``tests/test_graph_arrays.py`` round-trips this).
 
 Edge ids are likewise assigned in sorted ``(min_id, max_id)`` endpoint order,
 giving every undirected edge one stable integer the residual-capacity
@@ -166,11 +166,6 @@ class CompactRoutingGraph:
     def node_capacity(self) -> np.ndarray:
         """Through-capacity per node id (tiles get the unbounded sentinel)."""
         return np.array(self._node_capacity_list, dtype=np.int64)
-
-    @cached_property
-    def tile_ids(self) -> np.ndarray:
-        """Node ids of all tiles, ascending."""
-        return np.flatnonzero(self.is_tile).astype(np.int32)
 
     @cached_property
     def indptr(self) -> np.ndarray:

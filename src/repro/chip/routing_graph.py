@@ -27,7 +27,7 @@ Defects
 The graph is built from the chip's *effective* capacities: dead tiles get no
 node (and no access edges), disabled corridor segments are omitted, and
 per-segment bandwidth overrides replace the corridor's nominal capacity.
-Both routing engines and the validator share this graph, so a defect declared
+The router and the validator share this graph, so a defect declared
 on the chip is honored everywhere without further plumbing.
 
 Graph chips

@@ -9,10 +9,8 @@ initialisation checks bipartiteness of prefixes of it.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gate import Gate
 from repro.errors import CircuitError
 
 
@@ -33,15 +31,6 @@ class CommunicationGraph:
         graph = cls(circuit.num_qubits)
         for gate in circuit.cnot_gates():
             graph.add_cnot(gate.control, gate.target)
-        return graph
-
-    @classmethod
-    def from_gates(cls, num_qubits: int, gates: Iterable[Gate]) -> "CommunicationGraph":
-        """Aggregate an explicit CNOT gate iterable."""
-        graph = cls(num_qubits)
-        for gate in gates:
-            if gate.is_cnot:
-                graph.add_cnot(gate.control, gate.target)
         return graph
 
     def add_cnot(self, control: int, target: int, count: int = 1) -> None:

@@ -14,7 +14,6 @@ Responsibilities:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.circuits.circuit import Circuit
@@ -286,11 +285,6 @@ def _cswap(params: list[float]):
 
 def _ccz(params: list[float]):
     return [("h", [], [2])] + _ccx(params) + [("h", [], [2])]
-
-
-def _u2_alias(params: list[float]):
-    phi, lam = (params + [0.0, 0.0])[:2]
-    return [("u3", [math.pi / 2, phi, lam], [0])]
 
 
 _STD_DECOMPOSITIONS = {

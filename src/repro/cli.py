@@ -5,13 +5,11 @@ Commands
 ``profile``
     Print circuit statistics (qubits, CNOTs, depth, parallelism degree) for a
     QASM file or a named built-in benchmark.  With ``--method`` it also
-    compiles the circuit with the reference and fast engines and prints
-    per-stage timings, hot-path counters and the measured speedup.
+    compiles the circuit once and prints the compile's per-stage timings and
+    scheduler counters.
 ``compile``
     Run the Ecmas pipeline (or a baseline) and print the schedule summary,
     optionally with the placement, a cycle timeline and per-stage timings.
-    ``--engine fast`` switches the Algorithm 1 hot path to the incremental /
-    landmark-A* engine (identical schedules, faster compiles).
     ``--chip-spec FILE`` compiles onto a chip loaded from a JSON spec
     (including its defects); ``--defect-rate R`` degrades the target chip
     with random, connectivity-preserving defects.
@@ -147,34 +145,31 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.method is None:
         return 0
 
-    from repro.profiling import compare_engines
-
-    comparison = compare_engines(circuit, args.method, code_distance=args.code_distance)
+    result = run_pipeline_method(circuit, args.method, code_distance=args.code_distance)
     print()
     print(f"method          : {args.method}")
-    print(f"cycles          : {comparison.cycles}")
-    print(f"schedules equal : {comparison.schedules_identical}")
-    print()
-    print(f"{'engine':<12} {'compile':>12} {'schedule':>12} {'routes':>9} {'expansions':>11} {'landmarks':>10}")
-    for engine in ("reference", "fast"):
-        counters = comparison.counters.get(engine, {})
-        print(
-            f"{engine:<12} {comparison.compile_seconds[engine] * 1000:10.1f} ms"
-            f" {comparison.schedule_seconds[engine] * 1000:10.1f} ms"
-            f" {counters.get('route_calls', 0):>9}"
-            f" {counters.get('nodes_expanded', 0):>11}"
-            f" {counters.get('landmark_tables', 0):>10}"
-        )
-    print()
-    print(f"compile speedup : {comparison.compile_speedup:.2f}x")
-    print(f"schedule speedup: {comparison.schedule_speedup:.2f}x")
+    print(f"cycles          : {result.encoded.num_cycles}")
+    print(f"compile time    : {result.compile_seconds * 1000:.1f} ms")
+    _print_stages(result)
     if args.cprofile:
         _dump_cprofile(circuit, args.method, args.code_distance, args.cprofile)
-    return 0 if comparison.schedules_identical else 1
+    return 0
+
+
+def _print_stages(result) -> None:
+    """Print a compile's per-stage timings and scheduler counters."""
+    print()
+    print("per-stage timings:")
+    for name, seconds in result.timings_dict().items():
+        print(f"  {name:<16} {seconds * 1000:8.2f} ms")
+    if result.counters:
+        print("scheduler counters:")
+        for name, value in result.counters.items():
+            print(f"  {name:<22} {value}")
 
 
 def _dump_cprofile(circuit, method: str, code_distance: int, out_path: str) -> None:
-    """Profile one fast-engine compile, dump ``.pstats``, print the top 10.
+    """Profile one compile, dump ``.pstats``, print the top 10.
 
     The dump is a standard :mod:`pstats` file (load with
     ``pstats.Stats(path)`` or ``snakeviz``), so perf PRs can cite real
@@ -185,14 +180,14 @@ def _dump_cprofile(circuit, method: str, code_distance: int, out_path: str) -> N
 
     profiler = cProfile.Profile()
     profiler.enable()
-    run_pipeline_method(circuit, method, code_distance=code_distance, engine="fast")
+    run_pipeline_method(circuit, method, code_distance=code_distance)
     profiler.disable()
     profiler.dump_stats(out_path)
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative")
     print()
     print(f"cProfile dump   : {out_path}")
-    print("top 10 functions by cumulative time (fast engine):")
+    print("top 10 functions by cumulative time:")
     stats.print_stats(10)
 
 
@@ -223,7 +218,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             chip=chip,
             resources=args.resources,
             scheduler=args.scheduler,
-            engine=args.engine,
             placement=args.placement,
             window=args.window,
             defect_rate=args.defect_rate,
@@ -234,7 +228,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             circuit,
             args.method,
             chip=chip,
-            engine=args.engine,
             placement=args.placement,
             window=args.window,
             defect_rate=args.defect_rate,
@@ -253,14 +246,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         for error in report.errors[:5]:
             print(f"  error: {error}")
     if args.stages:
-        print()
-        print(f"per-stage timings ({result.engine} engine):")
-        for name, seconds in result.timings_dict().items():
-            print(f"  {name:<16} {seconds * 1000:8.2f} ms")
-        if result.counters:
-            print("engine counters:")
-            for name, value in result.counters.items():
-                print(f"  {name:<16} {value}")
+        _print_stages(result)
     if args.show_placement:
         print()
         print(viz.render_placement(encoded.chip, encoded.placement))
@@ -278,7 +264,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     cache = _make_cache(args)
     _check_jobs(args.jobs)
     reporter = _ProgressReporter(echo=args.progress)
-    rows = builder(jobs=args.jobs, cache=cache, engine=args.engine, progress=reporter)
+    rows = builder(jobs=args.jobs, cache=cache, progress=reporter)
     print(format_table(rows, title=title))
     if cache is not None:
         print(f"cache: {cache.hits} hits, {cache.misses} misses ({cache.directory})")
@@ -310,7 +296,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         methods,
         code_distance=args.code_distance,
         validate=args.validate,
-        engine=args.engine,
         placement=args.placement,
     )
     cache = _make_cache(args)
@@ -409,7 +394,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     client = ServiceClient(args.host, args.port, timeout=args.timeout)
     request: dict = {
         "method": args.method,
-        "engine": args.engine,
         "code_distance": args.code_distance,
         "validate": args.validate,
         "use_cache": not args.no_cache,
@@ -490,16 +474,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        choices=["reference", "fast"],
-        default="reference",
-        help="Algorithm 1 hot-path engine; 'fast' uses incremental ready-set "
-        "maintenance and landmark A* routing (identical schedules, faster compiles)",
-    )
-
-
 def _add_placement_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--placement",
@@ -512,7 +486,6 @@ def _add_placement_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_batch_flags(parser: argparse.ArgumentParser) -> None:
-    _add_engine_flag(parser)
     parser.add_argument(
         "--jobs",
         type=int,
@@ -553,22 +526,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     profile = sub.add_parser(
-        "profile", help="print circuit statistics and engine timing comparisons"
+        "profile", help="print circuit statistics and, with --method, one compile's stage timings"
     )
     profile.add_argument("circuit", help="QASM file path or built-in benchmark name (e.g. qft_n10)")
     profile.add_argument(
         "--method",
         default=None,
         metavar="M",
-        help="also compile with this method on both engines and print per-stage "
-        "timings, hot-path counters and the measured speedup (e.g. ecmas_dd_min)",
+        help="also compile with this method and print its per-stage timings and "
+        "scheduler counters (e.g. ecmas_dd_min)",
     )
     profile.add_argument("--code-distance", type=int, default=3, metavar="D")
     profile.add_argument(
         "--cprofile",
         metavar="OUT.pstats",
         default=None,
-        help="profile one fast-engine compile of --method, dump pstats to this "
+        help="profile one compile of --method, dump pstats to this "
         "path and print the top-10 cumulative functions",
     )
     profile.set_defaults(func=_cmd_profile)
@@ -588,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="ecmas",
         help="'ecmas' (default) or an evaluation method name such as autobraid / edpci_min",
     )
-    _add_engine_flag(compile_cmd)
     _add_placement_flag(compile_cmd)
     compile_cmd.add_argument(
         "--chip-spec",
@@ -718,7 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="ecmas",
         help="'ecmas' (default) or an evaluation method name such as autobraid / edpci_min",
     )
-    _add_engine_flag(submit)
     submit.add_argument("--code-distance", type=int, default=3, metavar="D")
     submit.add_argument("--validate", action="store_true", help="validate the schedule server-side")
     submit.add_argument(

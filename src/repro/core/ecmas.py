@@ -163,7 +163,6 @@ def compile_circuit(
     scheduler: str = "auto",
     code_distance: int = DEFAULT_CODE_DISTANCE,
     options: EcmasOptions | None = None,
-    engine: str = "reference",
     placement: str = "reference",
     defects: DefectSpec | None = None,
 ) -> EncodedCircuit:
@@ -186,9 +185,6 @@ def compile_circuit(
         Algorithm 1 and ``"resu"`` forces Algorithm 2.
     options:
         Pipeline tuning knobs; defaults reproduce the paper's configuration.
-    engine:
-        Algorithm 1 hot path: ``"reference"`` or ``"fast"`` (identical
-        schedules, the fast engine is wall-clock faster).
     placement:
         Placement bisection core: ``"reference"`` (classic KL) or ``"fast"``
         (multilevel coarsen/FM — may place differently, quality bounded by
@@ -208,7 +204,6 @@ def compile_circuit(
         scheduler=scheduler,
         code_distance=code_distance,
         options=options,
-        engine=engine,
         placement=placement,
         defects=defects,
     ).encoded

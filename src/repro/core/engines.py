@@ -1,21 +1,13 @@
-"""Engine selection and stall diagnostics shared by the Algorithm 1 schedulers.
+"""Routing acquisition and stall diagnostics shared by the schedulers.
 
-Both :class:`~repro.core.scheduler_dd.DoubleDefectScheduler` and
-:class:`~repro.core.scheduler_ls.LatticeSurgeryScheduler` accept an
-``engine`` argument naming their hot-path implementation; the pipeline's
-scheduler-selection pass validates the same names.  Keeping the contract
-here avoids coupling the two concrete schedulers to each other.
-
-This module is also the *routing acquisition* seam: every scheduler obtains
-its :class:`~repro.chip.routing_graph.RoutingGraph` (and, on the fast engine,
-its :class:`~repro.routing.fast_router.FastRouter`) through
+Every scheduler obtains its :class:`~repro.chip.routing_graph.RoutingGraph`
+and :class:`~repro.routing.fast_router.FastRouter` through
 :func:`routing_for`, which consults an installable provider.  Long-lived
 processes — the compile daemon in :mod:`repro.service` — install a provider
 backed by an LRU of warm per-chip state so that repeated compiles against the
 same chip reuse the graph and the router's memoized landmark tables instead
 of rebuilding them from cold.  One-shot callers never notice: with no
-provider installed, :func:`routing_for` builds fresh state exactly as the
-schedulers used to.
+provider installed, :func:`routing_for` builds fresh state.
 """
 
 from __future__ import annotations
@@ -23,34 +15,17 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro.chip.chip import Chip
-from repro.chip.routing_graph import Node, RoutingGraph
+from repro.chip.routing_graph import RoutingGraph
 from repro.errors import SchedulingError
 from repro.routing.fast_router import FastRouter
-from repro.routing.paths import CapacityUsage, RoutedPath
-from repro.routing.router import find_path
 
-#: The recognised Algorithm 1 engine names.
-ENGINES = ("reference", "fast")
-
-#: A routing provider maps ``(chip, engine)`` to a ``(graph, router)`` pair;
-#: ``router`` is ``None`` on the reference engine.  Both returned objects are
-#: immutable-after-construction (the FastRouter only grows memo tables), so a
-#: provider may hand the same instances to any number of sequential compiles.
-RoutingProvider = Callable[[Chip, str], "tuple[RoutingGraph, FastRouter | None]"]
+#: A routing provider maps a chip to a ``(graph, router)`` pair.  Both
+#: returned objects are immutable-after-construction (the router only grows
+#: memo tables), so a provider may hand the same instances to any number of
+#: sequential compiles.
+RoutingProvider = Callable[[Chip], "tuple[RoutingGraph, FastRouter]"]
 
 _routing_provider: RoutingProvider | None = None
-
-
-def check_engine(engine: str) -> str:
-    """Validate an engine name, returning it unchanged."""
-    if engine not in ENGINES:
-        raise SchedulingError(f"unknown scheduling engine {engine!r}; choose from {ENGINES}")
-    return engine
-
-
-def build_router(graph: RoutingGraph, engine: str) -> FastRouter | None:
-    """The fast engine's router for ``graph``, or ``None`` on the reference engine."""
-    return FastRouter(graph) if engine == "fast" else None
 
 
 def set_routing_provider(provider: RoutingProvider | None) -> RoutingProvider | None:
@@ -65,7 +40,7 @@ def set_routing_provider(provider: RoutingProvider | None) -> RoutingProvider | 
     return previous
 
 
-def routing_for(chip: Chip, engine: str) -> tuple[RoutingGraph, FastRouter | None]:
+def routing_for(chip: Chip) -> tuple[RoutingGraph, FastRouter]:
     """The routing graph and router a scheduler should use for ``chip``.
 
     Delegates to the installed provider when there is one (warm-state reuse
@@ -74,25 +49,9 @@ def routing_for(chip: Chip, engine: str) -> tuple[RoutingGraph, FastRouter | Non
     the chip, and router memo tables only cache derived data.
     """
     if _routing_provider is not None:
-        return _routing_provider(chip, engine)
+        return _routing_provider(chip)
     graph = RoutingGraph(chip)
-    return graph, build_router(graph, engine)
-
-
-def route_query(
-    router: FastRouter | None,
-    graph: RoutingGraph,
-    usage: CapacityUsage,
-    source: Node,
-    target: Node,
-    congestion_weight: float,
-    counters,
-) -> RoutedPath | None:
-    """Dispatch one path query to the engine's router, accounting it in ``counters``."""
-    counters.route_calls += 1
-    if router is not None:
-        return router.find(usage, source, target, congestion_weight, counters)
-    return find_path(graph, usage, source, target, congestion_weight, counters)
+    return graph, FastRouter(graph)
 
 
 def stalled_schedule_error(

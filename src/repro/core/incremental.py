@@ -1,8 +1,8 @@
-"""Incremental ready-set and priority maintenance for the fast engine.
+"""Incremental ready-set and priority maintenance for the schedulers.
 
-The reference Algorithm 1 loop rebuilds its view of the ready set every
-cycle: it sorts the frontier's ready nodes, filters out already-dispatched
-gates, filters out busy tiles and then re-sorts by priority.  All of that is
+Algorithm 1 as stated rebuilds its view of the ready set every cycle: it
+sorts the frontier's ready nodes, filters out already-dispatched gates,
+filters out busy tiles and then re-sorts by priority.  All of that is
 O(R log R) per cycle even though the ready set changes only at gate dispatch
 and gate retirement.
 
@@ -17,10 +17,9 @@ DAG — and maintained under two O(log R) events:
 
 The per-cycle cost is then a single linear scan over the ordered entries to
 drop busy tiles (:meth:`available`), which yields *exactly* the list the
-reference engine computes.  Priorities without a static key fall back to
+per-cycle rebuild computes.  Priorities without a static key fall back to
 calling the priority function per cycle on the identically-ordered input the
-reference engine would pass it, so seeded/random ablations stay bit-equal
-too.
+rebuild would pass it, so seeded/random ablations stay bit-equal too.
 """
 
 from __future__ import annotations
@@ -79,10 +78,10 @@ class IncrementalReadyQueue:
     def available(self, busy_until: dict[int, int], cycle: int) -> list[int]:
         """Ready nodes whose operand tiles are free, in dispatch order.
 
-        Matches the reference engine's ``priority(dag, available)`` output:
+        Matches the per-cycle rebuild's ``priority(dag, available)`` output:
         in static-key mode the entries are already in key order; in fallback
         mode the priority function receives the ascending-id list the
-        reference engine would build from ``frontier.ready_nodes()``.
+        rebuild would make from ``frontier.ready_nodes()``.
         """
         if self._key is not None:
             return [

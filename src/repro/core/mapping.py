@@ -39,7 +39,6 @@ from repro.partition.placement import (
     trivial_snake_placement,
 )
 from repro.routing.paths import CapacityUsage
-from repro.routing.router import find_path
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,6 @@ def corridor_load(
     chip: Chip,
     placement: Placement,
     graph: CommunicationGraph,
-    engine: str = "reference",
 ) -> tuple[dict[int, float], dict[int, float]]:
     """Pre-route every CNOT (ignoring conflicts) and accumulate corridor load.
 
@@ -173,22 +171,18 @@ def corridor_load(
 
     Routing state comes from the :func:`repro.core.engines.routing_for`
     seam, so daemon processes reuse their warm per-chip graphs here instead
-    of rebuilding one per compile.  On the fast engine the per-pair search
-    is the router's cached static walk over BFS hop tables; both engines
-    produce the canonical (lexicographically smallest shortest) path, so
-    the accumulated loads are engine-independent.
+    of rebuilding one per compile.  Each pair follows the canonical
+    (lexicographically smallest shortest) path, which the router reads off
+    its cached BFS hop tables.
     """
-    routing_graph, router = routing_for(chip, engine)
+    routing_graph, router = routing_for(chip)
     h_load: dict[int, float] = {r: 0.0 for r in range(chip.tile_rows + 1)}
     v_load: dict[int, float] = {c: 0.0 for c in range(chip.tile_cols + 1)}
     empty = CapacityUsage()
     for a, b, weight in graph.edges():
         source = tile_node_for(placement.slot_of(a))
         target = tile_node_for(placement.slot_of(b))
-        if router is not None:
-            path = router.find(empty, source, target)
-        else:
-            path = find_path(routing_graph, empty, source, target)
+        path = router.find(empty, source, target)
         if path is None:
             continue  # disconnected pair (defective chips); no load to record
         for edge_a, edge_b in zip(path.nodes, path.nodes[1:]):
@@ -207,25 +201,20 @@ def edge_load(
     chip: Chip,
     placement: Placement,
     graph: CommunicationGraph,
-    engine: str = "reference",
 ) -> dict[int, float]:
     """Graph-chip counterpart of :func:`corridor_load`: per-edge path load.
 
     Pre-routes every CNOT over the unconstrained canonical path and
     accumulates the pair's multiplicity on each tile-graph edge the path
-    crosses (keyed by edge index).  Engine-independent for the same reason
-    as :func:`corridor_load`.
+    crosses (keyed by edge index).
     """
-    routing_graph, router = routing_for(chip, engine)
+    routing_graph, router = routing_for(chip)
     load: dict[int, float] = {e: 0.0 for e in range(chip.tile_graph.num_edges)}
     empty = CapacityUsage()
     for a, b, weight in graph.edges():
         source = tile_node_for(placement.slot_of(a))
         target = tile_node_for(placement.slot_of(b))
-        if router is not None:
-            path = router.find(empty, source, target)
-        else:
-            path = find_path(routing_graph, empty, source, target)
+        path = router.find(empty, source, target)
         if path is None:
             continue  # disconnected pair (defective chips); no load to record
         for edge_a, edge_b in zip(path.nodes, path.nodes[1:]):
@@ -236,9 +225,7 @@ def edge_load(
     return load
 
 
-def adjust_edge_bandwidth(
-    chip: Chip, placement: Placement, graph: CommunicationGraph, engine: str = "reference"
-) -> Chip:
+def adjust_edge_bandwidth(chip: Chip, placement: Placement, graph: CommunicationGraph) -> Chip:
     """Per-edge bandwidth adjusting for graph chips.
 
     Every edge starts at one lane; the remaining width of each node's budget
@@ -256,7 +243,7 @@ def adjust_edge_bandwidth(
         budgets[b] -= 1
     if all(b <= 0 for b in budgets):
         return chip  # no spare width anywhere; skip the pre-routing pass
-    load = edge_load(chip, placement, graph, engine=engine)
+    load = edge_load(chip, placement, graph)
     order = sorted(range(tile_graph.num_edges), key=lambda e: (-load[e], e))
     granted = True
     while granted:
@@ -275,9 +262,7 @@ def adjust_edge_bandwidth(
     return chip.with_edge_bandwidths(bandwidths)
 
 
-def adjust_bandwidth(
-    chip: Chip, placement: Placement, graph: CommunicationGraph, engine: str = "reference"
-) -> Chip:
+def adjust_bandwidth(chip: Chip, placement: Placement, graph: CommunicationGraph) -> Chip:
     """Redistribute spare lanes towards the most loaded corridors.
 
     The chip's per-axis lane budget is respected; every corridor keeps at
@@ -286,13 +271,13 @@ def adjust_bandwidth(
     per-node width budgets instead (:func:`adjust_edge_bandwidth`).
     """
     if chip.tile_graph is not None:
-        return adjust_edge_bandwidth(chip, placement, graph, engine=engine)
+        return adjust_edge_bandwidth(chip, placement, graph)
     h_budget, v_budget = chip.lane_budget_per_axis()
     h_spare = h_budget - (chip.tile_rows + 1)
     v_spare = v_budget - (chip.tile_cols + 1)
     if h_spare <= 0 and v_spare <= 0:
         return chip
-    h_load, v_load = corridor_load(chip, placement, graph, engine=engine)
+    h_load, v_load = corridor_load(chip, placement, graph)
     h_bandwidths = _distribute(h_load, chip.tile_rows + 1, h_budget)
     v_bandwidths = _distribute(v_load, chip.tile_cols + 1, v_budget)
     return chip.with_bandwidths(h_bandwidths, v_bandwidths)
@@ -330,7 +315,6 @@ def build_initial_mapping(
     attempts: int = 4,
     seed: int = 0,
     placement_engine: str = "reference",
-    routing_engine: str = "reference",
 ) -> InitialMapping:
     """Run the full pre-processing pipeline for ``circuit`` on ``chip``."""
     graph = circuit.communication_graph()
@@ -346,7 +330,7 @@ def build_initial_mapping(
         chip=chip,
     )
     placement.validate(chip)
-    adjusted_chip = adjust_bandwidth(chip, placement, graph, engine=routing_engine) if adjust else chip
+    adjusted_chip = adjust_bandwidth(chip, placement, graph) if adjust else chip
     cost = communication_cost(graph, placement, distance=chip.slot_distance)
     return InitialMapping(
         chip=adjusted_chip,

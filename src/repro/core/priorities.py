@@ -10,11 +10,11 @@ Static sort keys
 Each built-in priority's ordering depends only on per-node quantities that
 the DAG computes once at construction, never on the cycle being scheduled.
 Such priorities expose that key as a ``static_key(dag, node)`` attribute
-(via :func:`static_priority`), which lets the fast engine keep the ready set
+(via :func:`static_priority`), which lets the schedulers keep the ready set
 permanently sorted — updated on gate retirement — instead of re-sorting it
 every cycle.  Priorities without a ``static_key`` (e.g. the seeded
-:func:`random_priority` ablation) still work on the fast engine; it falls
-back to calling them per cycle exactly like the reference engine.
+:func:`random_priority` ablation) still work; the ready queue falls back to
+calling them once per cycle, exactly as Algorithm 1 states it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def static_priority(key: StaticKeyFunction) -> Callable[[PriorityFunction], Prio
     """Attach a cycle-independent sort key to a priority function.
 
     The decorated function must order nodes exactly as ``sorted(ready,
-    key=lambda n: key(dag, n))`` would — the fast engine relies on the two
+    key=lambda n: key(dag, n))`` would — the schedulers rely on the two
     being interchangeable, and ``tests/test_differential_engines.py`` checks
     the schedules they produce are identical.
     """

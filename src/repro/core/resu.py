@@ -32,7 +32,6 @@ from repro.core.metrics import ExecutionScheme, para_finding
 from repro.core.schedule import EncodedCircuit, OperationKind, ScheduledOperation
 from repro.errors import SchedulingError
 from repro.routing.paths import CapacityUsage
-from repro.routing.router import find_path
 
 #: Cycles spent remapping cut types between bipartite groups (Theorem 3 uses 3).
 CUT_REMAP_CYCLES = 3
@@ -129,7 +128,7 @@ class _LayerRouter:
     def __init__(self, dag: GateDAG, mapping: InitialMapping, congestion_weight: float = 0.25):
         self._dag = dag
         self._mapping = mapping
-        self._graph, _ = routing_for(mapping.chip, "reference")
+        _, self._router = routing_for(mapping.chip)
         self._congestion_weight = congestion_weight
 
     def _describe_gates(self, nodes: list[int]) -> str:
@@ -163,7 +162,7 @@ class _LayerRouter:
                 gate = self._dag.gate(node)
                 source = tile_node_for(self._mapping.placement.slot_of(gate.control))
                 target = tile_node_for(self._mapping.placement.slot_of(gate.target))
-                path = find_path(self._graph, usage, source, target, self._congestion_weight)
+                path = self._router.find(usage, source, target, self._congestion_weight)
                 if path is None:
                     still_waiting.append(node)
                     continue

@@ -16,20 +16,20 @@ corridor bandwidths, so gates that fail to find a path simply wait — this is
 exactly the congestion the paper's bandwidth adjusting and cut-type
 optimisations are designed to relieve.
 
-The same engine, configured with uniform cut types and the ``never_modify``
+The same scheduler, configured with uniform cut types and the ``never_modify``
 strategy, serves as the AutoBraid / Braidflash baseline scheduler.
 
-Engines
--------
-``engine="reference"`` (the default) recomputes the prioritised ready list
-from the frontier every cycle and routes with the canonical Dijkstra of
-:func:`repro.routing.router.find_path`.  ``engine="fast"`` keeps the ready
-set incrementally sorted (:class:`repro.core.incremental.IncrementalReadyQueue`)
-and routes with the landmark A* of :class:`repro.routing.fast_router.FastRouter`;
-both components preserve the reference semantics exactly, so the two engines
-produce identical schedules (enforced by ``tests/test_differential_engines.py``).
+Hot path
+--------
+The ready set stays incrementally sorted
+(:class:`repro.core.incremental.IncrementalReadyQueue`) instead of being
+rebuilt from the frontier every cycle, and paths come from the landmark A*
+of :class:`repro.routing.fast_router.FastRouter`.  Both preserve the plain
+Algorithm 1 semantics exactly: ``tests/test_differential_engines.py`` holds
+every schedule to a reference engine that recomputes the ready list each
+cycle and routes with a reference Dijkstra.
 
-The fast engine additionally memoizes whole cycles by their layer
+The scheduler also memoizes whole cycles by their layer
 fingerprint (:mod:`repro.core.layer_memo`): cut types, capped idle times,
 the three-cycle residual-capacity signature and — for the adaptive strategy
 — the successor look-ahead together determine a cycle's outcome, so
@@ -54,7 +54,7 @@ from repro.core.cut_decisions import (
     adaptive_strategy,
 )
 from repro.core.cut_types import CutType
-from repro.core.engines import check_engine, route_query, routing_for, stalled_schedule_error
+from repro.core.engines import routing_for, stalled_schedule_error
 from repro.core.incremental import IncrementalReadyQueue, WindowedDagFrontier
 from repro.core.layer_memo import LOOKAHEAD_STRATEGIES, MEMO_SAFE_STRATEGIES, DdLayerKey
 from repro.core.mapping import InitialMapping
@@ -80,11 +80,10 @@ class DoubleDefectScheduler:
         cut_strategy: CutDecisionStrategy = adaptive_strategy,
         congestion_weight: float = 0.25,
         method: str = "ecmas-dd",
-        engine: str = "reference",
         max_cycles: int | None = None,
         dag=None,
         window: int | None = None,
-        memoize: bool | None = None,
+        memoize: bool = True,
     ):
         if mapping.cut_types is None:
             raise SchedulingError("double defect scheduling needs an initial cut-type assignment")
@@ -94,19 +93,17 @@ class DoubleDefectScheduler:
         self._cut_strategy = cut_strategy
         self._congestion_weight = congestion_weight
         self._method = method
-        self._engine = check_engine(engine)
         self._max_cycles = max_cycles
         self._window = window
-        # Layer memoization defaults on for the fast engine, but only for
-        # strategies whose read set the fingerprint provably covers; a custom
-        # strategy disables it rather than risking an unsound replay.
-        requested = (self._engine == "fast") if memoize is None else memoize
-        self._memoize = requested and cut_strategy in MEMO_SAFE_STRATEGIES
+        # Layer memoization runs only for strategies whose read set the
+        # fingerprint provably covers; a custom strategy disables it rather
+        # than risking an unsound replay.
+        self._memoize = memoize and cut_strategy in MEMO_SAFE_STRATEGIES
         self._memo_lookahead = cut_strategy in LOOKAHEAD_STRATEGIES
         # A DAG precomputed by the pipeline's profile pass is reused as-is;
         # standalone callers pay for one derivation here.
         self._dag = dag if dag is not None else circuit.dag()
-        self._graph, self._router = routing_for(mapping.chip, self._engine)
+        _, self._router = routing_for(mapping.chip)
         #: Tile node per placed qubit, resolved once (placements are frozen).
         self._tiles = {
             qubit: tile_node_for(slot)
@@ -118,10 +115,9 @@ class DoubleDefectScheduler:
         self.counters = EngineCounters()
 
     def _find_path(self, usage: CapacityUsage, source: Node, target: Node) -> RoutedPath | None:
-        """Route one query through the engine's router."""
-        return route_query(
-            self._router, self._graph, usage, source, target, self._congestion_weight, self.counters
-        )
+        """Route one query, accounting it in the counters."""
+        self.counters.route_calls += 1
+        return self._router.find(usage, source, target, self._congestion_weight, self.counters)
 
     # ------------------------------------------------------------------ public
     def run(self) -> EncodedCircuit:
@@ -148,13 +144,9 @@ class DoubleDefectScheduler:
         cut_flips: dict[int, list[int]] = defaultdict(list)
         scheduled: set[int] = set()
         operations: list[ScheduledOperation] = []
-        # Fast engine: the ready set stays sorted across cycles instead of
-        # being rebuilt from the frontier every cycle.
-        queue = (
-            IncrementalReadyQueue(self._dag, self._priority, frontier.ready_nodes())
-            if self._engine == "fast"
-            else None
-        )
+        # The ready set stays sorted across cycles instead of being rebuilt
+        # from the frontier every cycle.
+        queue = IncrementalReadyQueue(self._dag, self._priority, frontier.ready_nodes())
         operands = self._dag.operand_pairs
         # Layer-fingerprint memoization (see repro.core.layer_memo).
         memo: dict[tuple, tuple] | None = {} if self._memoize else None
@@ -186,21 +178,8 @@ class DoubleDefectScheduler:
             for qubit in cut_flips.pop(cycle, []):
                 cut[qubit] = cut[qubit].flipped()
             for node in completions.pop(cycle, []):
-                newly_ready = frontier.complete(node)
-                if queue is not None:
-                    queue.add(newly_ready)
-
-            if queue is not None:
-                order = queue.available(busy_until, cycle)
-            else:
-                ready = [node for node in frontier.ready_nodes() if node not in scheduled]
-                available = [
-                    node
-                    for node in ready
-                    if busy_until[operands[node][0]] <= cycle
-                    and busy_until[operands[node][1]] <= cycle
-                ]
-                order = self._priority(self._dag, available)
+                queue.add(frontier.complete(node))
+            order = queue.available(busy_until, cycle)
 
             if memo is not None:
                 key = fingerprint.key(
@@ -249,7 +228,7 @@ class DoubleDefectScheduler:
                         node, qubit_a, qubit_b, cycle, usage_now,
                         busy_until, completions, scheduled, operations,
                     )
-                    if path is not None and queue is not None:
+                    if path is not None:
                         queue.discard(node)
                     if record is not None:
                         record.append(("braid", path) if path is not None else None)
@@ -280,7 +259,7 @@ class DoubleDefectScheduler:
                             node, qubit_a, qubit_b, cycle, usage_now,
                             busy_until, completions, scheduled, operations,
                         )
-                        if braid_path is not None and queue is not None:
+                        if braid_path is not None:
                             queue.discard(node)
                     if record is not None:
                         side = 0 if decision.qubit == qubit_a else 1
@@ -290,7 +269,7 @@ class DoubleDefectScheduler:
                         node, qubit_a, qubit_b, cycle, usage_by_cycle,
                         busy_until, completions, scheduled, operations,
                     )
-                    if path is not None and queue is not None:
+                    if path is not None:
                         queue.discard(node)
                     if record is not None:
                         record.append(("direct", path) if path is not None else None)
@@ -437,7 +416,7 @@ class DoubleDefectScheduler:
         cut_flips: dict[int, list[int]],
         scheduled: set[int],
         operations: list[ScheduledOperation],
-        queue: IncrementalReadyQueue | None,
+        queue: IncrementalReadyQueue,
     ) -> None:
         """Apply a memoized cycle's recorded actions to the current order.
 
@@ -459,15 +438,13 @@ class DoubleDefectScheduler:
                     node, qubit_a, qubit_b, cycle, action[1],
                     busy_until, completions, scheduled, operations,
                 )
-                if queue is not None:
-                    queue.discard(node)
+                queue.discard(node)
             elif tag == "direct":
                 self._apply_direct(
                     node, qubit_a, qubit_b, cycle, action[1], usage_by_cycle,
                     busy_until, completions, scheduled, operations,
                 )
-                if queue is not None:
-                    queue.discard(node)
+                queue.discard(node)
             else:  # "modify"
                 _tag, side, finished_recorded, braid_path = action
                 qubit = qubit_a if side == 0 else qubit_b
@@ -481,8 +458,7 @@ class DoubleDefectScheduler:
                         node, qubit_a, qubit_b, cycle, braid_path,
                         busy_until, completions, scheduled, operations,
                     )
-                    if queue is not None:
-                        queue.discard(node)
+                    queue.discard(node)
 
     def _schedule_modification(
         self,
@@ -560,10 +536,9 @@ def schedule_double_defect(
     priority: PriorityFunction = criticality_priority,
     cut_strategy: CutDecisionStrategy = adaptive_strategy,
     method: str = "ecmas-dd",
-    engine: str = "reference",
 ) -> EncodedCircuit:
     """Convenience wrapper around :class:`DoubleDefectScheduler`."""
     scheduler = DoubleDefectScheduler(
-        circuit, mapping, priority=priority, cut_strategy=cut_strategy, method=method, engine=engine
+        circuit, mapping, priority=priority, cut_strategy=cut_strategy, method=method
     )
     return scheduler.run()

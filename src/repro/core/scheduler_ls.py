@@ -8,17 +8,16 @@ in priority order (criticality then descendant count by default) and routes
 each through the corridor graph; gates that cannot be routed wait for the
 next cycle.
 
-The same engine with the EDPCI gate order (shortest tile separation first,
+The same scheduler with the EDPCI gate order (shortest tile separation first,
 trivial snake placement) is used as the EDPCI baseline.
 
-Engines
--------
-As in :mod:`repro.core.scheduler_dd`, ``engine="fast"`` swaps the per-cycle
-ready-set rebuild for an incrementally maintained priority queue and the
-Dijkstra router for the landmark A* router, without changing the produced
-schedule; the per-cycle :class:`CapacityUsage` is recycled instead of
-reallocated.  The fast engine additionally memoizes whole cycles by their
-layer fingerprint (:mod:`repro.core.layer_memo`): a lattice-surgery cycle is
+Hot path
+--------
+As in :mod:`repro.core.scheduler_dd`, the ready set is an incrementally
+maintained priority queue and paths come from the landmark A* router, without
+changing the produced schedule; the per-cycle :class:`CapacityUsage` is
+recycled instead of reallocated.  The scheduler also memoizes whole cycles
+by their layer fingerprint (:mod:`repro.core.layer_memo`): a lattice-surgery cycle is
 a pure function of its ordered operand slots, so repeated layers replay
 their recorded braids without touching the router.  ``window`` enables the
 sliding-window frontier of :class:`~repro.core.incremental.WindowedDagFrontier`
@@ -33,7 +32,7 @@ from collections import defaultdict
 from repro.chip.geometry import SurfaceCodeModel
 from repro.chip.routing_graph import Node, tile_node_for
 from repro.circuits.circuit import Circuit
-from repro.core.engines import check_engine, route_query, routing_for, stalled_schedule_error
+from repro.core.engines import routing_for, stalled_schedule_error
 from repro.core.incremental import IncrementalReadyQueue, WindowedDagFrontier
 from repro.core.layer_memo import LsLayerKey
 from repro.core.mapping import InitialMapping
@@ -55,26 +54,24 @@ class LatticeSurgeryScheduler:
         priority: PriorityFunction = criticality_priority,
         congestion_weight: float = 0.25,
         method: str = "ecmas-ls",
-        engine: str = "reference",
         max_cycles: int | None = None,
         dag=None,
         window: int | None = None,
-        memoize: bool | None = None,
+        memoize: bool = True,
     ):
         self._circuit = circuit
         self._mapping = mapping
         self._priority = priority
         self._congestion_weight = congestion_weight
         self._method = method
-        self._engine = check_engine(engine)
         self._max_cycles = max_cycles
         self._window = window
-        # Layer memoization defaults on for the fast engine; ``memoize=False``
-        # forces it off (the parity tests compare both modes).
-        self._memoize = (self._engine == "fast") if memoize is None else memoize
+        # ``memoize=False`` turns layer memoization off (the parity tests
+        # compare both modes).
+        self._memoize = memoize
         # A DAG precomputed by the pipeline's profile pass is reused as-is.
         self._dag = dag if dag is not None else circuit.dag()
-        self._graph, self._router = routing_for(mapping.chip, self._engine)
+        _, self._router = routing_for(mapping.chip)
         #: Tile node per placed qubit, resolved once (placements are frozen).
         self._tiles = {
             qubit: tile_node_for(slot)
@@ -82,10 +79,6 @@ class LatticeSurgeryScheduler:
         }
         self.counters = EngineCounters()
 
-    def _find_path(self, usage: CapacityUsage, source: Node, target: Node) -> RoutedPath | None:
-        return route_query(
-            self._router, self._graph, usage, source, target, self._congestion_weight, self.counters
-        )
 
     def run(self) -> EncodedCircuit:
         """Produce the encoded circuit."""
@@ -108,14 +101,10 @@ class LatticeSurgeryScheduler:
         completions: dict[int, list[int]] = defaultdict(list)
         scheduled: set[int] = set()
         operations: list[ScheduledOperation] = []
-        queue = (
-            IncrementalReadyQueue(self._dag, self._priority, frontier.ready_nodes())
-            if self._engine == "fast"
-            else None
-        )
-        # The fast engine reuses one usage tracker across cycles (cleared in
-        # place) instead of allocating a fresh one per cycle.
-        recycled_usage = CapacityUsage() if self._engine == "fast" else None
+        queue = IncrementalReadyQueue(self._dag, self._priority, frontier.ready_nodes())
+        # One usage tracker serves every cycle (cleared in place) instead of
+        # a fresh one per cycle.
+        usage = CapacityUsage()
         operands = self._dag.operand_pairs
         # Layer memoization: a cycle is a pure function of its ordered operand
         # slots (usage starts empty; ready gates never share qubits), so the
@@ -137,21 +126,8 @@ class LatticeSurgeryScheduler:
                     "lattice surgery", cycle, max_cycles, frontier, self._dag, busy_until, scheduled
                 )
             for node in completions.pop(cycle, []):
-                newly_ready = frontier.complete(node)
-                if queue is not None:
-                    queue.add(newly_ready)
-
-            if queue is not None:
-                order = queue.available(busy_until, cycle)
-            else:
-                ready = [node for node in frontier.ready_nodes() if node not in scheduled]
-                available = [
-                    node
-                    for node in ready
-                    if busy_until[operands[node][0]] <= cycle
-                    and busy_until[operands[node][1]] <= cycle
-                ]
-                order = self._priority(self._dag, available)
+                queue.add(frontier.complete(node))
+            order = queue.available(busy_until, cycle)
 
             if memo is not None:
                 key = fingerprint.key(order)
@@ -166,12 +142,8 @@ class LatticeSurgeryScheduler:
                     continue
                 self.counters.layer_memo_misses += 1
 
-            if recycled_usage is not None:
-                usage = recycled_usage
-                usage.used.clear()
-                usage.node_used.clear()
-            else:
-                usage = CapacityUsage()
+            usage.used.clear()
+            usage.node_used.clear()
 
             outcomes: list[RoutedPath | None] = []
             for node in order:
@@ -179,7 +151,11 @@ class LatticeSurgeryScheduler:
                 if busy_until[qubit_a] > cycle or busy_until[qubit_b] > cycle:
                     outcomes.append(None)
                     continue
-                path = self._find_path(usage, self._tile(qubit_a), self._tile(qubit_b))
+                self.counters.route_calls += 1
+                path = self._router.find(
+                    usage, self._tile(qubit_a), self._tile(qubit_b),
+                    self._congestion_weight, self.counters,
+                )
                 outcomes.append(path)
                 if path is None:
                     continue
@@ -199,8 +175,7 @@ class LatticeSurgeryScheduler:
                 busy_until[qubit_b] = cycle + 1
                 completions[cycle + 1].append(node)
                 scheduled.add(node)
-                if queue is not None:
-                    queue.discard(node)
+                queue.discard(node)
             if memo is not None:
                 memo[key] = tuple(outcomes)
 
@@ -219,7 +194,7 @@ class LatticeSurgeryScheduler:
         completions: dict[int, list[int]],
         scheduled: set[int],
         operations: list[ScheduledOperation],
-        queue: IncrementalReadyQueue | None,
+        queue: IncrementalReadyQueue,
     ) -> None:
         """Apply a memoized cycle's braids to the current order's gates."""
         operands = self._dag.operand_pairs
@@ -242,8 +217,7 @@ class LatticeSurgeryScheduler:
             busy_until[qubit_b] = cycle + 1
             completions[cycle + 1].append(node)
             scheduled.add(node)
-            if queue is not None:
-                queue.discard(node)
+            queue.discard(node)
 
     def _tile(self, qubit: int) -> Node:
         tile = self._tiles.get(qubit)
@@ -258,8 +232,7 @@ def schedule_lattice_surgery(
     mapping: InitialMapping,
     priority: PriorityFunction = criticality_priority,
     method: str = "ecmas-ls",
-    engine: str = "reference",
 ) -> EncodedCircuit:
     """Convenience wrapper around :class:`LatticeSurgeryScheduler`."""
-    scheduler = LatticeSurgeryScheduler(circuit, mapping, priority=priority, method=method, engine=engine)
+    scheduler = LatticeSurgeryScheduler(circuit, mapping, priority=priority, method=method)
     return scheduler.run()

@@ -25,8 +25,14 @@ def format_table(rows: Sequence[dict], columns: Sequence[str] | None = None, tit
     return "\n".join(lines) + "\n"
 
 
-def format_sweep(points: Sequence[SweepPoint], title: str = "") -> str:
-    """Render a figure sweep as an aligned text table grouped by series."""
+def format_sweep(
+    points: Sequence[SweepPoint], title: str = "", columns: Sequence[str] | None = None
+) -> str:
+    """Render a figure sweep as an aligned text table grouped by series.
+
+    ``columns`` selects and orders the rendered columns (default: all of
+    them, wall-clock ``compile_s`` included).
+    """
     rows = [
         {
             "series": point.series,
@@ -37,7 +43,7 @@ def format_sweep(points: Sequence[SweepPoint], title: str = "") -> str:
         }
         for point in points
     ]
-    return format_table(rows, title=title)
+    return format_table(rows, columns=columns, title=title)
 
 
 def _fmt(value) -> str:

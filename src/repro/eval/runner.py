@@ -108,7 +108,7 @@ def record_from_result(
     two layers can never disagree about the record shape.
     """
     encoded = result.encoded
-    extra = {"stages": result.timings_dict(), "engine": result.engine}
+    extra = {"stages": result.timings_dict()}
     if result.counters is not None:
         extra["counters"] = result.counters
     return ExperimentRecord(
@@ -134,7 +134,6 @@ def run_method(
     paper_cycles: int | None = None,
     validate: bool = False,
     options: EcmasOptions | None = None,
-    engine: str = "reference",
     placement: str = "reference",
     defects: DefectSpec | None = None,
 ) -> ExperimentRecord:
@@ -146,7 +145,6 @@ def run_method(
         code_distance=code_distance,
         options=options,
         validate=validate,
-        engine=engine,
         placement=placement,
         defects=defects,
     )

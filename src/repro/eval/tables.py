@@ -61,7 +61,6 @@ def _run_grid(
     jobs: int | None,
     cache: ResultCache | Path | str | None,
     paper_lookup: bool = False,
-    engine: str = "reference",
     progress: Callable[[BatchProgress], None] | None = None,
 ) -> list[dict]:
     """Compile every (circuit, column) cell through the batch engine.
@@ -81,7 +80,6 @@ def _run_grid(
                     code_distance=code_distance,
                     paper_cycles=(spec.paper_cycles or {}).get(method) if paper_lookup else None,
                     validate=validate,
-                    engine=engine,
                 )
             )
     batch = run_batch(batch_jobs, workers=jobs, cache=cache, progress=progress)
@@ -116,7 +114,6 @@ def table1_overview(
     code_distance: int = 3,
     jobs: int | None = 1,
     cache: ResultCache | Path | str | None = None,
-    engine: str = "reference",
     progress: Callable[[BatchProgress], None] | None = None,
 ) -> list[dict]:
     """Table I: cycle counts of every method over the benchmark suite."""
@@ -129,7 +126,6 @@ def table1_overview(
         jobs,
         cache,
         paper_lookup=True,
-        engine=engine,
         progress=progress,
     )
 
@@ -140,12 +136,11 @@ def _sensitivity_rows(
     code_distance: int,
     jobs: int | None = 1,
     cache: ResultCache | Path | str | None = None,
-    engine: str = "reference",
     progress: Callable[[BatchProgress], None] | None = None,
 ) -> list[dict]:
     specs = list(suite) if suite is not None else sensitivity_suite()
     return _run_grid(
-        specs, columns, code_distance, False, jobs, cache, engine=engine, progress=progress
+        specs, columns, code_distance, False, jobs, cache, progress=progress
     )
 
 
@@ -154,12 +149,11 @@ def table2_location(
     code_distance: int = 3,
     jobs: int | None = 1,
     cache: ResultCache | Path | str | None = None,
-    engine: str = "reference",
     progress: Callable[[BatchProgress], None] | None = None,
 ) -> list[dict]:
     """Table II: location-initialisation ablation (Trivial / Metis / Ours)."""
     return _sensitivity_rows(
-        TABLE2_COLUMNS, suite, code_distance, jobs, cache, engine=engine, progress=progress
+        TABLE2_COLUMNS, suite, code_distance, jobs, cache, progress=progress
     )
 
 
@@ -168,12 +162,11 @@ def table3_cut_initialisation(
     code_distance: int = 3,
     jobs: int | None = 1,
     cache: ResultCache | Path | str | None = None,
-    engine: str = "reference",
     progress: Callable[[BatchProgress], None] | None = None,
 ) -> list[dict]:
     """Table III: cut-type initialisation ablation (Random / Max-cut / Ours)."""
     return _sensitivity_rows(
-        TABLE3_COLUMNS, suite, code_distance, jobs, cache, engine=engine, progress=progress
+        TABLE3_COLUMNS, suite, code_distance, jobs, cache, progress=progress
     )
 
 
@@ -182,12 +175,11 @@ def table4_gate_scheduling(
     code_distance: int = 3,
     jobs: int | None = 1,
     cache: ResultCache | Path | str | None = None,
-    engine: str = "reference",
     progress: Callable[[BatchProgress], None] | None = None,
 ) -> list[dict]:
     """Table IV: gate-scheduling ablation in the lattice surgery model."""
     return _sensitivity_rows(
-        TABLE4_COLUMNS, suite, code_distance, jobs, cache, engine=engine, progress=progress
+        TABLE4_COLUMNS, suite, code_distance, jobs, cache, progress=progress
     )
 
 
@@ -196,12 +188,11 @@ def table5_cut_scheduling(
     code_distance: int = 3,
     jobs: int | None = 1,
     cache: ResultCache | Path | str | None = None,
-    engine: str = "reference",
     progress: Callable[[BatchProgress], None] | None = None,
 ) -> list[dict]:
     """Table V: cut-type scheduling ablation (Channel-first / Time-first / Ours)."""
     return _sensitivity_rows(
-        TABLE5_COLUMNS, suite, code_distance, jobs, cache, engine=engine, progress=progress
+        TABLE5_COLUMNS, suite, code_distance, jobs, cache, progress=progress
     )
 
 

@@ -32,10 +32,6 @@ from repro.errors import PartitionError
 WeightMap = dict[tuple[int, int], float]
 
 
-def _edge(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
 def cut_weight(weights: WeightMap, side_a: set[int], side_b: set[int]) -> float:
     """Total weight of edges crossing the bisection."""
     total = 0.0

@@ -69,7 +69,10 @@ from repro.core.ecmas import EcmasOptions
 #: 4: placement-engine field — the fast multilevel placement core produces
 #: different (parity-bounded) placements, so ``placement`` is part of result
 #: identity and pre-knob records must not be served for either value.
-CACHE_FORMAT_VERSION = 5
+#: 5: tile-graph chip key — graph chips fingerprint their tile graph.
+#: 6: engine field removed — there is one scheduling engine, so the
+#: fingerprint payload lost its ``engine`` key.
+CACHE_FORMAT_VERSION = 6
 
 
 def default_cache_dir() -> Path:
@@ -95,14 +98,10 @@ class BatchJob:
     options: EcmasOptions | None = None
     paper_cycles: int | None = None
     validate: bool = False
-    #: Algorithm 1 engine ("reference" / "fast").  Part of the fingerprint
-    #: even though schedules are engine-independent, because the cached
-    #: record carries engine-specific wall-clock times and counters.
-    engine: str = "reference"
     #: Placement bisection core ("reference" / "fast").  Part of the
-    #: fingerprint because — unlike ``engine`` — the fast multilevel core
-    #: genuinely changes placements (within parity-harness bounds), so the
-    #: two values are different experiments.
+    #: fingerprint because the fast multilevel core genuinely changes
+    #: placements (within parity-harness bounds), so the two values are
+    #: different experiments.
     placement: str = "reference"
     #: Defect spec applied to the target chip (see BuildChipPass).  Part of
     #: the fingerprint: the same circuit on a degraded chip is a different
@@ -122,7 +121,6 @@ class BatchJob:
             "chip": chip_key(self.chip),
             "options": asdict(self.options) if self.options is not None else None,
             "validate": self.validate,
-            "engine": self.engine,
             "placement": self.placement,
             "defects": self.defects.key() if self.defects is not None else None,
         }
@@ -171,7 +169,6 @@ def build_batch_jobs(
     *,
     code_distance: int = 3,
     validate: bool = False,
-    engine: str = "reference",
     placement: str = "reference",
     chip: Chip | None = None,
     options: EcmasOptions | None = None,
@@ -194,7 +191,6 @@ def build_batch_jobs(
             chip=chip,
             options=options,
             validate=validate,
-            engine=engine,
             placement=placement,
             defects=defects,
         )
@@ -454,7 +450,6 @@ def execute_job(job: BatchJob):
         paper_cycles=job.paper_cycles,
         validate=job.validate,
         options=job.options,
-        engine=job.engine,
         placement=job.placement,
         defects=job.defects,
     )

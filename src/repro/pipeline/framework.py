@@ -55,15 +55,11 @@ class PassContext:
     chip: Chip | None = None
     resources: str = "minimum"
     scheduler: str = "auto"
-    #: Algorithm 1 hot-path engine: ``"reference"`` or ``"fast"`` (identical
-    #: schedules; the fast engine uses incremental ready-set maintenance and
-    #: landmark A* routing).  Ecmas-ReSu (Algorithm 2) ignores this knob.
-    engine: str = "reference"
     #: Placement bisection core: ``"reference"`` (classic KL, the golden
     #: baseline) or ``"fast"`` (multilevel coarsen/FM gain buckets,
-    #: near-linear — for n >= 500 circuits).  Unlike ``engine``, the fast
-    #: core produces *different* (quality-parity-checked) placements, so the
-    #: reference core stays the default everywhere.
+    #: near-linear — for n >= 500 circuits).  The fast core produces
+    #: *different* (quality-parity-checked) placements, so the reference core
+    #: stays the default everywhere.
     placement_engine: str = "reference"
     #: When set, the Algorithm 1 schedulers bound their working set to a
     #: sliding window of this many ready gates
@@ -202,18 +198,13 @@ class PipelineResult:
 
     @property
     def counters(self) -> dict | None:
-        """Scheduling-engine work counters (``None`` before the schedule pass).
+        """Scheduler work counters (``None`` before the schedule pass).
 
         Filled by :class:`~repro.pipeline.passes.SchedulePass` from the
-        engine's :class:`~repro.profiling.EngineCounters`: route calls,
+        scheduler's :class:`~repro.profiling.EngineCounters`: route calls,
         search-node expansions, memoized landmark tables, cycles simulated…
         """
         return self.context.artifacts.get("engine_counters")
-
-    @property
-    def engine(self) -> str:
-        """The Algorithm 1 engine this compilation ran with."""
-        return self.context.engine
 
     def timings_dict(self) -> dict[str, float]:
         """Stage name → seconds, in execution order."""

@@ -13,7 +13,7 @@ Each pass mirrors one stage of the paper's toolflow (Section IV):
   assembles the final :class:`~repro.core.mapping.InitialMapping`.
 * :class:`SelectSchedulerPass` — resolve Algorithm 1 vs Ecmas-ReSu, the gate
   priority and the cut-decision strategy.
-* :class:`SchedulePass` — run the selected scheduling engine.
+* :class:`SchedulePass` — run the selected scheduler.
 * :class:`ValidatePass` — optionally replay the schedule through the
   validator (not counted as compile time).
 
@@ -42,7 +42,6 @@ from repro.core.mapping import (
 )
 from repro.core.metrics import chip_communication_capacity
 from repro.core.priorities import circuit_order_priority, criticality_priority, descendant_priority
-from repro.core.engines import check_engine
 from repro.core.resu import schedule_resu_double_defect, schedule_resu_lattice_surgery
 from repro.core.scheduler_dd import DoubleDefectScheduler
 from repro.core.scheduler_ls import LatticeSurgeryScheduler
@@ -208,7 +207,7 @@ class BandwidthAdjustPass(Pass):
             raise SchedulingError("no placement in context — run InitialMapping first")
         enabled = self._enabled if self._enabled is not None else ctx.options.adjust_bandwidth
         if enabled:
-            chip = adjust_bandwidth(chip, ctx.placement, ctx.require_comm_graph(), engine=ctx.engine)
+            chip = adjust_bandwidth(chip, ctx.placement, ctx.require_comm_graph())
             ctx.chip = chip
         ctx.mapping = InitialMapping(
             chip=chip,
@@ -220,7 +219,7 @@ class BandwidthAdjustPass(Pass):
 
 
 class SelectSchedulerPass(Pass):
-    """Resolve the scheduling engine and its strategy functions.
+    """Resolve the scheduler and its strategy functions.
 
     Parameters
     ----------
@@ -239,11 +238,7 @@ class SelectSchedulerPass(Pass):
         Router congestion weight; baselines with plain routers pass ``0.0``.
     method_label:
         Method string stamped on the encoded circuit (``None`` keeps the
-        engine's default, e.g. ``"ecmas-dd"``).
-    engine:
-        Overrides ``ctx.engine`` (``"reference"`` / ``"fast"``); the fast
-        engine swaps the Algorithm 1 hot path for incremental ready-set
-        maintenance plus landmark A* routing, with identical schedules.
+        scheduler's default, e.g. ``"ecmas-dd"``).
     """
 
     name = "select_scheduler"
@@ -256,7 +251,6 @@ class SelectSchedulerPass(Pass):
         cut_strategy: str | Callable | None = None,
         congestion_weight: float | None = None,
         method_label: str | None = None,
-        engine: str | None = None,
     ):
         self._scheduler = scheduler
         self._priority = priority
@@ -264,11 +258,9 @@ class SelectSchedulerPass(Pass):
         self._cut_strategy = cut_strategy
         self._congestion_weight = congestion_weight
         self._method_label = method_label
-        self._engine = engine
 
     def run(self, ctx: PassContext) -> None:
         """Resolve the scheduler choice and strategy functions onto ``ctx``."""
-        ctx.engine = check_engine(self._engine or ctx.engine)
         scheduler = self._scheduler or ctx.scheduler
         if scheduler == "auto":
             parallelism = ctx.ensure_parallelism()
@@ -310,7 +302,7 @@ class SelectSchedulerPass(Pass):
 
 
 class SchedulePass(Pass):
-    """Run the selected scheduling engine and store the encoded circuit."""
+    """Run the selected scheduler and store the encoded circuit."""
 
     name = "schedule"
 
@@ -333,7 +325,6 @@ class SchedulePass(Pass):
                     priority=ctx.priority_fn,
                     cut_strategy=ctx.cut_strategy_fn,
                     congestion_weight=ctx.congestion_weight,
-                    engine=ctx.engine,
                     dag=ctx.dag,
                     window=ctx.window,
                     **({"method": label} if label else {}),
@@ -349,7 +340,6 @@ class SchedulePass(Pass):
                     mapping,
                     priority=ctx.priority_fn,
                     congestion_weight=ctx.congestion_weight,
-                    engine=ctx.engine,
                     dag=ctx.dag,
                     window=ctx.window,
                     **({"method": label} if label else {}),

@@ -323,7 +323,6 @@ def run_pipeline_method(
     code_distance: int = 3,
     options: EcmasOptions | None = None,
     validate: bool = False,
-    engine: str = "reference",
     placement: str = "reference",
     window: int | None = None,
     defects: DefectSpec | None = None,
@@ -334,13 +333,11 @@ def run_pipeline_method(
 
     ``model`` / ``resources`` / ``scheduler`` default to the method's
     registered configuration; an explicit ``chip`` overrides ``resources``
-    entirely (as in :func:`repro.compile_circuit`).  ``engine`` selects the
-    Algorithm 1 hot path (``"reference"`` / ``"fast"``); both produce
-    identical schedules.  ``placement`` selects the bisection core behind
-    the placement strategies (``"reference"`` classic KL / ``"fast"``
-    multilevel coarsen+FM); unlike ``engine`` the fast core may place qubits
-    differently, within the quality bounds asserted by the placement-parity
-    harness.  ``defects`` applies a defect spec to the target chip, whether
+    entirely (as in :func:`repro.compile_circuit`).  ``placement`` selects
+    the bisection core behind the placement strategies (``"reference"``
+    classic KL / ``"fast"`` multilevel coarsen+FM); the fast core may place
+    qubits differently, within the quality bounds asserted by the
+    placement-parity harness.  ``defects`` applies a defect spec to the target chip, whether
     supplied or built for the resource configuration; ``defect_rate``
     additionally degrades that chip with random, connectivity-preserving
     defects (seeded by ``defect_seed``).  ``window`` bounds the schedulers'
@@ -356,7 +353,6 @@ def run_pipeline_method(
         chip=chip,
         resources=resources if resources is not None else spec.resources,
         scheduler=scheduler if scheduler is not None else spec.scheduler,
-        engine=engine,
         placement_engine=placement,
         window=window,
         defects=defects,

@@ -1,11 +1,5 @@
-"""Profiling instrumentation for the scheduling/routing hot path."""
+"""Profiling helpers: hot-path work counters."""
 
-from repro.profiling.compare import EngineComparison, compare_engines
-from repro.profiling.instrumentation import EngineCounters, StageTimer
+from repro.profiling.instrumentation import EngineCounters
 
-__all__ = [
-    "EngineCounters",
-    "StageTimer",
-    "EngineComparison",
-    "compare_engines",
-]
+__all__ = ["EngineCounters"]

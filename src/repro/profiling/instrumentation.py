@@ -1,17 +1,15 @@
-"""Counters and timers for the scheduling/routing hot path.
+"""Work counters for the scheduling/routing hot path.
 
 The paper's headline claim is compile-time efficiency, so speedups here are
 measured, not asserted: every Algorithm 1 scheduler fills an
 :class:`EngineCounters` while it runs, the pipeline surfaces it through
 :attr:`PipelineResult.counters <repro.pipeline.framework.PipelineResult>`,
-and the ``repro profile`` CLI subcommand prints reference-vs-fast
-comparisons built from :func:`repro.profiling.compare.compare_engines`.
+and ``repro profile --method`` / ``repro compile --stages`` print them.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 
 @dataclass
@@ -19,10 +17,9 @@ class EngineCounters:
     """Work counters accumulated by one scheduling run.
 
     ``nodes_expanded`` is the number of search-node expansions across every
-    path query — the quantity the fast router's landmark heuristic shrinks.
-    ``landmark_tables``, ``landmark_build_seconds`` and the ``layer_memo_*``
-    counters stay 0 on the reference engine: landmark tables and layer
-    memoization are fast-engine machinery.
+    path query — the quantity the router's landmark heuristic shrinks.
+    ``landmark_tables`` and ``landmark_build_seconds`` describe the router's
+    memoized hop tables, ``layer_memo_*`` the scheduler's whole-cycle memo.
     """
 
     route_calls: int = 0
@@ -47,34 +44,3 @@ class EngineCounters:
         if not self.route_calls:
             return 0.0
         return self.nodes_expanded / self.route_calls
-
-
-@dataclass
-class StageTimer:
-    """Accumulates wall-clock seconds for named sub-stages of one run.
-
-    The pipeline already times whole passes; this timer is for finer-grained
-    accounting inside a single pass (e.g. routing vs bookkeeping inside the
-    schedule stage) where creating a pass per sub-stage would be noise.
-    """
-
-    seconds: dict[str, float] = field(default_factory=dict)
-
-    class _Span:
-        def __init__(self, timer: "StageTimer", name: str):
-            self._timer = timer
-            self._name = name
-            self._started = 0.0
-
-        def __enter__(self) -> "StageTimer._Span":
-            self._started = time.perf_counter()
-            return self
-
-        def __exit__(self, *exc_info) -> None:
-            elapsed = time.perf_counter() - self._started
-            seconds = self._timer.seconds
-            seconds[self._name] = seconds.get(self._name, 0.0) + elapsed
-
-    def span(self, name: str) -> "_Span":
-        """Context manager adding its elapsed time to sub-stage ``name``."""
-        return self._Span(self, name)

@@ -3,12 +3,11 @@
 from repro.routing.edp import can_route_simultaneously, max_simultaneous, route_edge_disjoint
 from repro.routing.fast_router import FastRouter
 from repro.routing.paths import CapacityUsage, RoutedPath
-from repro.routing.router import CycleRouter, CycleRoutingResult, RoutingRequest, find_path
+from repro.routing.router import CycleRouter, CycleRoutingResult, RoutingRequest
 
 __all__ = [
     "RoutedPath",
     "CapacityUsage",
-    "find_path",
     "FastRouter",
     "CycleRouter",
     "CycleRoutingResult",

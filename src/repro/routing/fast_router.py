@@ -1,9 +1,14 @@
-"""Goal-directed routing for the fast scheduling engine.
+"""Capacity-aware, goal-directed path search over the corridor graph.
 
-:class:`FastRouter` answers exactly the same queries as
-:func:`repro.routing.router.find_path` — the canonical (minimal-cost,
-lexicographically-smallest) capacity-feasible path between two tiles — but
-runs over the dense integer core of
+:class:`FastRouter` is the router of every scheduler.  Each query returns the
+*canonical* path between two tiles: among all capacity-feasible paths of
+minimal cost (hops plus congestion penalty) — edges with no residual
+capacity are unusable, tiles other than the two endpoints are never
+traversed — the one whose node sequence is lexicographically smallest.  The
+tie-break makes the answer a pure function of (graph, usage, endpoints,
+weight) rather than of search order, so any exact search can stand in for
+any other; the tests hold this router to a plain reference Dijkstra.  The
+search runs over the dense integer core of
 :class:`~repro.chip.graph_arrays.CompactRoutingGraph` and explores a fraction
 of the graph:
 
@@ -24,9 +29,9 @@ Because node ids are assigned in sorted node-tuple order (see
 :mod:`repro.chip.graph_arrays`), the lexicographic order of id sequences
 equals the lexicographic order of node-tuple sequences — heap entries
 ordered by ``(cost + h, cost, id-sequence)`` therefore reproduce the
-canonical tie-break of :func:`find_path` bit-for-bit.
-``tests/test_properties_routing.py`` and
-``tests/test_differential_engines.py`` enforce this equivalence.
+canonical tie-break bit-for-bit.  ``tests/test_properties_routing.py`` and
+``tests/test_differential_engines.py`` enforce this against the reference
+Dijkstra.
 
 Defective chips need no special handling here: the compact graph is derived
 from the :class:`RoutingGraph`, which already excludes dead tiles and
@@ -44,10 +49,17 @@ from repro.chip.graph_arrays import CompactRoutingGraph
 from repro.chip.routing_graph import Node, RoutingGraph
 from repro.errors import RoutingError
 from repro.routing.paths import CapacityUsage, RoutedPath
-from repro.routing.router import check_route_endpoints
 
 #: Distinguishes "no cache entry" from a cached ``None`` (unroutable pair).
 _UNCACHED = object()
+
+
+def check_route_endpoints(graph: RoutingGraph, source: Node, target: Node) -> None:
+    """Raise :class:`RoutingError` unless ``source``/``target`` are distinct tiles."""
+    if source == target:
+        raise RoutingError("source and target tiles must differ")
+    if not graph.is_tile(source) or not graph.is_tile(target):
+        raise RoutingError("paths are routed between tile nodes")
 
 
 class FastRouter:
@@ -144,9 +156,11 @@ class FastRouter:
     ) -> RoutedPath | None:
         """The canonical path from ``source`` to ``target`` under ``usage``.
 
-        Semantically identical to :func:`repro.routing.router.find_path` on
-        this router's graph — same feasibility rules, same cost, same
-        lexicographic tie-break — but goal-directed and early-exiting.
+        Returns ``None`` when no path exists under the current usage.  With
+        ``congestion_weight > 0`` the search prefers less-used edges, trading
+        a slightly longer path for better packing of later gates.  ``stats``
+        may be an :class:`~repro.profiling.EngineCounters` to account search
+        effort.
         """
         key = (source, target)
         cached = self._static_paths.get(key, _UNCACHED)

@@ -1,106 +1,19 @@
-"""Capacity-aware path search and per-cycle multi-gate routing.
+"""Per-cycle multi-gate routing.
 
-:func:`find_path` performs a congestion-aware shortest-path search between two
-tile nodes: edges with no residual capacity are unusable, tiles other than the
-two endpoints are never traversed, and among shortest paths the one with the
-least congestion is preferred.  :class:`CycleRouter` routes a prioritised list
-of CNOT gates within a single clock cycle, optionally applying one round of
-rip-up-and-reroute to squeeze in gates that a purely greedy order would block.
-
-Canonical path contract
------------------------
-Among all capacity-feasible paths of minimal cost (hops plus congestion
-penalty), :func:`find_path` returns the one whose node sequence is
-lexicographically smallest.  The tie-break makes the result a pure function
-of (graph, usage, endpoints, weight) rather than of heap exploration order,
-which is what lets the fast engine
-(:class:`~repro.routing.fast_router.FastRouter`) replace this search with a
-goal-directed one and still produce bit-identical schedules.
-
-Carrying the node sequence in the heap keys costs this reference search a
-constant factor over a parent-pointer Dijkstra.  That is deliberate: this
-implementation optimises for being obviously correct, and callers who care
-about wall-clock select ``engine="fast"``.
+:class:`CycleRouter` routes a prioritised list of CNOT gates within a single
+clock cycle through :class:`~repro.routing.fast_router.FastRouter`,
+optionally applying one round of rip-up-and-reroute to squeeze in gates that
+a purely greedy order would block.  Its users are the edge-disjoint-path
+helpers of :mod:`repro.routing.edp`.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from repro.chip.routing_graph import Node, RoutingGraph
-from repro.errors import RoutingError
+from repro.routing.fast_router import FastRouter
 from repro.routing.paths import CapacityUsage, RoutedPath
-
-
-def check_route_endpoints(graph: RoutingGraph, source: Node, target: Node) -> None:
-    """Raise :class:`RoutingError` unless ``source``/``target`` are distinct tiles."""
-    if source == target:
-        raise RoutingError("source and target tiles must differ")
-    if not graph.is_tile(source) or not graph.is_tile(target):
-        raise RoutingError("paths are routed between tile nodes")
-
-
-def find_path(
-    graph: RoutingGraph,
-    usage: CapacityUsage,
-    source: Node,
-    target: Node,
-    congestion_weight: float = 0.0,
-    stats=None,
-) -> RoutedPath | None:
-    """Find a path from tile ``source`` to tile ``target`` respecting residual capacity.
-
-    Returns ``None`` when no path exists under the current usage.  With
-    ``congestion_weight > 0`` the search prefers less-used edges, trading a
-    slightly longer path for better packing of later gates.  Ties between
-    equal-cost paths resolve to the lexicographically smallest node sequence
-    (see the module docstring).  ``stats`` may be an
-    :class:`~repro.profiling.EngineCounters` to account search effort.
-    """
-    check_route_endpoints(graph, source, target)
-    # Dijkstra over (cost, node-sequence): the lexicographic tie-break is part
-    # of the heap key, so the first pop of the target is the canonical path.
-    # Extending two equal-cost paths by the same suffix preserves their
-    # relative order (the first differing node stays inside the prefixes),
-    # which gives this ordering the optimal-substructure property Dijkstra
-    # needs.
-    best: dict[Node, tuple[float, tuple[Node, ...]]] = {source: (0.0, (source,))}
-    heap: list[tuple[float, tuple[Node, ...]]] = [(0.0, (source,))]
-    expanded = 0
-    while heap:
-        cost, nodes = heapq.heappop(heap)
-        node = nodes[-1]
-        if node == target:
-            if stats is not None:
-                stats.nodes_expanded += expanded
-            return RoutedPath.from_nodes(graph, list(nodes))
-        if best.get(node, (cost, nodes)) != (cost, nodes):
-            continue  # a better route to this node was found after pushing
-        expanded += 1
-        for neighbor in graph.neighbors(node):
-            if graph.is_tile(neighbor) and neighbor != target:
-                continue  # tiles are endpoints only
-            if not usage.can_use(graph, node, neighbor):
-                continue
-            if neighbor != target and not usage.can_pass_through(graph, neighbor):
-                continue  # the junction has no free lane to pass through
-            penalty = 0.0
-            if congestion_weight:
-                load = usage.used.get((node, neighbor) if node <= neighbor else (neighbor, node), 0)
-                penalty = congestion_weight * load
-            candidate = (cost + 1.0 + penalty, nodes + (neighbor,))
-            if candidate < best.get(neighbor, _INFINITY):
-                best[neighbor] = candidate
-                heapq.heappush(heap, candidate)
-    if stats is not None:
-        stats.nodes_expanded += expanded
-        stats.route_failures += 1
-    return None
-
-
-#: Sentinel greater than every (cost, nodes) candidate.
-_INFINITY = (float("inf"), ())
 
 
 @dataclass(frozen=True)
@@ -133,6 +46,7 @@ class CycleRouter:
 
     def __init__(self, graph: RoutingGraph, congestion_weight: float = 0.25, rip_up_rounds: int = 1):
         self._graph = graph
+        self._router = FastRouter(graph)
         self._congestion_weight = congestion_weight
         self._rip_up_rounds = rip_up_rounds
 
@@ -167,12 +81,15 @@ class CycleRouter:
         return CycleRoutingResult(routed=routed, failed=failed)
 
     # ----------------------------------------------------------------- internals
+    def _find(self, usage: CapacityUsage, request: RoutingRequest) -> RoutedPath | None:
+        return self._router.find(usage, request.source, request.target, self._congestion_weight)
+
     def _route_single(self, request: RoutingRequest, usage: CapacityUsage) -> RoutedPath | None:
         if request.lanes > 1:
             # A multi-lane reservation needs that many residual lanes everywhere
             # along the path; emulate by temporarily treating the path as
             # ``lanes`` successive single-lane routings over the same edges.
-            path = find_path(self._graph, usage, request.source, request.target, self._congestion_weight)
+            path = self._find(usage, request)
             if path is None:
                 return None
             if any(
@@ -184,12 +101,12 @@ class CycleRouter:
                 for (a, b) in self._graph.edges:
                     if usage.residual(self._graph, a, b) < request.lanes:
                         masked.used[(a, b)] = self._graph.capacity(a, b)
-                path = find_path(self._graph, masked, request.source, request.target, self._congestion_weight)
+                path = self._find(masked, request)
                 if path is None:
                     return None
             usage.add_path(path, lanes=request.lanes)
             return path
-        path = find_path(self._graph, usage, request.source, request.target, self._congestion_weight)
+        path = self._find(usage, request)
         if path is not None:
             usage.add_path(path, lanes=request.lanes)
         return path

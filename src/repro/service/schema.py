@@ -26,7 +26,6 @@ from repro.chip.chip import Chip
 from repro.chip.spec import chip_from_dict
 from repro.circuits.circuit import Circuit
 from repro.core.ecmas import EcmasOptions
-from repro.core.engines import ENGINES
 from repro.core.schedule import EncodedCircuit, ScheduledOperation
 from repro.errors import ReproError
 from repro.pipeline.batch import BatchJob, build_batch_jobs
@@ -37,6 +36,9 @@ API_VERSION = 1
 
 #: Hard ceiling on synchronous ``wait`` requests, seconds.
 MAX_WAIT_SECONDS = 600.0
+
+#: Values the retired ``engine`` request field still accepts (and ignores).
+ACCEPTED_ENGINE_VALUES = ("reference", "fast")
 
 
 class SchemaError(ReproError):
@@ -80,9 +82,10 @@ COMMON_REQUEST_FIELDS: tuple[FieldSpec, ...] = (
     FieldSpec(
         "engine",
         "string",
-        'Algorithm 1 hot-path engine: `"reference"` (default) or `"fast"`.  '
-        "Both produce bit-identical schedules; `fast` trades memory for speed "
-        "via landmark tables, which the daemon keeps warm per chip.",
+        'Accepted for API v1 compatibility and ignored: `"reference"` or '
+        '`"fast"`.  Every compile runs the one production scheduler, so both '
+        "values and an omitted field give the same record and share one "
+        "result-cache entry.  Any other value is rejected.",
         default="reference",
     ),
     FieldSpec(
@@ -309,7 +312,6 @@ class CompileRequest:
     circuit: Circuit
     name: str
     method: str = "ecmas"
-    engine: str = "reference"
     code_distance: int = 3
     chip: Chip | None = None
     options: EcmasOptions | None = None
@@ -329,7 +331,6 @@ class CompileRequest:
             chip=self.chip,
             options=self.options,
             validate=self.validate,
-            engine=self.engine,
         )
 
 
@@ -339,7 +340,6 @@ class BatchRequest:
 
     circuits: tuple[tuple[str, Circuit], ...]
     methods: tuple[str, ...]
-    engine: str = "reference"
     code_distance: int = 3
     chip: Chip | None = None
     options: EcmasOptions | None = None
@@ -355,7 +355,6 @@ class BatchRequest:
             list(self.methods),
             code_distance=self.code_distance,
             validate=self.validate,
-            engine=self.engine,
             chip=self.chip,
             options=self.options,
         )
@@ -420,10 +419,10 @@ def _parse_common(payload: dict, errors: _Errors) -> dict:
     _parse_api_version(payload, errors)
 
     engine = _typed(payload, "engine", str, "reference", errors, "a string")
-    if engine not in ENGINES:
-        errors.add("engine", f"must be one of {', '.join(ENGINES)}; got {engine!r}")
-        engine = "reference"
-    out["engine"] = engine
+    if engine not in ACCEPTED_ENGINE_VALUES:
+        errors.add(
+            "engine", f"must be one of {', '.join(ACCEPTED_ENGINE_VALUES)}; got {engine!r}"
+        )
 
     code_distance = _typed(payload, "code_distance", int, 3, errors, "an integer")
     if code_distance < 1:

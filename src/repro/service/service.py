@@ -101,7 +101,6 @@ class CompileService:
                 code_distance=request.code_distance,
                 options=request.options,
                 validate=request.validate,
-                engine=request.engine,
             )
             record = record_from_result(
                 result, request.circuit, request.method, circuit_name=request.name

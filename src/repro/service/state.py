@@ -2,8 +2,8 @@
 
 A one-shot CLI compile pays three cold-start costs for every invocation: the
 :class:`~repro.chip.routing_graph.RoutingGraph` is rebuilt from the chip, the
-fast engine's :class:`~repro.routing.fast_router.FastRouter` re-derives its
-flattened adjacency, and every landmark table is re-run from scratch.  The
+:class:`~repro.routing.fast_router.FastRouter` re-derives its flattened
+adjacency, and every landmark table is re-run from scratch.  The
 daemon amortises all three: a :class:`WarmStateCache` keeps an LRU of
 :class:`WarmChipState` entries keyed by chip *content* (the same
 :func:`~repro.pipeline.batch.chip_key` the result cache fingerprints with),
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.chip.chip import Chip
 from repro.chip.routing_graph import RoutingGraph
-from repro.core.engines import build_router, set_routing_provider
+from repro.core.engines import set_routing_provider
 from repro.pipeline.batch import chip_key
 from repro.routing.fast_router import FastRouter
 
@@ -49,16 +49,15 @@ def chip_state_key(chip: Chip) -> str:
 class WarmChipState:
     """Everything worth keeping hot for one chip.
 
-    The routing graph always exists; the fast router is built lazily on the
-    first ``engine="fast"`` compile against this chip and then shared by all
-    subsequent ones, which is what makes its landmark tables pay off across
-    requests.
+    The router is built with the graph on the first compile against this
+    chip and then shared by all subsequent ones, which is what makes its
+    landmark tables pay off across requests.
     """
 
     key: str
     chip: Chip
     graph: RoutingGraph
-    router: FastRouter | None = None
+    router: FastRouter
     hits: int = 0
     built_at: float = field(default_factory=time.time)
 
@@ -69,8 +68,8 @@ class WarmChipState:
             "hits": self.hits,
             # lint: disable=DET004 — warm-state age for monitoring only
             "age_seconds": time.time() - self.built_at,
-            "landmark_tables": self.router.landmark_table_count if self.router else 0,
-            "static_paths": self.router.static_path_count if self.router else 0,
+            "landmark_tables": self.router.landmark_table_count,
+            "static_paths": self.router.static_path_count,
         }
 
 
@@ -95,7 +94,7 @@ class WarmStateCache:
         self._installed = False
 
     # ------------------------------------------------------------- provider
-    def acquire(self, chip: Chip, engine: str) -> tuple[RoutingGraph, FastRouter | None]:
+    def acquire(self, chip: Chip) -> tuple[RoutingGraph, FastRouter]:
         """The routing-provider entry point: warm (graph, router) for ``chip``.
 
         Cold construction (graph, router) happens *outside* the lock so that
@@ -112,10 +111,11 @@ class WarmStateCache:
                 self._entries.move_to_end(key)
         if state is None:
             graph = RoutingGraph(chip)  # cold build, lock not held
+            router = FastRouter(graph)
             with self._lock:
                 state = self._entries.get(key)
                 if state is None:
-                    state = WarmChipState(key=key, chip=chip, graph=graph)
+                    state = WarmChipState(key=key, chip=chip, graph=graph, router=router)
                     self._entries[key] = state
                     self.misses += 1
                 else:
@@ -125,17 +125,7 @@ class WarmStateCache:
                 while len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
                     self.evictions += 1
-        if engine != "fast":
-            return state.graph, None
-        router = state.router
-        if router is None:
-            router = build_router(state.graph, engine)  # landmark setup, lock not held
-            with self._lock:
-                if state.router is None:
-                    state.router = router
-                else:
-                    router = state.router
-        return state.graph, router
+        return state.graph, state.router
 
     def install(self) -> None:
         """Make this cache the process-wide routing provider."""

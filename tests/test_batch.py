@@ -133,6 +133,7 @@ class TestRunBatch:
             payload = asdict(record)
             payload.pop("compile_seconds")
             payload["extra"].pop("stages")
+            payload["extra"]["counters"].pop("landmark_build_seconds")
             return payload
 
         jobs = _jobs()

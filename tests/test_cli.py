@@ -22,6 +22,14 @@ def test_profile_qasm_file(tmp_path, capsys):
     assert "logical qubits : 5" in out
 
 
+def test_profile_method_prints_one_compile(capsys):
+    assert main(["profile", "dnn_n8", "--method", "ecmas_dd_min"]) == 0
+    out = capsys.readouterr().out
+    assert "cycles          : 60" in out
+    assert "per-stage timings:" in out and "schedule" in out
+    assert "route_calls" in out
+
+
 def test_compile_ecmas_default(capsys):
     assert main(["compile", "ghz_state_n23", "--model", "ls", "--scheduler", "limited"]) == 0
     out = capsys.readouterr().out
@@ -51,13 +59,15 @@ def test_compile_with_defect_rate(capsys):
 
 
 def test_compile_with_defect_rate_and_fast_engine_agree(capsys):
-    for engine in ("reference", "fast"):
-        assert main(
-            ["compile", "dnn_n8", "--defect-rate", "0.1", "--engine", engine]
-        ) == 0
+    """The CLI compile on a degraded chip matches the reference engine's schedule."""
+    from oracle import reference_compile
+
+    from repro.circuits.generators import get_benchmark
+
+    assert main(["compile", "dnn_n8", "--defect-rate", "0.1"]) == 0
     out = capsys.readouterr().out
-    cycles = [line for line in out.splitlines() if line.startswith("cycles")]
-    assert len(cycles) == 2 and cycles[0] == cycles[1]
+    reference = reference_compile(get_benchmark("dnn_n8").build(), "ecmas", defect_rate=0.1)
+    assert f"cycles          : {reference.encoded.num_cycles}" in out
 
 
 def test_compile_with_chip_spec(tmp_path, capsys):
@@ -174,13 +184,12 @@ def test_table_command_names_failed_cells(tmp_path, monkeypatch, capsys):
 
     suite = [get_benchmark("dnn_n8")]
 
-    def builder(jobs=1, cache=None, engine="reference", progress=None):
+    def builder(jobs=1, cache=None, progress=None):
         return table1_overview(
             suite=suite,
             methods=("autobraid", "cut_init:bogus"),
             jobs=jobs,
             cache=cache,
-            engine=engine,
             progress=progress,
         )
 

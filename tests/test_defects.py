@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracle import reference_compile
 
 from repro.chip import (
     Chip,
@@ -223,8 +224,9 @@ class TestDefectiveRoutingGraph:
         # feasibility, including on heavily degraded chips (the historical
         # failure mode was a generated "routable" chip with an unroutable
         # tile pair, seen at rate 0.7 seed 7 on a 5x5 bandwidth-1 chip).
+        from oracle import find_path
+
         from repro.routing.paths import CapacityUsage
-        from repro.routing.router import find_path
 
         chip = _chip(rows=5, cols=5, bandwidth=1)
         for seed in (7, 45, 3):
@@ -447,7 +449,7 @@ class TestDefectFingerprints:
         assert first.records[0].cycles == second.records[0].cycles
 
 
-# -------------------------------------------------- hypothesis: engine parity
+# ----------------------------------------- hypothesis: reference-engine parity
 def _all_segments(chip: Chip) -> list:
     return [key for key, _ in chip.corridor_segments()]
 
@@ -471,14 +473,14 @@ def defect_specs(draw, chip: Chip, max_dead: int) -> DefectSpec:
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_engines_identical_on_defective_chips(method, model, data):
-    """Differential parity extends to defective chips: fast == reference, bit for bit."""
+    """Differential parity extends to defective chips: production == reference, bit for bit."""
     chip = _chip(model=model, bandwidth=2)
     spec = data.draw(defect_specs(chip, max_dead=4))
     defective = chip.with_defects(spec)
     assume(chip_is_routable(defective))
     circuit = standard.qft(8)
-    reference = run_pipeline_method(circuit, method, chip=defective, engine="reference")
-    fast = run_pipeline_method(circuit, method, chip=defective, engine="fast")
-    assert reference.encoded.operations == fast.encoded.operations
-    report = validate_encoded_circuit(circuit, fast.encoded)
+    production = run_pipeline_method(circuit, method, chip=defective)
+    reference = reference_compile(circuit, method, chip=defective)
+    assert production.encoded.operations == reference.encoded.operations
+    report = validate_encoded_circuit(circuit, production.encoded)
     assert report.valid, report.errors[:3]

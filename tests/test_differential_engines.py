@@ -1,29 +1,35 @@
-"""Differential harness: the fast engine is schedule-for-schedule identical.
+"""Differential harness: every production schedule equals the reference engine's.
 
-Every built-in (non-large) benchmark circuit is compiled with the reference
-and the fast engine for each Algorithm 1 method family — Ecmas-dd, Ecmas-ls,
-AutoBraid and Braidflash — and the two runs must agree on the *entire*
-operation list, not just the cycle count.  The fast schedule is additionally
-replayed through the validator, so a bug that made both engines identically
+Every built-in (non-large) benchmark circuit is compiled for each routed
+method of the paper's evaluation — Ecmas-dd, Ecmas-ls, AutoBraid,
+Braidflash, Ecmas-ReSu and EDPCI — twice: once on the production path and
+once on the test oracle's reference engine (:func:`oracle.reference_engine`:
+the ready list recomputed every cycle, every path from the reference
+Dijkstra, no layer memo).  The two runs must agree on the *entire* operation
+list, not just the cycle count.  The production schedule is additionally
+replayed through the validator, so a bug that made both runs identically
 wrong about resource constraints would still be caught.
 
-This harness is what licenses every future hot-path optimisation: an engine
-change that alters any schedule anywhere in the suite fails here with the
-exact (circuit, method) pair.
+This harness is what licenses every hot-path optimisation: a change that
+alters any schedule anywhere in the suite fails here with the exact
+(circuit, method) pair.
 """
 
 from __future__ import annotations
 
 import pytest
+from oracle import reference_compile, reference_engine
 
 from repro.circuits.generators import default_suite
 from repro.pipeline.registry import run_pipeline_method
-from repro.profiling import compare_engines
 from repro.verify import validate_encoded_circuit
 
-#: The Algorithm 1 method families of the paper's evaluation.  Ecmas-ReSu
-#: (Algorithm 2) has no fast variant and ignores the engine knob.
-METHODS = ("ecmas_dd_min", "ecmas_ls_min", "autobraid", "braidflash")
+#: The Algorithm 1 method families of the paper's evaluation.
+ALGORITHM1_METHODS = ("ecmas_dd_min", "ecmas_ls_min", "autobraid", "braidflash")
+
+#: Every routed method under differential test: Algorithm 1, Ecmas-ReSu
+#: (Algorithm 2) and EDPCI.
+METHODS = ALGORITHM1_METHODS + ("ecmas_dd_resu", "edpci_min")
 
 _SUITE = {spec.name: spec for spec in default_suite(include_large=False)}
 
@@ -38,47 +44,39 @@ def circuits():
 @pytest.mark.parametrize("name", sorted(_SUITE))
 def test_engines_schedule_identically(circuits, name, method):
     circuit = circuits[name]
-    reference = run_pipeline_method(circuit, method, engine="reference")
-    fast = run_pipeline_method(circuit, method, engine="fast")
+    production = run_pipeline_method(circuit, method)
+    reference = reference_compile(circuit, method)
 
-    assert fast.encoded.num_cycles == reference.encoded.num_cycles, (
-        f"{method} on {name}: fast engine produced {fast.encoded.num_cycles} cycles, "
-        f"reference {reference.encoded.num_cycles}"
+    assert production.encoded.num_cycles == reference.encoded.num_cycles, (
+        f"{method} on {name}: production gave {production.encoded.num_cycles} cycles, "
+        f"reference engine {reference.encoded.num_cycles}"
     )
-    assert fast.encoded.operations == reference.encoded.operations, (
-        f"{method} on {name}: engines agree on cycle count but not on the schedule"
+    assert production.encoded.operations == reference.encoded.operations, (
+        f"{method} on {name}: same cycle count as the reference engine but not the same schedule"
     )
 
-    report = validate_encoded_circuit(circuit, fast.encoded)
-    assert report.valid, f"{method} on {name}: fast schedule invalid: {report.errors[:3]}"
+    report = validate_encoded_circuit(circuit, production.encoded)
+    assert report.valid, f"{method} on {name}: schedule invalid: {report.errors[:3]}"
 
 
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("method", ALGORITHM1_METHODS)
 def test_fast_engine_reports_landmark_reuse(circuits, method):
-    """The fast engine actually exercises its hot-path machinery."""
-    result = run_pipeline_method(circuits["qft_n10"], method, engine="fast")
+    """The production path exercises its hot-path machinery; the oracle does not."""
+    result = run_pipeline_method(circuits["qft_n10"], method)
     counters = result.counters
-    assert result.engine == "fast"
     assert counters is not None
     assert counters["route_calls"] > 0
     assert counters["landmark_tables"] > 0
+    reference = reference_compile(circuits["qft_n10"], method)
+    # The oracle really ran: no landmark tables, no layer memo.
+    assert reference.counters["landmark_tables"] == 0
+    assert reference.counters["layer_memo_hits"] == reference.counters["layer_memo_misses"] == 0
     # Goal-directed search must beat exhaustive Dijkstra on explored nodes.
-    reference = run_pipeline_method(circuits["qft_n10"], method, engine="reference")
     assert counters["nodes_expanded"] < reference.counters["nodes_expanded"]
 
 
-def test_compare_engines_reports_parity(circuits):
-    comparison = compare_engines(circuits["dnn_n8"], "ecmas_dd_min")
-    assert comparison.schedules_identical
-    assert comparison.cycles > 0
-    assert comparison.compile_seconds["reference"] > 0.0
-    assert comparison.compile_seconds["fast"] > 0.0
-    assert comparison.counters["fast"]["landmark_tables"] > 0
-    assert comparison.counters["reference"]["landmark_tables"] == 0
-
-
 def test_random_priority_falls_back_identically(circuits):
-    """Priorities without a static key still schedule identically on both engines."""
+    """Priorities without a static key schedule exactly like the per-cycle rebuild."""
     from repro.chip.geometry import SurfaceCodeModel
     from repro.core.ecmas import default_chip, prepare_mapping
     from repro.core.priorities import random_priority
@@ -87,10 +85,9 @@ def test_random_priority_falls_back_identically(circuits):
     circuit = circuits["adder_n10"]
     model = SurfaceCodeModel.DOUBLE_DEFECT
     mapping = prepare_mapping(circuit, default_chip(circuit, model), model)
-    runs = {
-        engine: DoubleDefectScheduler(
-            circuit, mapping, priority=random_priority(seed=11), engine=engine
-        ).run()
-        for engine in ("reference", "fast")
-    }
-    assert runs["reference"].operations == runs["fast"].operations
+    production = DoubleDefectScheduler(circuit, mapping, priority=random_priority(seed=11)).run()
+    with reference_engine():
+        reference = DoubleDefectScheduler(circuit, mapping, priority=random_priority(seed=11)).run()
+    assert production.operations == reference.operations
+    report = validate_encoded_circuit(circuit, production)
+    assert report.valid, report.errors[:3]

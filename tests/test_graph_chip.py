@@ -8,8 +8,8 @@ The tile-graph milestone's acceptance path, end to end:
   per edge, defects respected);
 * every graph placement strategy produces valid placements, and bandwidth
   adjusting redistributes lanes per edge under node width budgets;
-* heavy-hex and degree-3 sparse chips compile both models with both engines,
-  bit-identical and validator-clean;
+* heavy-hex and degree-3 sparse chips compile both models bit-identically
+  to the reference engine and validator-clean;
 * the viz, CLI ``--geometry`` flag, batch fingerprints and the compile
   daemon all understand graph chips.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 import threading
 
 import pytest
+from oracle import reference_compile
 
 from repro.chip import (
     Chip,
@@ -282,12 +283,12 @@ def test_render_placement_on_graph_chip_shows_nodes_edges_and_dead_tiles():
 def test_compile_on_graph_chip_engine_parity_and_validator(geometry, method, model):
     circuit = get_benchmark("bv_n10").build()
     chip = Chip.from_tile_graph(model, 3, geometry)
-    reference = run_pipeline_method(circuit, method, chip=chip, engine="reference")
-    fast = run_pipeline_method(circuit, method, chip=chip, engine="fast")
-    assert reference.encoded.operations == fast.encoded.operations
-    report = validate_encoded_circuit(circuit, fast.encoded)
+    production = run_pipeline_method(circuit, method, chip=chip)
+    reference = reference_compile(circuit, method, chip=chip)
+    assert production.encoded.operations == reference.encoded.operations
+    report = validate_encoded_circuit(circuit, production.encoded)
     assert report.valid, report.errors[:3]
-    assert fast.encoded.num_cycles >= 1
+    assert production.encoded.num_cycles >= 1
 
 
 def test_compile_on_defective_graph_chip():
@@ -295,7 +296,7 @@ def test_compile_on_defective_graph_chip():
     chip = Chip.from_tile_graph(DD, 3, degree3_sparse(24, seed=7))
     defects = random_defects(chip, 0.1, seed=5, min_alive_tiles=circuit.num_qubits)
     chip = chip.with_defects(defects)
-    result = run_pipeline_method(circuit, "ecmas_dd_min", chip=chip, engine="fast")
+    result = run_pipeline_method(circuit, "ecmas_dd_min", chip=chip)
     report = validate_encoded_circuit(circuit, result.encoded)
     assert report.valid, report.errors[:3]
 

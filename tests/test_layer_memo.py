@@ -1,6 +1,6 @@
 """Layer-fingerprint memoization is invisible: memoized ≡ unmemoized.
 
-The fast engine caches whole scheduling cycles by their layer fingerprint
+The schedulers cache whole scheduling cycles by their layer fingerprint
 (:mod:`repro.core.layer_memo`) and replays them on repeats.  A fingerprint
 hit must imply a bit-identical cycle, so the whole feature is only sound if
 ``memoize=True`` and ``memoize=False`` produce byte-for-byte identical
@@ -56,14 +56,14 @@ def _ls_mapping(circuit):
 def _dd_schedule(circuit, memoize, cut_strategy=None):
     kwargs = {"cut_strategy": cut_strategy} if cut_strategy is not None else {}
     scheduler = DoubleDefectScheduler(
-        circuit, _dd_mapping(circuit), engine="fast", memoize=memoize, **kwargs
+        circuit, _dd_mapping(circuit), memoize=memoize, **kwargs
     )
     return scheduler.run(), scheduler.counters
 
 
 def _ls_schedule(circuit, memoize):
     scheduler = LatticeSurgeryScheduler(
-        circuit, _ls_mapping(circuit), engine="fast", memoize=memoize
+        circuit, _ls_mapping(circuit), memoize=memoize
     )
     return scheduler.run(), scheduler.counters
 

@@ -85,17 +85,20 @@ class TestBandwidthAdjusting:
         assert sum(h_load.values()) + sum(v_load.values()) > 0
 
     def test_corridor_load_is_engine_independent(self):
-        # Both engines pre-route along the canonical (lexicographically
-        # smallest shortest) path, so the accumulated corridor loads must be
-        # bit-identical; the fast engine just reads its path off cached BFS
-        # hop tables instead of searching per edge.
+        # Pre-routing follows the canonical (lexicographically smallest
+        # shortest) path, so the corridor loads must equal the reference
+        # engine's bit for bit; the router just reads its path off cached
+        # BFS hop tables instead of searching per edge.
+        from oracle import reference_engine
+
         circuit = standard.qft(9)
         chip = Chip.four_x(DD, 9, 3)
         graph = circuit.communication_graph()
         placement = establish_placement(graph, (3, 3), strategy="trivial")
-        reference = corridor_load(chip, placement, graph, engine="reference")
-        fast = corridor_load(chip, placement, graph, engine="fast")
-        assert fast == reference
+        production = corridor_load(chip, placement, graph)
+        with reference_engine():
+            reference = corridor_load(chip, placement, graph)
+        assert production == reference
 
     def test_corridor_load_uses_the_routing_provider_seam(self):
         # Regression: corridor_load used to construct RoutingGraph(chip)
@@ -110,17 +113,17 @@ class TestBandwidthAdjusting:
         calls = []
         baseline = corridor_load(chip, placement, graph)
 
-        def provider(requested_chip, engine):
-            calls.append((requested_chip, engine))
+        def provider(requested_chip):
+            calls.append(requested_chip)
             built = engines.RoutingGraph(requested_chip)
-            return built, engines.build_router(built, engine)
+            return built, engines.FastRouter(built)
 
         previous = engines.set_routing_provider(provider)
         try:
             h_load, v_load = corridor_load(chip, placement, graph)
         finally:
             engines.set_routing_provider(previous)
-        assert calls == [(chip, "reference")]
+        assert calls == [chip]
         assert (h_load, v_load) == baseline
 
 

@@ -1,8 +1,9 @@
 """Property-based tests for the capacity-aware routers.
 
-Hypothesis drives :func:`find_path` (and the fast router) over random small
-chips, random residual-capacity states and random tile pairs, checking the
-routing contract rather than specific paths:
+Hypothesis drives the reference router of the test oracle (and the
+production router) over random small chips, random residual-capacity states
+and random tile pairs, checking the routing contract rather than specific
+paths:
 
 * a returned path starts at the source tile, ends at the target tile and
   traverses no tile in between;
@@ -10,8 +11,8 @@ routing contract rather than specific paths:
 * with ``congestion_weight=0`` the returned path is a *shortest*
   capacity-feasible path (checked against an independent BFS oracle), and
   ``None`` is returned only when the oracle also finds no path;
-* the fast landmark-A* router returns the bit-identical node sequence for
-  every query, including under congestion weights.
+* the production landmark-A* router returns the bit-identical node sequence
+  for every query, including under congestion weights.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
+from oracle import find_path
 
 from repro.chip.chip import Chip
 from repro.chip.geometry import SurfaceCodeModel
 from repro.chip.routing_graph import RoutingGraph, tile_node
 from repro.routing.fast_router import FastRouter
 from repro.routing.paths import CapacityUsage
-from repro.routing.router import find_path
 
 
 # ----------------------------------------------------------------- strategies

@@ -1,6 +1,13 @@
-"""Tests for capacity-aware path search, the cycle router and EDP routing."""
+"""Tests for capacity-aware path search, the cycle router and EDP routing.
+
+``find_path`` is the reference router of the test oracle; the production
+router is held to it by ``tests/test_properties_routing.py``.
+"""
+
+import random
 
 import pytest
+from oracle import find_path, reference_engine
 
 from repro.chip import Chip, RoutingGraph, SurfaceCodeModel, tile_node
 from repro.errors import RoutingError
@@ -10,7 +17,6 @@ from repro.routing import (
     RoutedPath,
     RoutingRequest,
     can_route_simultaneously,
-    find_path,
     max_simultaneous,
     route_edge_disjoint,
 )
@@ -160,3 +166,19 @@ class TestEdgeDisjointRouting:
             (tile_node(2, 0), tile_node(2, 1)),
         ]
         assert max_simultaneous(graph, pairs) == 3
+
+    def test_matches_the_reference_router(self):
+        # Over-subscribed cycles exercise failures and rip-up-and-reroute;
+        # the production router must reproduce the reference Dijkstra's
+        # outcome exactly.
+        rng = random.Random(7)
+        for bandwidth in (1, 2):
+            graph = _graph(5, 5, bandwidth=bandwidth)
+            tiles = graph.tile_nodes()
+            for _ in range(10):
+                picked = rng.sample(tiles, 12)
+                pairs = list(zip(picked[::2], picked[1::2]))
+                production = route_edge_disjoint(graph, pairs)
+                with reference_engine():
+                    reference = route_edge_disjoint(graph, pairs)
+                assert production == reference

@@ -7,13 +7,17 @@ at higher bandwidths.
 """
 
 from repro.chip import Chip, RoutingGraph, SurfaceCodeModel, junction, tile_node
-from repro.routing import CapacityUsage, find_path
+from repro.routing import CapacityUsage, FastRouter
 
 DD = SurfaceCodeModel.DOUBLE_DEFECT
 
 
 def _graph(rows=3, cols=3, bandwidth=1):
     return RoutingGraph(Chip.with_tile_array(DD, 3, rows, cols, bandwidth=bandwidth))
+
+
+def _route(graph, usage, source, target):
+    return FastRouter(graph).find(usage, source, target)
 
 
 def test_node_capacity_values():
@@ -29,10 +33,10 @@ def test_crossing_paths_conflict_at_bandwidth_one():
     # through the same junction when every corridor has a single lane.
     graph = _graph(3, 3, bandwidth=1)
     usage = CapacityUsage()
-    horizontal = find_path(graph, usage, tile_node(0, 1), tile_node(2, 1))
+    horizontal = _route(graph, usage, tile_node(0, 1), tile_node(2, 1))
     assert horizontal is not None
     usage.add_path(horizontal)
-    vertical = find_path(graph, usage, tile_node(1, 0), tile_node(1, 2))
+    vertical = _route(graph, usage, tile_node(1, 0), tile_node(1, 2))
     if vertical is not None:
         # If a path was found it must avoid every junction the first one used.
         assert not (set(vertical.nodes[1:-1]) & set(horizontal.nodes[1:-1]))
@@ -41,16 +45,16 @@ def test_crossing_paths_conflict_at_bandwidth_one():
 def test_crossing_allowed_with_higher_bandwidth():
     graph = _graph(3, 3, bandwidth=2)
     usage = CapacityUsage()
-    first = find_path(graph, usage, tile_node(0, 1), tile_node(2, 1))
+    first = _route(graph, usage, tile_node(0, 1), tile_node(2, 1))
     usage.add_path(first)
-    second = find_path(graph, usage, tile_node(1, 0), tile_node(1, 2))
+    second = _route(graph, usage, tile_node(1, 0), tile_node(1, 2))
     assert second is not None
 
 
 def test_node_usage_released_on_remove():
     graph = _graph()
     usage = CapacityUsage()
-    path = find_path(graph, usage, tile_node(0, 0), tile_node(2, 2))
+    path = _route(graph, usage, tile_node(0, 0), tile_node(2, 2))
     usage.add_path(path)
     assert usage.node_used
     usage.remove_path(path)
@@ -60,7 +64,7 @@ def test_node_usage_released_on_remove():
 def test_endpoints_do_not_consume_node_capacity():
     graph = _graph()
     usage = CapacityUsage()
-    path = find_path(graph, usage, tile_node(0, 0), tile_node(0, 1))
+    path = _route(graph, usage, tile_node(0, 0), tile_node(0, 1))
     usage.add_path(path)
     # Tile endpoints never appear in the node usage table.
     assert all(not graph.is_tile(node) for node in usage.node_used)

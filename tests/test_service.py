@@ -92,8 +92,7 @@ def test_recompiles_reuse_warm_chip_state(daemon):
     """Schedule-inlining requests always compile — through the warm chip LRU."""
     for _ in range(2):
         job = daemon.compile(
-            circuit="dnn_n8", method="ecmas_dd_min", engine="fast",
-            wait=True, include_schedule=True,
+            circuit="dnn_n8", method="ecmas_dd_min", wait=True, include_schedule=True,
         )
         assert job["status"] == "done"
     warm = daemon.stats()["warm_state"]
@@ -111,8 +110,7 @@ def test_mapping_stage_reuses_warm_chip_state(daemon):
     compile does zero cold graph builds in any stage, mapping included."""
     for _ in range(2):
         job = daemon.compile(
-            circuit="dnn_n8", method="ecmas_dd_4x", engine="fast",
-            wait=True, include_schedule=True,
+            circuit="dnn_n8", method="ecmas_dd_4x", wait=True, include_schedule=True,
         )
         assert job["status"] == "done"
     warm = daemon.stats()["warm_state"]
@@ -120,6 +118,26 @@ def test_mapping_stage_reuses_warm_chip_state(daemon):
     assert warm["entries"] == 2
     assert warm["misses"] == 2  # both builds happened in the *first* compile
     assert warm["hits"] == 2  # the repeat compile was warm in every stage
+
+
+def test_engine_field_is_an_accepted_no_op(daemon):
+    """API v1 still accepts ``engine``; every value compiles to one cached record."""
+    first = daemon.compile(circuit="dnn_n8", method="ecmas_dd_min", engine="reference", wait=True)
+    second = daemon.compile(circuit="dnn_n8", method="ecmas_dd_min", engine="fast", wait=True)
+    third = daemon.compile(circuit="dnn_n8", method="ecmas_dd_min", wait=True)
+    assert first["result"]["cached"] is False
+    assert second["result"]["cached"] is True and third["result"]["cached"] is True
+    records = [dict(job["result"]) for job in (first, second, third)]
+    for record in records:
+        record.pop("cached")
+    assert records[0] == records[1] == records[2]
+    assert daemon.stats()["result_cache"]["hits"] == 2
+
+    prints = {
+        parse_compile_request({"circuit": "dnn_n8", **extra}).to_job().fingerprint()
+        for extra in ({"engine": "reference"}, {"engine": "fast"}, {})
+    }
+    assert len(prints) == 1
 
 
 def test_submit_cli_round_trip(daemon, capsys):
@@ -309,22 +327,22 @@ def test_warm_state_cache_lru_eviction():
         for n in (2, 3, 4)
     ]
     for chip in chips[:2]:
-        cache.acquire(chip, "reference")
+        cache.acquire(chip)
     assert len(cache) == 2 and cache.misses == 2
 
     # Touch chip 0 so chip 1 becomes least recently used, then overflow.
-    cache.acquire(chips[0], "reference")
+    cache.acquire(chips[0])
     assert cache.hits == 1
-    cache.acquire(chips[2], "reference")
+    cache.acquire(chips[2])
     assert len(cache) == 2
     assert cache.evictions == 1
     assert cache.keys() == [chip_state_key(chips[0]), chip_state_key(chips[2])]
 
     # The evicted chip is a miss again; the survivor is still warm.
-    graph_before, _ = cache.acquire(chips[0], "reference")
-    graph_again, _ = cache.acquire(chips[0], "reference")
+    graph_before, _ = cache.acquire(chips[0])
+    graph_again, _ = cache.acquire(chips[0])
     assert graph_before is graph_again
-    cache.acquire(chips[1], "reference")
+    cache.acquire(chips[1])
     assert cache.misses == 4  # chips 0, 1, 2 cold + chip 1 re-entry
 
     stats = cache.stats()
@@ -334,22 +352,21 @@ def test_warm_state_cache_lru_eviction():
 def test_warm_state_cache_shares_fast_router():
     cache = WarmStateCache(capacity=2)
     chip = Chip.with_tile_array(SurfaceCodeModel.DOUBLE_DEFECT, 3, 3, 3, bandwidth=1)
-    graph1, router1 = cache.acquire(chip, "fast")
-    graph2, router2 = cache.acquire(chip, "fast")
+    graph1, router1 = cache.acquire(chip)
+    graph2, router2 = cache.acquire(chip)
     assert graph1 is graph2 and router1 is router2
-    _, router_ref = cache.acquire(chip, "reference")
-    assert router_ref is None  # reference engine never sees the fast router
+    assert router1.graph is graph1
 
 
 def test_warm_state_provider_round_trip_schedules_identical():
     """Compiling through an installed warm provider changes nothing in the output."""
     circuit = get_benchmark("dnn_n8").build()
-    cold = compile_circuit(circuit, scheduler="limited", engine="fast")
+    cold = compile_circuit(circuit, scheduler="limited")
     cache = WarmStateCache(capacity=2)
     cache.install()
     try:
-        warm_first = compile_circuit(circuit, scheduler="limited", engine="fast")
-        warm_second = compile_circuit(circuit, scheduler="limited", engine="fast")
+        warm_first = compile_circuit(circuit, scheduler="limited")
+        warm_second = compile_circuit(circuit, scheduler="limited")
     finally:
         cache.uninstall()
     assert schedule_payload(cold) == schedule_payload(warm_first) == schedule_payload(warm_second)

@@ -9,7 +9,7 @@ from repro.core.cut_types import CutType
 from repro.core.schedule import EncodedCircuit, OperationKind, ScheduledOperation
 from repro.errors import ValidationError
 from repro.partition import trivial_snake_placement
-from repro.routing import CapacityUsage, find_path
+from repro.routing import CapacityUsage, FastRouter
 from repro.verify import validate_encoded_circuit
 
 DD = SurfaceCodeModel.DOUBLE_DEFECT
@@ -31,9 +31,7 @@ def _blank_encoded(circuit, cuts=None):
 
 
 def _path_between(encoded, a, b):
-    graph = RoutingGraph(encoded.chip)
-    return find_path(
-        graph,
+    return FastRouter(RoutingGraph(encoded.chip)).find(
         CapacityUsage(),
         tile_node_for(encoded.placement.slot_of(a)),
         tile_node_for(encoded.placement.slot_of(b)),
@@ -115,11 +113,10 @@ def test_capacity_violation_detected():
         placement=placement,
         initial_cut_types={q: (CutType.X if q < 8 else CutType.Z) for q in range(16)},
     )
-    graph = RoutingGraph(chip)
+    router = FastRouter(RoutingGraph(chip))
     operations = []
     for node, (a, b) in enumerate(pairs):
-        path = find_path(
-            graph,
+        path = router.find(
             CapacityUsage(),
             tile_node_for(placement.slot_of(a)),
             tile_node_for(placement.slot_of(b)),

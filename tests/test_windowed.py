@@ -107,7 +107,7 @@ def test_wide_window_equals_full_frontier_view():
 def test_dd_windowed_schedule_is_valid_and_complete(window):
     circuit = standard.qft(8)
     scheduler = DoubleDefectScheduler(
-        circuit, _dd_mapping(circuit), engine="fast", window=window
+        circuit, _dd_mapping(circuit), window=window
     )
     encoded = scheduler.run()
     validate_encoded_circuit(circuit, encoded).raise_if_invalid()
@@ -117,7 +117,7 @@ def test_dd_windowed_schedule_is_valid_and_complete(window):
 def test_ls_windowed_schedule_is_valid_and_complete(window):
     circuit = standard.qft(8)
     scheduler = LatticeSurgeryScheduler(
-        circuit, _ls_mapping(circuit), engine="fast", window=window
+        circuit, _ls_mapping(circuit), window=window
     )
     encoded = scheduler.run()
     validate_encoded_circuit(circuit, encoded).raise_if_invalid()
@@ -125,9 +125,9 @@ def test_ls_windowed_schedule_is_valid_and_complete(window):
 
 def test_window_wider_than_circuit_matches_full_frontier_schedule():
     circuit = standard.ising(10, 3)
-    full = DoubleDefectScheduler(circuit, _dd_mapping(circuit), engine="fast").run()
+    full = DoubleDefectScheduler(circuit, _dd_mapping(circuit)).run()
     wide = DoubleDefectScheduler(
-        circuit, _dd_mapping(circuit), engine="fast", window=10_000
+        circuit, _dd_mapping(circuit), window=10_000
     ).run()
     assert wide.operations == full.operations
 
@@ -136,7 +136,7 @@ def test_window_wider_than_circuit_matches_full_frontier_schedule():
 def test_pipeline_window_seam_produces_valid_schedules(method):
     circuit = standard.ising(12, 3)
     result = run_pipeline_method(
-        circuit, method, engine="fast", window=8, validate=True
+        circuit, method, window=8, validate=True
     )
     report = result.context.artifacts["validation"]
     assert report.valid, report.errors[:3]
@@ -167,7 +167,7 @@ def windowed_cases(draw):
 def test_dd_windowed_valid_on_random_circuits(case):
     circuit, window = case
     encoded = DoubleDefectScheduler(
-        circuit, _dd_mapping(circuit), engine="fast", window=window
+        circuit, _dd_mapping(circuit), window=window
     ).run()
     validate_encoded_circuit(circuit, encoded).raise_if_invalid()
 
@@ -177,6 +177,6 @@ def test_dd_windowed_valid_on_random_circuits(case):
 def test_ls_windowed_valid_on_random_circuits(case):
     circuit, window = case
     encoded = LatticeSurgeryScheduler(
-        circuit, _ls_mapping(circuit), engine="fast", window=window
+        circuit, _ls_mapping(circuit), window=window
     ).run()
     validate_encoded_circuit(circuit, encoded).raise_if_invalid()
