@@ -37,6 +37,8 @@ class CommunicationGraph:
         """Record ``count`` CNOT gates between ``control`` and ``target``."""
         if control == target:
             raise CircuitError("CNOT control and target must differ")
+        if count < 0:
+            raise CircuitError(f"CNOT count {count} between {control} and {target} must be >= 0")
         for q in (control, target):
             if not 0 <= q < self._num_qubits:
                 raise CircuitError(f"qubit {q} outside communication graph of size {self._num_qubits}")

@@ -19,7 +19,7 @@ import random
 from collections.abc import Sequence
 
 from repro.errors import PartitionError
-from repro.partition.kl import WeightMap, fm_refine, kernighan_lin_bisection
+from repro.partition.kl import WeightMap, check_weights, fm_refine, kernighan_lin_bisection
 
 #: Below this size the classic KL core is both fast enough and higher quality.
 COARSEST_SIZE = 24
@@ -228,6 +228,7 @@ def multilevel_bisection(
     n = len(vertex_list)
     if size_a is not None and not 0 < size_a < n:
         raise PartitionError(f"size_a={size_a} must be strictly between 0 and {n}")
+    check_weights(weights)
     if n <= COARSEST_SIZE:
         return kernighan_lin_bisection(
             vertex_list, weights, max_passes=max_passes, seed=seed, size_a=size_a

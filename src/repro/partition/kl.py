@@ -10,8 +10,20 @@ drivers live in :mod:`repro.partition.placement` and
 * :func:`kernighan_lin_bisection` — the classic KL formulation: repeatedly
   compute gains ``D[v] = external(v) - internal(v)``, greedily swap the
   highest-gain *pair*, lock the swapped vertices, and keep the best prefix
-  of swaps of each pass.  The pair search is an all-pairs scan, O(n²) per
-  swap — obviously correct, and the reference placement engine's core.
+  of swaps of each pass.  This is the reference placement engine's core.
+  Each swap picks the pair a row-major all-pairs scan would pick — the
+  maximum ``(D[a] + D[b]) - 2·w(a, b)``, ties to the smallest ``a``, then
+  the smallest ``b`` — with a pruned scan.  Unlocked vertices never change
+  sides within a pass, so each side keeps one sorted free list; a swap
+  orders free ``B`` by ``(-D[b], b)`` once, walks free ``A`` in id order,
+  skips an ``a`` whose bound ``D[a] + max D[b]`` cannot beat the best pair
+  so far, and stops the walk over ``B`` once ``D[a] + D[b]`` falls below
+  the best gain found for that ``a``.  The pruning is exact: weights are
+  finite and ``>= 0`` (checked on entry), and subtracting a non-negative
+  float never rounds upward, so ``fl(D[a] + D[b])`` bounds every gain a
+  skipped pair could reach.  After a swap only the pair's unlocked
+  neighbours are updated.  ``tests/oracle/kl.py`` keeps the all-pairs
+  original this core is differential-tested against.
 * :func:`fm_refine` + :class:`GainBuckets` — the Fiduccia–Mattheyses
   formulation over contiguous local vertex ids: per-vertex gains indexed
   into array-backed bucket lists (intrusive doubly-linked lists over flat
@@ -23,6 +35,7 @@ drivers live in :mod:`repro.partition.placement` and
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Sequence
 
@@ -39,6 +52,19 @@ def cut_weight(weights: WeightMap, side_a: set[int], side_b: set[int]) -> float:
         if (a in side_a and b in side_b) or (a in side_b and b in side_a):
             total += w
     return total
+
+
+def check_weights(weights: WeightMap) -> None:
+    """Raise :class:`PartitionError` naming the first non-finite or negative weight.
+
+    Zero and fractional weights are legal; both bisection cores call this
+    once on entry, and KL's pruned pair search relies on it.
+    """
+    for edge, w in weights.items():
+        if not 0.0 <= w < math.inf:
+            raise PartitionError(
+                f"edge {edge} has weight {w!r}; edge weights must be finite and >= 0"
+            )
 
 
 def _neighbor_weights(weights: WeightMap, vertices: Sequence[int]) -> dict[int, dict[int, float]]:
@@ -93,6 +119,7 @@ def kernighan_lin_bisection(
                 f"but size_a={size_a} was requested; KL swaps preserve sizes, so "
                 f"the initial split must already match"
             )
+    check_weights(weights)
     adjacency = _neighbor_weights(weights, vertex_list)
 
     for _ in range(max_passes):
@@ -117,45 +144,49 @@ def _kl_pass(side_a: set[int], side_b: set[int], adjacency: dict[int, dict[int, 
     gains = _gains(side_a, side_b, adjacency)
     locked: set[int] = set()
     swap_sequence: list[tuple[int, int, float]] = []
-    work_a, work_b = set(side_a), set(side_b)
+    # Sorted free lists pin the gain tie-break to vertex order: set
+    # iteration order is hash-history-dependent, and the winning pair of an
+    # equal-gain tie must not vary between two runs that feed the
+    # golden-parity harness.
+    free_a, free_b = sorted(side_a), sorted(side_b)
 
-    for _ in range(min(len(work_a), len(work_b))):
-        best: tuple[float, int, int] | None = None
-        # Sorted scans pin the gain tie-break to vertex order: set iteration
-        # order is hash-history-dependent, and the winning pair of an
-        # equal-gain tie must not vary between two runs that feed the
-        # golden-parity harness.
-        for a in sorted(work_a):
-            if a in locked:
+    for _ in range(min(len(free_a), len(free_b))):
+        order_b = sorted(free_b, key=lambda v: (-gains[v], v))
+        top_b = gains[order_b[0]]
+        best_gain, best_a, best_b = -math.inf, -1, -1
+        for a in free_a:
+            gain_a = gains[a]
+            if gain_a + top_b <= best_gain:
                 continue
-            for b in sorted(work_b):
-                if b in locked:
-                    continue
-                cross = adjacency[a].get(b, 0.0)
-                gain = gains[a] + gains[b] - 2.0 * cross
-                if best is None or gain > best[0]:
-                    best = (gain, a, b)
-        if best is None:
-            break
-        gain, a, b = best
-        swap_sequence.append((a, b, gain))
+            row = adjacency[a]
+            row_gain, row_b = -math.inf, -1
+            for b in order_b:
+                bound = gain_a + gains[b]
+                if bound < row_gain or bound <= best_gain:
+                    break
+                gain = bound - 2.0 * row.get(b, 0.0)
+                if gain > row_gain or (gain == row_gain and b < row_b):
+                    row_gain, row_b = gain, b
+            if row_gain > best_gain:
+                best_gain, best_a, best_b = row_gain, a, row_b
+        a, b = best_a, best_b
+        swap_sequence.append((a, b, best_gain))
         locked.add(a)
         locked.add(b)
-        # Update gains as if a and b were swapped.
-        for vertex, neighbors in adjacency.items():
+        free_a.remove(a)
+        free_b.remove(b)
+        # Update gains as if a and b were swapped; only their neighbours move.
+        for vertex in {**adjacency[a], **adjacency[b]}:
             if vertex in locked:
                 continue
+            neighbors = adjacency[vertex]
             delta = 0.0
-            in_a = vertex in work_a
+            in_a = vertex in side_a
             if a in neighbors:
                 delta += (2.0 if in_a else -2.0) * neighbors[a]
             if b in neighbors:
                 delta += (-2.0 if in_a else 2.0) * neighbors[b]
             gains[vertex] += delta
-        work_a.remove(a)
-        work_b.remove(b)
-        work_a.add(b)
-        work_b.add(a)
 
     # Keep the best prefix of swaps.
     best_total = 0.0

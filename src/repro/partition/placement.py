@@ -137,6 +137,17 @@ def _weights_from_graph(graph: CommunicationGraph) -> WeightMap:
     return {(a, b): float(w) for a, b, w in graph.edges()}
 
 
+def _restrict(weights: WeightMap, side: set[int]) -> WeightMap:
+    """The edges of ``weights`` inside ``side``, in the parent map's order.
+
+    Each child region bisects only its own edges, so the cores' adjacency
+    and quantization builds cost O(E_region) instead of O(E_total); keeping
+    the parent's iteration order keeps every float summation order, and
+    with it the placement, unchanged.
+    """
+    return {(a, b): w for (a, b), w in weights.items() if a in side and b in side}
+
+
 # -------------------------------------------------------------------- placements
 def recursive_bisection_placement(
     graph: CommunicationGraph,
@@ -214,8 +225,10 @@ def _place_region(
         _place_region(qubits, weights, *target, assignment, rng, dead, bisect)
         return
     side_a, side_b = bisect(qubits, weights, seed=rng.randrange(1 << 30), size_a=size_first)
-    _place_region(sorted(side_a), weights, *regions[0], assignment, rng, dead, bisect)
-    _place_region(sorted(side_b), weights, *regions[1], assignment, rng, dead, bisect)
+    for side, region in ((side_a, regions[0]), (side_b, regions[1])):
+        _place_region(
+            sorted(side), _restrict(weights, side), *region, assignment, rng, dead, bisect
+        )
 
 
 def trivial_snake_placement(
@@ -369,8 +382,10 @@ def _place_graph_region(
         _place_graph_region(qubits, weights, first, assignment, rng, coords, bisect)
         return
     side_a, side_b = bisect(qubits, weights, seed=rng.randrange(1 << 30), size_a=size_first)
-    _place_graph_region(sorted(side_a), weights, first, assignment, rng, coords, bisect)
-    _place_graph_region(sorted(side_b), weights, second, assignment, rng, coords, bisect)
+    for side, region in ((side_a, first), (side_b, second)):
+        _place_graph_region(
+            sorted(side), _restrict(weights, side), region, assignment, rng, coords, bisect
+        )
 
 
 def graph_recursive_bisection_placement(

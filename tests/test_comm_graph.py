@@ -36,6 +36,14 @@ def test_add_cnot_validates_operands():
         graph.add_cnot(0, 5)
 
 
+def test_add_cnot_rejects_negative_count():
+    graph = CommunicationGraph(2)
+    with pytest.raises(CircuitError, match="count -1 between 0 and 1"):
+        graph.add_cnot(0, 1, count=-1)
+    graph.add_cnot(0, 1, count=0)
+    assert graph.weight(0, 1) == 0
+
+
 def test_bipartite_chain():
     graph = CommunicationGraph(4)
     graph.add_cnot(0, 1)

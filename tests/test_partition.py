@@ -72,6 +72,18 @@ class TestKernighanLin:
         with pytest.raises(PartitionError):
             kernighan_lin_bisection(range(4), {}, size_a=4)
 
+    def test_negative_weight_named(self):
+        with pytest.raises(PartitionError, match=r"edge \(1, 2\) has weight -1\.0"):
+            kernighan_lin_bisection(range(4), {(0, 1): 1.0, (1, 2): -1.0})
+
+    def test_nan_weight_named(self):
+        with pytest.raises(PartitionError, match=r"edge \(0, 3\) has weight nan"):
+            kernighan_lin_bisection(range(4), {(0, 3): float("nan")})
+
+    def test_infinite_weight_named(self):
+        with pytest.raises(PartitionError, match=r"edge \(2, 3\) has weight inf"):
+            kernighan_lin_bisection(range(4), {(2, 3): float("inf")})
+
     def test_never_worse_than_initial(self):
         weights = _two_cliques_weights()
         initial = ({0, 4, 5, 6}, {1, 2, 3, 7})

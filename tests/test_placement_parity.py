@@ -1,9 +1,10 @@
 """Quality-parity harness for the fast (multilevel) placement engine.
 
 Mirror of ``tests/test_differential_engines.py``, with one deliberate
-difference: the fast *scheduling* engine must be bit-identical, but the fast
-*placement* engine is allowed to place qubits differently — multilevel
-coarsen/FM refinement is an approximation of exhaustive KL — as long as
+difference: there is one scheduling engine, held bit-identical to the
+reference engine in ``tests/oracle/``, but the fast *placement* engine is
+allowed to place qubits differently — multilevel coarsen/FM refinement is
+an approximation of exhaustive KL — as long as
 
 * every schedule it leads to is validator-clean, and
 * its communication cost ``f = Σ γ_ij · l_ij`` stays within

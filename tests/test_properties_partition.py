@@ -153,6 +153,20 @@ def test_multilevel_rejects_bad_inputs():
         multilevel_bisection(list(range(40)), {}, size_a=40)
 
 
+def test_multilevel_rejects_negative_weight_by_name():
+    weights = {(v, v + 1): 1.0 for v in range(39)}
+    weights[(5, 6)] = -2.0
+    with pytest.raises(PartitionError, match=r"edge \(5, 6\) has weight -2\.0"):
+        multilevel_bisection(list(range(40)), weights)
+
+
+def test_multilevel_rejects_nan_weight_by_name():
+    weights = {(v, v + 1): 1.0 for v in range(39)}
+    weights[(7, 8)] = float("nan")
+    with pytest.raises(PartitionError, match=r"edge \(7, 8\) has weight nan"):
+        multilevel_bisection(list(range(40)), weights)
+
+
 def test_quantize_weights_handles_integral_and_fractional():
     assert quantize_weights({(0, 1): 3.0, (1, 2): 0.0}) == {(0, 1): 3, (1, 2): 0}
     scaled = quantize_weights({(0, 1): 0.5, (1, 2): 2.0})
