@@ -12,7 +12,7 @@ from repro.chip import Chip, RoutingGraph, tile_node
 from repro.circuits import qasm
 from repro.circuits.generators import random_parallel_circuit, standard
 from repro.core.metrics import para_finding
-from repro.partition import best_placement
+from repro.partition import best_placement, grid_domain
 from repro.routing import CapacityUsage, FastRouter
 
 
@@ -37,7 +37,7 @@ def test_para_finding_random_circuit(benchmark):
 
 def test_kl_placement_qft30(benchmark):
     graph = standard.qft(30).communication_graph()
-    placement = benchmark(lambda: best_placement(graph, 6, 6, attempts=2, seed=0))
+    placement = benchmark(lambda: best_placement(graph, grid_domain(6, 6), attempts=2, seed=0))
     assert placement.num_qubits() == 30
 
 

@@ -20,12 +20,16 @@ A chip may instead carry an explicit :class:`~repro.chip.tile_graph.TileGraph`
 (heavy-hex, degree-3, sparse layouts — see :mod:`repro.chip.tile_graph`).
 Graph chips address tile slot ``i`` as ``TileSlot(i, 0)`` — ``tile_rows`` is
 the node count and ``tile_cols`` is 1 — and replace the corridor vectors with
-per-edge bandwidths: segments are keyed ``("e", a, b)``, distances come from
-BFS hops instead of Manhattan geometry (:meth:`Chip.slot_distance`), and
-bandwidth adjusting redistributes lanes per edge under per-node width budgets
-(:meth:`Chip.with_edge_bandwidths`).  Square chips are untouched by all of
-this: their representation, validation, and every derived quantity are
-bit-identical to the pre-graph model.
+per-edge bandwidths: segments are keyed ``("e", a, b)``, distances are BFS
+hops (:meth:`Chip.slot_distance`), and bandwidth adjusting redistributes lanes
+per edge under per-node width budgets (:meth:`Chip.with_edge_bandwidths`).
+Square chips keep the paper's corridor representation unchanged.
+
+Placement does not fork on the two: it runs over a *slot domain* —
+:func:`~repro.partition.placement.grid_domain` for a window of the square
+tile array, :func:`~repro.partition.placement.graph_domain` for a graph chip
+— and bandwidth adjusting reads one corridor-load map keyed by
+:meth:`~repro.chip.routing_graph.RoutingGraph.corridor_of`.
 """
 
 from __future__ import annotations
@@ -398,30 +402,6 @@ class Chip:
         if a.row == b.row and a.col == b.col:
             return 0
         return _graph_hop_distances(self)[a.row][b.row]
-
-    def scaled_bandwidth(self, bandwidth: int) -> "Chip":
-        """Return a copy with every corridor set to ``bandwidth`` lanes (for sweeps)."""
-        if self.tile_graph is not None:
-            graph = replace(
-                self.tile_graph,
-                bandwidths=tuple([int(bandwidth)] * self.tile_graph.num_edges),
-                node_budgets=None,
-            )
-            return replace(self, tile_graph=graph)
-        lane = geometry.lane_width(self.model, self.code_distance)
-        core = geometry.tile_side(self.model, self.code_distance)
-        tiles = max(self.tile_rows, self.tile_cols)
-        side = tiles * core + int(math.ceil((tiles + 1) * bandwidth * lane))
-        return Chip(
-            model=self.model,
-            code_distance=self.code_distance,
-            tile_rows=self.tile_rows,
-            tile_cols=self.tile_cols,
-            h_bandwidths=tuple([bandwidth] * (self.tile_rows + 1)),
-            v_bandwidths=tuple([bandwidth] * (self.tile_cols + 1)),
-            side=max(side, self.side),
-            defects=self.defects,
-        )
 
     def describe(self) -> str:
         """One-line human-readable description used by reports."""

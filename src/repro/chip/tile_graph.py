@@ -237,10 +237,16 @@ class TileGraph:
 def square_lattice(rows: int, cols: int, bandwidth: int = 1) -> TileGraph:
     """A ``rows × cols`` grid graph — the paper's lattice as a tile graph.
 
-    Note square :class:`~repro.chip.chip.Chip` objects keep the legacy
-    corridor representation for bit-compatibility; this constructor exists so
-    the square lattice is *also* expressible in the graph core (comparisons,
-    tests, custom specs).
+    Square :class:`~repro.chip.chip.Chip` objects keep the corridor
+    representation; this constructor exists so the square lattice is *also*
+    expressible in the graph core (comparisons, tests, custom specs).
+
+    It routes differently from the paper's square chip.  A square chip's
+    routing graph is an (r+1)×(c+1) junction lattice with each tile attached
+    to its four corner junctions; a graph chip has one junction per tile.  On
+    a 4×4 chip the square routing graph has 41 nodes and 104 edges, this one
+    32 nodes and 40 edges, and ``ecmas_dd_min`` needs more cycles here
+    (qft_n10 45 vs 53, ising_n10 20 vs 30, multiplier_n15 92 vs 107).
     """
     if rows < 1 or cols < 1:
         raise ChipError("square lattice needs at least a 1x1 grid")

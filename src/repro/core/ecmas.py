@@ -39,7 +39,7 @@ from repro.core.cut_types import (
     random_cut_types,
     uniform_cut_types,
 )
-from repro.core.mapping import InitialMapping, build_initial_mapping
+from repro.core.mapping import PLACEMENT_STRATEGIES, InitialMapping, build_initial_mapping
 from repro.core.metrics import circuit_parallelism_degree
 from repro.core.schedule import EncodedCircuit
 from repro.errors import SchedulingError
@@ -49,7 +49,7 @@ from repro.errors import SchedulingError
 DEFAULT_CODE_DISTANCE = 3
 
 #: Valid values for each validated :class:`EcmasOptions` field.
-VALID_PLACEMENT_STRATEGIES = frozenset({"ecmas", "metis", "trivial", "spectral", "random"})
+VALID_PLACEMENT_STRATEGIES = frozenset(PLACEMENT_STRATEGIES)
 VALID_CUT_INITIALISATIONS = frozenset({"bipartite_prefix", "random", "maxcut", "uniform"})
 VALID_PRIORITIES = frozenset({"criticality", "circuit_order", "descendants"})
 VALID_CUT_STRATEGIES = frozenset(_CUT_STRATEGIES)

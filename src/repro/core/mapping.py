@@ -16,6 +16,7 @@ This implements the three pre-processing steps of Ecmas (Section IV-B1):
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.chip.chip import Chip, TileSlot
@@ -30,13 +31,11 @@ from repro.partition.placement import (
     alive_in_window,
     best_placement,
     communication_cost,
-    graph_best_placement,
-    graph_random_placement,
-    graph_snake_placement,
-    graph_spectral_placement,
+    graph_domain,
+    grid_domain,
     random_placement,
+    snake_placement,
     spectral_placement,
-    trivial_snake_placement,
 )
 from repro.routing.paths import CapacityUsage
 
@@ -100,6 +99,22 @@ def determine_shape(num_qubits: int, chip: Chip) -> tuple[int, int]:
     return best
 
 
+#: Placement strategy → ``place(graph, domain, attempts, seed, engine)``.
+#: ``"ecmas"`` is multi-attempt recursive bisection (the default), ``"metis"``
+#: single-attempt (the Table II "Metis" column), ``"trivial"`` the EDPCI snake.
+PLACEMENT_STRATEGIES: dict[str, Callable[..., Placement]] = {
+    "ecmas": best_placement,
+    "metis": lambda graph, domain, _attempts, seed, engine: best_placement(
+        graph, domain, 1, seed, engine
+    ),
+    "trivial": lambda graph, domain, *_: snake_placement(graph.num_qubits, domain),
+    "spectral": lambda graph, domain, *_: spectral_placement(graph, domain),
+    "random": lambda graph, domain, _attempts, seed, _engine: random_placement(
+        graph.num_qubits, domain, seed
+    ),
+}
+
+
 def establish_placement(
     graph: CommunicationGraph,
     shape: tuple[int, int],
@@ -112,62 +127,39 @@ def establish_placement(
 ) -> Placement:
     """Map qubits to tile slots within ``shape`` using the requested strategy.
 
-    Strategies: ``"ecmas"`` (multi-attempt recursive bisection, the default),
-    ``"metis"`` (single-attempt recursive bisection, the Table II "Metis"
-    column), ``"trivial"`` (EDPCI snake), ``"spectral"``, ``"random"``.
-    ``dead`` lists tile slots no strategy may use.  ``placement_engine``
-    picks the bisection core for the bisection-based strategies (classic KL
-    ``reference`` vs multilevel ``fast``); the other strategies ignore it.
+    Strategies are the keys of :data:`PLACEMENT_STRATEGIES`.  ``dead`` lists
+    tile slots no strategy may use.  ``placement_engine`` picks the bisection
+    core for the bisection-based strategies (classic KL ``reference`` vs
+    multilevel ``fast``); the other strategies ignore it.
 
-    Passing a graph ``chip`` (``tile_graph`` set) dispatches every strategy
-    to its graph-aware counterpart: bisection splits the tile graph's layout
-    instead of grid windows and costs use BFS hop distance; ``shape`` and
-    ``dead`` are then taken from the chip itself.
+    The slots come from a :class:`~repro.partition.placement.SlotDomain`:
+    the ``shape`` window with ``dead`` removed, or, when a graph ``chip``
+    (``tile_graph`` set) is passed, the chip's own tiles — bisection then
+    splits the tile graph's layout and costs use BFS hop distance.
     """
-    if chip is not None and chip.tile_graph is not None:
-        if strategy == "ecmas":
-            return graph_best_placement(
-                graph, chip, attempts=attempts, seed=seed, engine=placement_engine
-            )
-        if strategy == "metis":
-            return graph_best_placement(
-                graph, chip, attempts=1, seed=seed, engine=placement_engine
-            )
-        if strategy == "trivial":
-            return graph_snake_placement(graph.num_qubits, chip)
-        if strategy == "spectral":
-            return graph_spectral_placement(graph, chip)
-        if strategy == "random":
-            return graph_random_placement(graph.num_qubits, chip, seed=seed)
+    place = PLACEMENT_STRATEGIES.get(strategy)
+    if place is None:
         raise MappingError(f"unknown placement strategy {strategy!r}")
-    rows, cols = shape
-    if strategy == "ecmas":
-        return best_placement(
-            graph, rows, cols, attempts=attempts, seed=seed, dead=dead, engine=placement_engine
-        )
-    if strategy == "metis":
-        return best_placement(
-            graph, rows, cols, attempts=1, seed=seed, dead=dead, engine=placement_engine
-        )
-    if strategy == "trivial":
-        return trivial_snake_placement(graph.num_qubits, rows, cols, dead=dead)
-    if strategy == "spectral":
-        return spectral_placement(graph, rows, cols, dead=dead)
-    if strategy == "random":
-        return random_placement(graph.num_qubits, rows, cols, seed=seed, dead=dead)
-    raise MappingError(f"unknown placement strategy {strategy!r}")
+    if chip is not None and chip.tile_graph is not None:
+        domain = graph_domain(chip)
+    else:
+        domain = grid_domain(*shape, dead)
+    return place(graph, domain, attempts, seed, placement_engine)
 
 
 def corridor_load(
     chip: Chip,
     placement: Placement,
     graph: CommunicationGraph,
-) -> tuple[dict[int, float], dict[int, float]]:
+) -> dict[tuple[str, int], float]:
     """Pre-route every CNOT (ignoring conflicts) and accumulate corridor load.
 
-    Returns per-corridor load for horizontal and vertical corridors.  The
-    load of an edge's corridor increases by the CNOT multiplicity of the pair
-    whose unconstrained shortest path uses that edge.
+    Returns the load per corridor, keyed as
+    :meth:`~repro.chip.routing_graph.RoutingGraph.corridor_of` names it:
+    ``("h", r)`` and ``("v", c)`` on square chips, ``("e", index)`` per
+    tile-graph edge on graph chips.  A corridor's load grows by the CNOT
+    multiplicity of every pair whose unconstrained shortest path crosses it;
+    corridors no path crosses are absent.
 
     Routing state comes from the :func:`repro.core.engines.routing_for`
     seam, so daemon processes reuse their warm per-chip graphs here instead
@@ -176,8 +168,7 @@ def corridor_load(
     its cached BFS hop tables.
     """
     routing_graph, router = routing_for(chip)
-    h_load: dict[int, float] = {r: 0.0 for r in range(chip.tile_rows + 1)}
-    v_load: dict[int, float] = {c: 0.0 for c in range(chip.tile_cols + 1)}
+    load: dict[tuple[str, int], float] = {}
     empty = CapacityUsage()
     for a, b, weight in graph.edges():
         source = tile_node_for(placement.slot_of(a))
@@ -187,41 +178,8 @@ def corridor_load(
             continue  # disconnected pair (defective chips); no load to record
         for edge_a, edge_b in zip(path.nodes, path.nodes[1:]):
             corridor = routing_graph.corridor_of(edge_a, edge_b)
-            if corridor is None:
-                continue
-            kind, index = corridor
-            if kind == "h":
-                h_load[index] += weight
-            else:
-                v_load[index] += weight
-    return h_load, v_load
-
-
-def edge_load(
-    chip: Chip,
-    placement: Placement,
-    graph: CommunicationGraph,
-) -> dict[int, float]:
-    """Graph-chip counterpart of :func:`corridor_load`: per-edge path load.
-
-    Pre-routes every CNOT over the unconstrained canonical path and
-    accumulates the pair's multiplicity on each tile-graph edge the path
-    crosses (keyed by edge index).
-    """
-    routing_graph, router = routing_for(chip)
-    load: dict[int, float] = {e: 0.0 for e in range(chip.tile_graph.num_edges)}
-    empty = CapacityUsage()
-    for a, b, weight in graph.edges():
-        source = tile_node_for(placement.slot_of(a))
-        target = tile_node_for(placement.slot_of(b))
-        path = router.find(empty, source, target)
-        if path is None:
-            continue  # disconnected pair (defective chips); no load to record
-        for edge_a, edge_b in zip(path.nodes, path.nodes[1:]):
-            corridor = routing_graph.corridor_of(edge_a, edge_b)
-            if corridor is None:
-                continue
-            load[corridor[1]] += weight
+            if corridor is not None:
+                load[corridor] = load.get(corridor, 0.0) + weight
     return load
 
 
@@ -243,7 +201,8 @@ def adjust_edge_bandwidth(chip: Chip, placement: Placement, graph: Communication
         budgets[b] -= 1
     if all(b <= 0 for b in budgets):
         return chip  # no spare width anywhere; skip the pre-routing pass
-    load = edge_load(chip, placement, graph)
+    corridors = corridor_load(chip, placement, graph)
+    load = [corridors.get(("e", index), 0.0) for index in range(tile_graph.num_edges)]
     order = sorted(range(tile_graph.num_edges), key=lambda e: (-load[e], e))
     granted = True
     while granted:
@@ -277,19 +236,22 @@ def adjust_bandwidth(chip: Chip, placement: Placement, graph: CommunicationGraph
     v_spare = v_budget - (chip.tile_cols + 1)
     if h_spare <= 0 and v_spare <= 0:
         return chip
-    h_load, v_load = corridor_load(chip, placement, graph)
-    h_bandwidths = _distribute(h_load, chip.tile_rows + 1, h_budget)
-    v_bandwidths = _distribute(v_load, chip.tile_cols + 1, v_budget)
+    load = corridor_load(chip, placement, graph)
+    h_bandwidths = _distribute(load, "h", chip.tile_rows + 1, h_budget)
+    v_bandwidths = _distribute(load, "v", chip.tile_cols + 1, v_budget)
     return chip.with_bandwidths(h_bandwidths, v_bandwidths)
 
 
-def _distribute(load: dict[int, float], corridors: int, budget: int) -> list[int]:
-    """Give every corridor one lane, then spare lanes proportionally to load."""
+def _distribute(
+    corridor_loads: dict[tuple[str, int], float], axis: str, corridors: int, budget: int
+) -> list[int]:
+    """Give every ``axis`` corridor one lane, then spare lanes proportionally to load."""
+    load = [corridor_loads.get((axis, i), 0.0) for i in range(corridors)]
     bandwidths = [1] * corridors
     spare = budget - corridors
     if spare <= 0:
         return bandwidths
-    total_load = sum(load.values())
+    total_load = sum(load)
     if total_load <= 0:
         # No recorded traffic: spread the spare lanes evenly from the centre out.
         order = sorted(range(corridors), key=lambda i: abs(i - corridors / 2.0 + 0.5))
@@ -297,7 +259,7 @@ def _distribute(load: dict[int, float], corridors: int, budget: int) -> list[int
             bandwidths[order[offset % corridors]] += 1
         return bandwidths
     # Largest-remainder proportional allocation.
-    shares = {i: spare * load.get(i, 0.0) / total_load for i in range(corridors)}
+    shares = {i: spare * load[i] / total_load for i in range(corridors)}
     allocated = {i: int(shares[i]) for i in range(corridors)}
     remaining = spare - sum(allocated.values())
     remainder_order = sorted(range(corridors), key=lambda i: shares[i] - allocated[i], reverse=True)

@@ -5,18 +5,16 @@ from repro.partition.kl import GainBuckets, cut_weight, fm_refine, kernighan_lin
 from repro.partition.placement import (
     PLACEMENT_ENGINES,
     Placement,
+    SlotDomain,
     best_placement,
     check_placement_engine,
     communication_cost,
-    graph_best_placement,
-    graph_random_placement,
-    graph_recursive_bisection_placement,
-    graph_snake_placement,
-    graph_spectral_placement,
+    graph_domain,
+    grid_domain,
     random_placement,
     recursive_bisection_placement,
+    snake_placement,
     spectral_placement,
-    trivial_snake_placement,
 )
 
 __all__ = [
@@ -29,14 +27,12 @@ __all__ = [
     "PLACEMENT_ENGINES",
     "check_placement_engine",
     "communication_cost",
+    "SlotDomain",
+    "grid_domain",
+    "graph_domain",
     "recursive_bisection_placement",
     "best_placement",
-    "trivial_snake_placement",
+    "snake_placement",
     "spectral_placement",
     "random_placement",
-    "graph_recursive_bisection_placement",
-    "graph_best_placement",
-    "graph_snake_placement",
-    "graph_spectral_placement",
-    "graph_random_placement",
 ]

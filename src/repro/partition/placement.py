@@ -1,24 +1,35 @@
-"""Recursive-bisection placement of logical qubits onto a tile grid.
+"""Recursive-bisection placement of logical qubits onto tile slots.
 
 This is the METIS-substitute used by the *mapping establishing* step of
 Ecmas: the communication graph is recursively bisected (Kernighan–Lin) while
-the target rectangle of tile slots is split alongside it, so heavily
+the target region of tile slots is split alongside it, so heavily
 communicating qubits land in nearby tiles.  The quality measure is the
-paper's communication cost ``f = Σ γ_ij · l_ij`` (CNOT count times Manhattan
+paper's communication cost ``f = Σ γ_ij · l_ij`` (CNOT count times slot
 distance), exposed as :func:`communication_cost`.
 
-Also provided:
+Every placement works over a :class:`SlotDomain`, the one value that holds
+a chip's placement geometry.  It has two constructors:
 
-* :func:`trivial_snake_placement` — the boustrophedon layout EDPCI uses,
-* :func:`spectral_placement` — a numpy-based spectral alternative used by the
-  ablation benches,
-* :func:`random_placement` — the random baseline.
+* :func:`grid_domain` — a ``rows × cols`` window of the square tile array:
+  row-major slots, boustrophedon fill, regions split at the midpoint of
+  their longer side, capacities counting alive slots, Manhattan distance;
+* :func:`graph_domain` — a graph chip's tiles: slots in spatial order,
+  regions split along their wider coordinate axis, BFS hop distance
+  (:meth:`~repro.chip.chip.Chip.slot_distance`).
+
+Over either domain the module provides :func:`best_placement` (seeded
+multi-attempt :func:`recursive_bisection_placement`),
+:func:`snake_placement` (the trivial layout EDPCI uses),
+:func:`spectral_placement` (a numpy-based spectral alternative used by the
+ablation benches) and :func:`random_placement` (the random baseline).
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -49,38 +60,6 @@ def check_placement_engine(engine: str) -> str:
             f"unknown placement engine {engine!r}; expected one of {PLACEMENT_ENGINES}"
         )
     return engine
-
-
-def _alive_slots(
-    rows: int, cols: int, dead: frozenset[tuple[int, int]], row_lo: int = 0, col_lo: int = 0
-) -> list[TileSlot]:
-    """Alive slots of the ``[row_lo, rows) × [col_lo, cols)`` window, row-major."""
-    return [
-        TileSlot(r, c)
-        for r in range(row_lo, rows)
-        for c in range(col_lo, cols)
-        if (r, c) not in dead
-    ]
-
-
-def _check_fits(
-    num_qubits: int, rows: int, cols: int, dead: frozenset[tuple[int, int]]
-) -> list[TileSlot]:
-    """The alive slots of the window, raising when the circuit cannot fit.
-
-    A window too small even when pristine is a :class:`MappingError`
-    (caller's geometry is wrong); a window made too small by dead tiles is a
-    :class:`ChipError` (the chip's defects are the problem).
-    """
-    if rows * cols < num_qubits:
-        raise MappingError(f"tile array {rows}x{cols} too small for {num_qubits} qubits")
-    alive = _alive_slots(rows, cols, dead)
-    if len(alive) < num_qubits:
-        raise ChipError(
-            f"tile array {rows}x{cols} has only {len(alive)} alive slots "
-            f"({rows * cols - len(alive)} dead) but the circuit needs {num_qubits} qubits"
-        )
-    return alive
 
 
 @dataclass(frozen=True)
@@ -148,30 +127,54 @@ def _restrict(weights: WeightMap, side: set[int]) -> WeightMap:
     return {(a, b): w for (a, b), w in weights.items() if a in side and b in side}
 
 
-# -------------------------------------------------------------------- placements
-def recursive_bisection_placement(
-    graph: CommunicationGraph,
-    rows: int,
-    cols: int,
-    seed: int | None = None,
-    dead: frozenset[tuple[int, int]] = NO_DEAD_TILES,
-    engine: str = "reference",
-) -> Placement:
-    """Place all qubits of ``graph`` into an ``rows × cols`` slot rectangle.
+# ------------------------------------------------------------------ slot domains
+#: A placement region: a grid window ``(row_lo, row_hi, col_lo, col_hi)`` or
+#: a tuple of graph-chip slots, opaque outside its domain's callables.
+Region = Any
 
-    Slots listed in ``dead`` are never assigned; region capacities count
-    alive slots only, so defective chips bisect correctly.  ``engine``
-    selects the bisection core: the classic KL ``reference`` or the
-    multilevel coarsen/FM ``fast`` core (same size contract, near-linear
-    cost — see :data:`PLACEMENT_ENGINES`).
+
+@dataclass(frozen=True, eq=False)
+class SlotDomain:
+    """The tile slots a placement may use, and how to split them into regions.
+
+    Build one with :func:`grid_domain` or :func:`graph_domain`; every
+    placement in this module runs unchanged over either.
     """
-    _check_fits(graph.num_qubits, rows, cols, dead)
-    bisect = _BISECTION_CORES[check_placement_engine(engine)]
-    weights = _weights_from_graph(graph)
-    qubits = list(range(graph.num_qubits))
-    assignment: dict[int, TileSlot] = {}
-    _place_region(qubits, weights, 0, rows, 0, cols, assignment, random.Random(seed), dead, bisect)
-    return Placement(assignment)
+
+    #: Names the slot set in fitting errors (``"tile array 3x4"``).
+    label: str
+    #: Every slot, dead ones included.
+    num_slots: int
+    #: Alive slots in canonical order; random placement shuffles these.
+    slots: tuple[TileSlot, ...]
+    #: Alive slots in fill order; snake and spectral placement walk these.
+    fill_order: tuple[TileSlot, ...]
+    #: The region covering every slot, where bisection starts.
+    root: Region
+    #: Splits a region of at least two slots into two non-empty halves.
+    split: Callable[[Region], tuple[Region, Region]]
+    #: Number of alive slots in a region.
+    capacity: Callable[[Region], int]
+    #: The slot a lone qubit takes in a region.
+    first: Callable[[Region], TileSlot]
+    #: The slot metric ``l_ij`` of the communication cost.
+    distance: Callable[[TileSlot, TileSlot], int]
+
+    def check_fits(self, num_qubits: int) -> None:
+        """Raise when ``num_qubits`` cannot fit the domain's alive slots.
+
+        A domain too small even when pristine is a :class:`MappingError`
+        (the caller's geometry is wrong); one made too small by dead tiles is
+        a :class:`ChipError` (the chip's defects are the problem).
+        """
+        if self.num_slots < num_qubits:
+            raise MappingError(f"{self.label} too small for {num_qubits} qubits")
+        if len(self.slots) < num_qubits:
+            raise ChipError(
+                f"{self.label} has only {len(self.slots)} alive slots "
+                f"({self.num_slots - len(self.slots)} dead) but the circuit needs "
+                f"{num_qubits} qubits"
+            )
 
 
 def alive_in_window(
@@ -184,91 +187,179 @@ def alive_in_window(
     return total - sum(1 for r, c in dead if row_lo <= r < row_hi and col_lo <= c < col_hi)
 
 
-def _place_region(
-    qubits: list[int],
-    weights: WeightMap,
-    row_lo: int,
-    row_hi: int,
-    col_lo: int,
-    col_hi: int,
-    assignment: dict[int, TileSlot],
-    rng: random.Random,
-    dead: frozenset[tuple[int, int]] = NO_DEAD_TILES,
-    bisect=kernighan_lin_bisection,
-) -> None:
-    rows = row_hi - row_lo
-    cols = col_hi - col_lo
-    if not qubits:
-        return
-    if len(qubits) == 1:
-        for r in range(row_lo, row_hi):
-            for c in range(col_lo, col_hi):
-                if (r, c) not in dead:
-                    assignment[qubits[0]] = TileSlot(r, c)
-                    return
-        raise MappingError("no alive slot in a placement region")  # pragma: no cover
-    if rows * cols == 1:
-        raise MappingError("more qubits than slots in a placement region")  # pragma: no cover
-    # Split the longer dimension.
-    if cols >= rows:
-        split = (col_lo + col_hi) // 2
-        regions = ((row_lo, row_hi, col_lo, split), (row_lo, row_hi, split, col_hi))
-    else:
-        split = (row_lo + row_hi) // 2
-        regions = ((row_lo, split, col_lo, col_hi), (split, row_hi, col_lo, col_hi))
-    slots_first = alive_in_window(*regions[0], dead)
-    size_first = min(len(qubits), slots_first)
-    size_second = len(qubits) - size_first
-    if size_first == 0 or size_second == 0:
-        # Everything fits in one half; recurse into the half with enough slots.
-        target = regions[0] if size_first > 0 else regions[1]
-        _place_region(qubits, weights, *target, assignment, rng, dead, bisect)
-        return
-    side_a, side_b = bisect(qubits, weights, seed=rng.randrange(1 << 30), size_a=size_first)
-    for side, region in ((side_a, regions[0]), (side_b, regions[1])):
-        _place_region(
-            sorted(side), _restrict(weights, side), *region, assignment, rng, dead, bisect
+def grid_domain(
+    rows: int, cols: int, dead: frozenset[tuple[int, int]] = NO_DEAD_TILES
+) -> SlotDomain:
+    """The ``rows × cols`` window at the origin of a square tile array.
+
+    Regions are windows split at the midpoint of their longer side (columns
+    on a tie); a region's capacity counts its alive slots, so defective chips
+    bisect correctly.  Slots listed in ``dead`` are never assigned.
+    """
+
+    def window_slots(row_lo, row_hi, col_lo, col_hi):
+        return (
+            TileSlot(r, c)
+            for r in range(row_lo, row_hi)
+            for c in range(col_lo, col_hi)
+            if (r, c) not in dead
         )
 
+    def split(window):
+        row_lo, row_hi, col_lo, col_hi = window
+        if col_hi - col_lo >= row_hi - row_lo:
+            mid = (col_lo + col_hi) // 2
+            return (row_lo, row_hi, col_lo, mid), (row_lo, row_hi, mid, col_hi)
+        mid = (row_lo + row_hi) // 2
+        return (row_lo, mid, col_lo, col_hi), (mid, row_hi, col_lo, col_hi)
 
-def trivial_snake_placement(
-    num_qubits: int,
-    rows: int,
-    cols: int,
-    dead: frozenset[tuple[int, int]] = NO_DEAD_TILES,
-) -> Placement:
-    """The EDPCI "trivial" mapping: fill rows alternately left-to-right and right-to-left.
+    snake = (
+        TileSlot(r, c)
+        for r in range(rows)
+        for c in (range(cols) if r % 2 == 0 else range(cols - 1, -1, -1))
+        if (r, c) not in dead
+    )
+    return SlotDomain(
+        label=f"tile array {rows}x{cols}",
+        num_slots=rows * cols,
+        slots=tuple(window_slots(0, rows, 0, cols)),
+        fill_order=tuple(snake),
+        root=(0, rows, 0, cols),
+        split=split,
+        capacity=lambda window: alive_in_window(*window, dead),
+        first=lambda window: next(window_slots(*window)),
+        distance=TileSlot.manhattan_distance,
+    )
 
-    Dead slots are skipped in snake order, so qubits stay in boustrophedon
-    sequence over the alive slots.
+
+def graph_domain(chip: Chip) -> SlotDomain:
+    """The tiles of a graph chip, in spatial order (y, then x, then node id).
+
+    Regions are slot tuples split in half along their wider coordinate
+    axis, so heavily communicating qubits land in spatially (and, for the
+    built-in geometries, hop-wise) nearby tiles.
     """
-    _check_fits(num_qubits, rows, cols, dead)
+    coords = chip.tile_graph.coords
+
+    def by_x(slot):
+        return coords[slot.row][0], coords[slot.row][1], slot.row
+
+    def by_y(slot):
+        return coords[slot.row][1], coords[slot.row][0], slot.row
+
+    def split(slots):
+        xs = [coords[s.row][0] for s in slots]
+        ys = [coords[s.row][1] for s in slots]
+        ordered = sorted(slots, key=by_x if max(xs) - min(xs) >= max(ys) - min(ys) else by_y)
+        half = (len(ordered) + 1) // 2
+        return ordered[:half], ordered[half:]
+
+    spatial = tuple(sorted(chip.alive_tile_slots(), key=by_y))
+    return SlotDomain(
+        label=f"tile graph with {chip.num_tile_slots} tiles",
+        num_slots=chip.num_tile_slots,
+        slots=spatial,
+        fill_order=spatial,
+        root=spatial,
+        split=split,
+        capacity=len,
+        first=lambda slots: min(slots, key=lambda s: s.row),
+        distance=chip.slot_distance,
+    )
+
+
+# -------------------------------------------------------------------- placements
+def recursive_bisection_placement(
+    graph: CommunicationGraph,
+    domain: SlotDomain,
+    seed: int | None = None,
+    engine: str = "reference",
+) -> Placement:
+    """Place all qubits of ``graph`` into the alive slots of ``domain``.
+
+    ``engine`` selects the bisection core: the classic KL ``reference`` or
+    the multilevel coarsen/FM ``fast`` core (same size contract, near-linear
+    cost — see :data:`PLACEMENT_ENGINES`).
+    """
+    domain.check_fits(graph.num_qubits)
+    bisect = _BISECTION_CORES[check_placement_engine(engine)]
+    qubits = list(range(graph.num_qubits))
     assignment: dict[int, TileSlot] = {}
-    qubit = 0
-    for row in range(rows):
-        columns = range(cols) if row % 2 == 0 else range(cols - 1, -1, -1)
-        for col in columns:
-            if qubit >= num_qubits:
-                return Placement(assignment)
-            if (row, col) in dead:
-                continue
-            assignment[qubit] = TileSlot(row, col)
-            qubit += 1
+    rng = random.Random(seed)
+    _place_region(qubits, _weights_from_graph(graph), domain.root, domain, assignment, rng, bisect)
     return Placement(assignment)
 
 
-def random_placement(
-    num_qubits: int,
-    rows: int,
-    cols: int,
-    seed: int | None = None,
-    dead: frozenset[tuple[int, int]] = NO_DEAD_TILES,
+def _place_region(
+    qubits: list[int],
+    weights: WeightMap,
+    region: Region,
+    domain: SlotDomain,
+    assignment: dict[int, TileSlot],
+    rng: random.Random,
+    bisect=kernighan_lin_bisection,
+) -> None:
+    """Bisect ``qubits`` alongside ``region``; needs ``capacity(region) >= len(qubits)``."""
+    if not qubits:
+        return
+    if len(qubits) == 1:
+        assignment[qubits[0]] = domain.first(region)
+        return
+    first, second = domain.split(region)
+    size_first = min(len(qubits), domain.capacity(first))
+    size_second = len(qubits) - size_first
+    if size_first == 0 or size_second == 0:
+        # Everything fits in one half; recurse into the half with enough slots.
+        _place_region(
+            qubits, weights, first if size_first else second, domain, assignment, rng, bisect
+        )
+        return
+    side_a, side_b = bisect(qubits, weights, seed=rng.randrange(1 << 30), size_a=size_first)
+    for side, half in ((side_a, first), (side_b, second)):
+        _place_region(
+            sorted(side), _restrict(weights, side), half, domain, assignment, rng, bisect
+        )
+
+
+def best_placement(
+    graph: CommunicationGraph,
+    domain: SlotDomain,
+    attempts: int = 4,
+    seed: int = 0,
+    engine: str = "reference",
 ) -> Placement:
+    """Run several seeded recursive bisections and keep the cheapest placement.
+
+    Mirrors the paper: "Due to the stochastic steps in the mapping generation,
+    we generate multiple mappings and select the one with minimal
+    communication cost."  Costs use the domain's slot metric.
+    """
+    best: Placement | None = None
+    best_cost = float("inf")
+    for attempt in range(max(1, attempts)):
+        placement = recursive_bisection_placement(graph, domain, seed=seed + attempt, engine=engine)
+        cost = communication_cost(graph, placement, distance=domain.distance)
+        if cost < best_cost:
+            best, best_cost = placement, cost
+    assert best is not None
+    return best
+
+
+def snake_placement(num_qubits: int, domain: SlotDomain) -> Placement:
+    """The EDPCI "trivial" mapping: qubits in the domain's fill order.
+
+    On a grid that is boustrophedon order (rows alternately left-to-right
+    and right-to-left), skipping dead slots.
+    """
+    domain.check_fits(num_qubits)
+    return Placement({qubit: domain.fill_order[qubit] for qubit in range(num_qubits)})
+
+
+def random_placement(num_qubits: int, domain: SlotDomain, seed: int | None = None) -> Placement:
     """Uniformly random assignment of qubits to distinct alive slots."""
-    slots = _check_fits(num_qubits, rows, cols, dead)
-    rng = random.Random(seed)
-    slots = list(slots)
-    rng.shuffle(slots)
+    domain.check_fits(num_qubits)
+    slots = list(domain.slots)
+    random.Random(seed).shuffle(slots)
     return Placement({qubit: slots[qubit] for qubit in range(num_qubits)})
 
 
@@ -287,19 +378,14 @@ def canonicalize_eigenvector_sign(vector: np.ndarray) -> np.ndarray:
     return vector
 
 
-def spectral_placement(
-    graph: CommunicationGraph,
-    rows: int,
-    cols: int,
-    dead: frozenset[tuple[int, int]] = NO_DEAD_TILES,
-) -> Placement:
-    """Spectral placement: order qubits by the Fiedler vector, fill the grid snake-wise.
+def spectral_placement(graph: CommunicationGraph, domain: SlotDomain) -> Placement:
+    """Spectral placement: order qubits by the Fiedler vector, then fill snake-wise.
 
     A lightweight alternative to recursive bisection used in ablations; it
-    tends to keep strongly connected qubits in adjacent grid positions.
+    tends to keep strongly connected qubits in adjacent fill positions.
     """
     n = graph.num_qubits
-    _check_fits(n, rows, cols, dead)
+    domain.check_fits(n)
     laplacian = np.zeros((n, n), dtype=float)
     for a, b, w in graph.edges():
         laplacian[a, b] -= w
@@ -312,189 +398,4 @@ def spectral_placement(
     fiedler = eigenvectors[:, order[1]] if n > 1 else np.zeros(n)
     fiedler = canonicalize_eigenvector_sign(fiedler)
     ranking = sorted(range(n), key=lambda q: (fiedler[q], q))
-    snake = trivial_snake_placement(n, rows, cols, dead=dead)
-    return Placement({qubit: snake.slot_of(position) for position, qubit in enumerate(ranking)})
-
-
-# --------------------------------------------------------- graph-chip placements
-def _graph_ordered_slots(chip: Chip) -> list[TileSlot]:
-    """Alive slots of a graph chip in spatial order (y, then x, then node id).
-
-    The graph analogue of row-major order: snake/spectral fills walk this
-    order, and bisection splits partition it along the wider coordinate axis.
-    """
-    coords = chip.tile_graph.coords
-    return sorted(
-        chip.alive_tile_slots(),
-        key=lambda slot: (coords[slot.row][1], coords[slot.row][0], slot.row),
-    )
-
-
-def _check_fits_graph(num_qubits: int, chip: Chip) -> list[TileSlot]:
-    """Alive slots of the graph chip, raising when the circuit cannot fit."""
-    if chip.num_tile_slots < num_qubits:
-        raise MappingError(
-            f"tile graph with {chip.num_tile_slots} tiles too small for {num_qubits} qubits"
-        )
-    alive = _graph_ordered_slots(chip)
-    if len(alive) < num_qubits:
-        raise ChipError(
-            f"tile graph has only {len(alive)} alive tiles "
-            f"({chip.num_tile_slots - len(alive)} dead) but the circuit needs "
-            f"{num_qubits} qubits"
-        )
-    return alive
-
-
-def _split_slots(slots: list[TileSlot], coords) -> tuple[list[TileSlot], list[TileSlot]]:
-    """Split a slot region in two halves along its wider coordinate axis."""
-    xs = [coords[s.row][0] for s in slots]
-    ys = [coords[s.row][1] for s in slots]
-    if max(xs) - min(xs) >= max(ys) - min(ys):
-        ordered = sorted(slots, key=lambda s: (coords[s.row][0], coords[s.row][1], s.row))
-    else:
-        ordered = sorted(slots, key=lambda s: (coords[s.row][1], coords[s.row][0], s.row))
-    half = (len(ordered) + 1) // 2
-    return ordered[:half], ordered[half:]
-
-
-def _place_graph_region(
-    qubits: list[int],
-    weights: WeightMap,
-    slots: list[TileSlot],
-    assignment: dict[int, TileSlot],
-    rng: random.Random,
-    coords,
-    bisect,
-) -> None:
-    if not qubits:
-        return
-    if len(qubits) == 1:
-        assignment[qubits[0]] = min(slots, key=lambda s: s.row)
-        return
-    if len(slots) < len(qubits):  # pragma: no cover - guarded by _check_fits_graph
-        raise MappingError("more qubits than slots in a placement region")
-    first, second = _split_slots(slots, coords)
-    size_first = min(len(qubits), len(first))
-    size_second = len(qubits) - size_first
-    if size_second == 0 and len(first) < len(slots):
-        # Everything fits in the first half; shrink the region and re-split.
-        _place_graph_region(qubits, weights, first, assignment, rng, coords, bisect)
-        return
-    side_a, side_b = bisect(qubits, weights, seed=rng.randrange(1 << 30), size_a=size_first)
-    for side, region in ((side_a, first), (side_b, second)):
-        _place_graph_region(
-            sorted(side), _restrict(weights, side), region, assignment, rng, coords, bisect
-        )
-
-
-def graph_recursive_bisection_placement(
-    graph: CommunicationGraph,
-    chip: Chip,
-    seed: int | None = None,
-    engine: str = "reference",
-) -> Placement:
-    """Recursive-bisection placement onto a graph chip's alive tiles.
-
-    The communication graph is bisected exactly as on square chips (same
-    KL/FM cores), while the slot region splits along the wider coordinate
-    axis of the tile graph's layout instead of a grid window — heavily
-    communicating qubits still land in spatially (and therefore, for the
-    built-in geometries, hop-wise) nearby tiles.
-    """
-    alive = _check_fits_graph(graph.num_qubits, chip)
-    bisect = _BISECTION_CORES[check_placement_engine(engine)]
-    weights = _weights_from_graph(graph)
-    assignment: dict[int, TileSlot] = {}
-    _place_graph_region(
-        list(range(graph.num_qubits)),
-        weights,
-        alive,
-        assignment,
-        random.Random(seed),
-        chip.tile_graph.coords,
-        bisect,
-    )
-    return Placement(assignment)
-
-
-def graph_snake_placement(num_qubits: int, chip: Chip) -> Placement:
-    """The trivial fill for graph chips: qubits in spatial slot order."""
-    alive = _check_fits_graph(num_qubits, chip)
-    return Placement({qubit: alive[qubit] for qubit in range(num_qubits)})
-
-
-def graph_random_placement(num_qubits: int, chip: Chip, seed: int | None = None) -> Placement:
-    """Uniformly random assignment of qubits to distinct alive graph tiles."""
-    alive = _check_fits_graph(num_qubits, chip)
-    rng = random.Random(seed)
-    rng.shuffle(alive)
-    return Placement({qubit: alive[qubit] for qubit in range(num_qubits)})
-
-
-def graph_spectral_placement(graph: CommunicationGraph, chip: Chip) -> Placement:
-    """Spectral placement for graph chips: Fiedler order over spatial slot order."""
-    n = graph.num_qubits
-    _check_fits_graph(n, chip)
-    laplacian = np.zeros((n, n), dtype=float)
-    for a, b, w in graph.edges():
-        laplacian[a, b] -= w
-        laplacian[b, a] -= w
-        laplacian[a, a] += w
-        laplacian[b, b] += w
-    eigenvalues, eigenvectors = np.linalg.eigh(laplacian)
-    order = np.argsort(eigenvalues)
-    fiedler = eigenvectors[:, order[1]] if n > 1 else np.zeros(n)
-    fiedler = canonicalize_eigenvector_sign(fiedler)
-    ranking = sorted(range(n), key=lambda q: (fiedler[q], q))
-    snake = graph_snake_placement(n, chip)
-    return Placement({qubit: snake.slot_of(position) for position, qubit in enumerate(ranking)})
-
-
-def graph_best_placement(
-    graph: CommunicationGraph,
-    chip: Chip,
-    attempts: int = 4,
-    seed: int = 0,
-    engine: str = "reference",
-) -> Placement:
-    """Seeded multi-attempt bisection for graph chips, scored by hop distance."""
-    best: Placement | None = None
-    best_cost = float("inf")
-    for attempt in range(max(1, attempts)):
-        placement = graph_recursive_bisection_placement(
-            graph, chip, seed=seed + attempt, engine=engine
-        )
-        cost = communication_cost(graph, placement, distance=chip.slot_distance)
-        if cost < best_cost:
-            best, best_cost = placement, cost
-    assert best is not None
-    return best
-
-
-def best_placement(
-    graph: CommunicationGraph,
-    rows: int,
-    cols: int,
-    attempts: int = 4,
-    seed: int = 0,
-    dead: frozenset[tuple[int, int]] = NO_DEAD_TILES,
-    engine: str = "reference",
-) -> Placement:
-    """Run several seeded recursive bisections and keep the cheapest placement.
-
-    Mirrors the paper: "Due to the stochastic steps in the mapping generation,
-    we generate multiple mappings and select the one with minimal
-    communication cost."
-    """
-    best: Placement | None = None
-    best_cost = float("inf")
-    for attempt in range(max(1, attempts)):
-        placement = recursive_bisection_placement(
-            graph, rows, cols, seed=seed + attempt, dead=dead, engine=engine
-        )
-        cost = communication_cost(graph, placement)
-        if cost < best_cost:
-            best, best_cost = placement, cost
-    assert best is not None
-    return best
+    return Placement({qubit: domain.fill_order[position] for position, qubit in enumerate(ranking)})

@@ -70,12 +70,6 @@ def test_with_bandwidths_requires_matching_lengths():
         chip.with_bandwidths([1, 1], list(chip.v_bandwidths))
 
 
-def test_scaled_bandwidth_sets_uniform_value():
-    chip = Chip.minimum_viable(LS, 9, 3).scaled_bandwidth(3)
-    assert set(chip.h_bandwidths) == {3}
-    assert chip.bandwidth == 3
-
-
 def test_chip_constructor_validation():
     with pytest.raises(ChipError):
         Chip(DD, 3, 0, 1, (1,), (1, 1), 10)

@@ -119,11 +119,6 @@ class TestDefectiveChip:
         assert chip.segment_capacity(("v", 1, 1)) == 1
         assert chip.segment_capacity(("h", 1, 1)) == 2
 
-    def test_scaled_bandwidth_keeps_defects(self):
-        spec = DefectSpec(dead_tiles=((1, 1),))
-        chip = _chip().with_defects(spec).scaled_bandwidth(3)
-        assert chip.defects == spec
-
     def test_spec_file_roundtrip(self, tmp_path):
         chip = _chip(model=LS).with_defects(
             DefectSpec(dead_tiles=((2, 1),), disabled_segments=(("v", 0, 1),))

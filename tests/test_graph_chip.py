@@ -41,15 +41,16 @@ from repro.core.mapping import (
     adjust_bandwidth,
     adjust_edge_bandwidth,
     build_initial_mapping,
-    edge_load,
+    corridor_load,
     establish_placement,
 )
 from repro.errors import ChipError
 from repro.partition import (
-    graph_best_placement,
-    graph_random_placement,
-    graph_snake_placement,
-    graph_spectral_placement,
+    best_placement,
+    graph_domain,
+    random_placement,
+    snake_placement,
+    spectral_placement,
 )
 from repro.pipeline.batch import BatchJob
 from repro.pipeline.registry import run_pipeline_method
@@ -149,12 +150,10 @@ def test_graph_chip_rejects_square_only_operations():
         chip.lane_budget_per_axis()
 
 
-def test_with_edge_bandwidths_and_scaled_bandwidth():
+def test_with_edge_bandwidths():
     chip = _path_chip(4, node_budgets=(2, 4, 4, 2))
     widened = chip.with_edge_bandwidths((2, 1, 2))
     assert widened.tile_graph.bandwidths == (2, 1, 2)
-    scaled = chip.scaled_bandwidth(3)
-    assert scaled.tile_graph.bandwidths == (3, 3, 3)
 
 
 # -------------------------------------------------------------- routing graph
@@ -179,18 +178,19 @@ def test_routing_graph_from_tile_graph_edges():
 # ------------------------------------------------------------------ placement
 def test_graph_placement_strategies_are_valid_and_deterministic():
     chip = Chip.from_tile_graph(DD, 3, heavy_hex(3, 3))
+    domain = graph_domain(chip)
     comm = standard.qft(8).communication_graph()
     placements = {
-        "snake": graph_snake_placement(8, chip),
-        "random": graph_random_placement(8, chip, seed=3),
-        "spectral": graph_spectral_placement(comm, chip),
-        "best": graph_best_placement(comm, chip, attempts=2),
+        "snake": snake_placement(8, domain),
+        "random": random_placement(8, domain, seed=3),
+        "spectral": spectral_placement(comm, domain),
+        "best": best_placement(comm, domain, attempts=2),
     }
     for name, placement in placements.items():
         placement.validate(chip)
         assert placement.num_qubits() == 8, name
         assert len(set(placement.slots())) == 8, name
-    assert graph_best_placement(comm, chip, attempts=2) == placements["best"]
+    assert best_placement(comm, domain, attempts=2) == placements["best"]
 
 
 def test_establish_placement_dispatches_on_graph_chips():
@@ -208,7 +208,7 @@ def test_placement_avoids_dead_tiles_on_graph_chips():
     chip = Chip.from_tile_graph(
         DD, 3, heavy_hex(3, 3), defects=DefectSpec(dead_tiles=((0, 0), (7, 0)))
     )
-    placement = graph_snake_placement(10, chip)
+    placement = snake_placement(10, graph_domain(chip))
     assert TileSlot(0, 0) not in placement.slots()
     assert TileSlot(7, 0) not in placement.slots()
 
@@ -218,9 +218,9 @@ def test_adjust_edge_bandwidth_redistributes_spare_lanes_by_load():
     # A path chip whose middle node has spare width: the loaded edge wins it.
     chip = _path_chip(4, node_budgets=(2, 3, 3, 2))
     comm = standard.ghz_state(4).communication_graph()
-    placement = graph_snake_placement(4, chip)
-    load = edge_load(chip, placement, comm)
-    assert set(load) <= {0, 1, 2}
+    placement = snake_placement(4, graph_domain(chip))
+    load = corridor_load(chip, placement, comm)
+    assert set(load) <= {("e", 0), ("e", 1), ("e", 2)}
     adjusted = adjust_edge_bandwidth(chip, placement, comm)
     assert sum(adjusted.tile_graph.bandwidths) > sum(chip.tile_graph.bandwidths)
     budgets = adjusted.tile_graph.effective_node_budgets()
@@ -232,14 +232,14 @@ def test_adjust_edge_bandwidth_redistributes_spare_lanes_by_load():
 def test_adjust_edge_bandwidth_without_spare_budget_is_identity():
     chip = _path_chip(4)  # default budgets = incident sums, no spare anywhere
     comm = standard.ghz_state(4).communication_graph()
-    placement = graph_snake_placement(4, chip)
+    placement = snake_placement(4, graph_domain(chip))
     assert adjust_edge_bandwidth(chip, placement, comm) == chip
 
 
 def test_adjust_bandwidth_dispatches_graph_chips():
     chip = _path_chip(4, node_budgets=(2, 3, 3, 2))
     comm = standard.ghz_state(4).communication_graph()
-    placement = graph_snake_placement(4, chip)
+    placement = snake_placement(4, graph_domain(chip))
     assert adjust_bandwidth(chip, placement, comm) == adjust_edge_bandwidth(
         chip, placement, comm
     )
@@ -261,7 +261,7 @@ def test_render_placement_on_graph_chip_shows_nodes_edges_and_dead_tiles():
         heavy_hex(3, 3),
         defects=DefectSpec(dead_tiles=((9, 0),), disabled_segments=(("e", 0, 9),)),
     )
-    placement = graph_snake_placement(6, chip)
+    placement = snake_placement(6, graph_domain(chip))
     text = render_placement(chip, placement)
     assert "heavy_hex_3x3 graph" in text
     assert "9:X" in text  # dead tile
@@ -313,7 +313,7 @@ def test_batch_fingerprints_distinguish_geometries():
     }
     assert len(prints) == 3
     # Same geometry, different bandwidths: distinct cache identity too.
-    widened = hexish.scaled_bandwidth(2)
+    widened = Chip.from_tile_graph(DD, 3, heavy_hex(3, 3, bandwidth=2))
     assert (
         BatchJob(circuit, "ecmas_dd_min", chip=widened).fingerprint()
         not in prints

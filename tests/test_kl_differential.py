@@ -10,12 +10,13 @@ swap.  This module holds production to the all-pairs reference in
   fractions and non-dyadic ones (0.1, 0.3, 3.3, where float rounding is
   most likely to expose a reordered sum), with and without ``size_a`` and
   ``initial=``;
-* through both placement recursions with fractional weights, for both
-  placement engines — the multilevel engine delegates to KL at or below
-  ``COARSEST_SIZE`` and receives restricted maps too;
-* end to end: ``best_placement`` / ``graph_best_placement`` for every
-  Table I circuit that fits on a square chip, ``heavy_hex(3, 3)``,
-  ``degree3_sparse(24, seed=7)`` and a defective square chip.
+* through the placement recursion over both slot domains (grid windows and
+  graph chips) with fractional weights, for both placement engines — the
+  multilevel engine delegates to KL at or below ``COARSEST_SIZE`` and
+  receives restricted maps too;
+* end to end: ``best_placement`` for every Table I circuit that fits on a
+  square chip, ``heavy_hex(3, 3)``, ``degree3_sparse(24, seed=7)`` and a
+  defective square chip.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ from repro.partition.kl import kernighan_lin_bisection
 from repro.partition.placement import (
     PLACEMENT_ENGINES,
     _BISECTION_CORES,
-    _place_graph_region,
     _place_region,
     _weights_from_graph,
     best_placement,
-    graph_best_placement,
+    graph_domain,
+    grid_domain,
 )
 
 pytest.importorskip("hypothesis")
@@ -87,11 +88,11 @@ def test_kl_matches_reference_from_initial_partition(graph, seed, pin_size):
     assert actual == expected
 
 
-def _grid_placement(weights, n, rows, cols, seed, dead, engine):
+def _recursion_placement(weights, n, domain, seed, engine):
     assignment = {}
     _place_region(
-        list(range(n)), weights, 0, rows, 0, cols, assignment, random.Random(seed),
-        dead, _BISECTION_CORES[engine],
+        list(range(n)), weights, domain.root, domain, assignment, random.Random(seed),
+        _BISECTION_CORES[engine],
     )
     return assignment
 
@@ -102,9 +103,10 @@ def test_grid_recursion_matches_reference(graph, seed, engine):
     n, weights = graph
     side = math.isqrt(n - 1) + 1
     dead = frozenset({(0, 0)}) if side * side > n else frozenset()
-    actual = _grid_placement(weights, n, side, side, seed, dead, engine)
+    domain = grid_domain(side, side, dead)
+    actual = _recursion_placement(weights, n, domain, seed, engine)
     with reference_placement(weights):
-        assert _grid_placement(weights, n, side, side, seed, dead, engine) == actual
+        assert _recursion_placement(weights, n, domain, seed, engine) == actual
 
 
 @settings(max_examples=40, deadline=None)
@@ -112,20 +114,10 @@ def test_grid_recursion_matches_reference(graph, seed, engine):
 def test_graph_recursion_matches_reference(graph, seed, engine):
     n, weights = graph
     chip = Chip.from_tile_graph(SurfaceCodeModel.DOUBLE_DEFECT, 3, degree3_sparse(24, seed=7))
-    slots = sorted(chip.alive_tile_slots(), key=lambda slot: slot.row)
-    coords = chip.tile_graph.coords
-
-    def place():
-        assignment = {}
-        _place_graph_region(
-            list(range(n)), weights, slots, assignment, random.Random(seed), coords,
-            _BISECTION_CORES[engine],
-        )
-        return assignment
-
-    actual = place()
+    domain = graph_domain(chip)
+    actual = _recursion_placement(weights, n, domain, seed, engine)
     with reference_placement(weights):
-        assert place() == actual
+        assert _recursion_placement(weights, n, domain, seed, engine) == actual
 
 
 # ------------------------------------------------------------------ end to end
@@ -157,9 +149,10 @@ def _square_windows(num_qubits: int):
 def test_best_placement_matches_reference(name, engine):
     graph = _graph(name)
     for rows, cols, dead in _square_windows(graph.num_qubits).values():
-        actual = best_placement(graph, rows, cols, seed=3, dead=dead, engine=engine)
+        domain = grid_domain(rows, cols, dead)
+        actual = best_placement(graph, domain, seed=3, engine=engine)
         with reference_placement(_weights_from_graph(graph)):
-            expected = best_placement(graph, rows, cols, seed=3, dead=dead, engine=engine)
+            expected = best_placement(graph, domain, seed=3, engine=engine)
         assert actual == expected, (name, engine, rows, cols, sorted(dead))
 
 
@@ -168,11 +161,12 @@ def test_best_placement_matches_reference(name, engine):
 def test_graph_best_placement_matches_reference(geometry, engine):
     tile_graph = _GRAPH_CHIPS[geometry]
     chip = Chip.from_tile_graph(SurfaceCodeModel.DOUBLE_DEFECT, 3, tile_graph)
+    domain = graph_domain(chip)
     fitting = [name for name in sorted(_TABLE1) if _TABLE1[name].paper_n <= chip.num_tile_slots]
     assert fitting
     for name in fitting:
         graph = _graph(name)
-        actual = graph_best_placement(graph, chip, seed=3, engine=engine)
+        actual = best_placement(graph, domain, seed=3, engine=engine)
         with reference_placement(_weights_from_graph(graph)):
-            expected = graph_best_placement(graph, chip, seed=3, engine=engine)
+            expected = best_placement(graph, domain, seed=3, engine=engine)
         assert actual == expected, (name, geometry, engine)

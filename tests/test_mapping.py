@@ -5,14 +5,16 @@ import pytest
 from repro.chip import Chip, SurfaceCodeModel
 from repro.circuits.generators import standard
 from repro.core.cut_types import uniform_cut_types
+from repro.core.ecmas import VALID_PLACEMENT_STRATEGIES, EcmasOptions
 from repro.core.mapping import (
+    PLACEMENT_STRATEGIES,
     adjust_bandwidth,
     build_initial_mapping,
     corridor_load,
     determine_shape,
     establish_placement,
 )
-from repro.errors import MappingError
+from repro.errors import MappingError, SchedulingError
 
 DD = SurfaceCodeModel.DOUBLE_DEFECT
 LS = SurfaceCodeModel.LATTICE_SURGERY
@@ -50,6 +52,15 @@ class TestEstablishPlacement:
         with pytest.raises(MappingError):
             establish_placement(graph, (2, 2), strategy="nope")
 
+    def test_option_validator_accepts_exactly_the_dispatched_strategies(self):
+        assert VALID_PLACEMENT_STRATEGIES == set(PLACEMENT_STRATEGIES)
+        graph = standard.qft(4).communication_graph()
+        for strategy in sorted(VALID_PLACEMENT_STRATEGIES):
+            assert EcmasOptions(placement_strategy=strategy).placement_strategy == strategy
+            assert establish_placement(graph, (2, 2), strategy=strategy).num_qubits() == 4
+        with pytest.raises(SchedulingError):
+            EcmasOptions(placement_strategy="nope")
+
 
 class TestBandwidthAdjusting:
     def test_minimum_chip_unchanged(self):
@@ -81,8 +92,9 @@ class TestBandwidthAdjusting:
         chip = Chip.minimum_viable(DD, 9, 3)
         graph = circuit.communication_graph()
         placement = establish_placement(graph, (3, 3), strategy="trivial")
-        h_load, v_load = corridor_load(chip, placement, graph)
-        assert sum(h_load.values()) + sum(v_load.values()) > 0
+        load = corridor_load(chip, placement, graph)
+        assert sum(load.values()) > 0
+        assert {kind for kind, _index in load} <= {"h", "v"}
 
     def test_corridor_load_is_engine_independent(self):
         # Pre-routing follows the canonical (lexicographically smallest
@@ -120,11 +132,11 @@ class TestBandwidthAdjusting:
 
         previous = engines.set_routing_provider(provider)
         try:
-            h_load, v_load = corridor_load(chip, placement, graph)
+            load = corridor_load(chip, placement, graph)
         finally:
             engines.set_routing_provider(previous)
         assert calls == [chip]
-        assert (h_load, v_load) == baseline
+        assert load == baseline
 
 
 class TestBuildInitialMapping:

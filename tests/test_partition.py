@@ -9,11 +9,12 @@ from repro.partition import (
     best_placement,
     communication_cost,
     cut_weight,
+    grid_domain,
     kernighan_lin_bisection,
     random_placement,
     recursive_bisection_placement,
+    snake_placement,
     spectral_placement,
-    trivial_snake_placement,
 )
 
 
@@ -95,30 +96,30 @@ class TestKernighanLin:
 class TestPlacements:
     def test_recursive_bisection_places_all_qubits(self):
         graph = standard.qft(10).communication_graph()
-        placement = recursive_bisection_placement(graph, 4, 3, seed=0)
+        placement = recursive_bisection_placement(graph, grid_domain(4, 3), seed=0)
         assert placement.num_qubits() == 10
         assert len(placement.slots()) == 10
 
     def test_placement_too_small_grid_raises(self):
         graph = standard.qft(10).communication_graph()
         with pytest.raises(MappingError):
-            recursive_bisection_placement(graph, 3, 3)
+            recursive_bisection_placement(graph, grid_domain(3, 3))
 
     def test_snake_placement_layout(self):
-        placement = trivial_snake_placement(6, 2, 3)
+        placement = snake_placement(6, grid_domain(2, 3))
         assert placement.slot_of(0).row == 0 and placement.slot_of(0).col == 0
         assert placement.slot_of(2).col == 2
         # Second row runs right-to-left.
         assert placement.slot_of(3).row == 1 and placement.slot_of(3).col == 2
 
     def test_random_placement_is_seeded(self):
-        a = random_placement(8, 3, 3, seed=4)
-        b = random_placement(8, 3, 3, seed=4)
+        a = random_placement(8, grid_domain(3, 3), seed=4)
+        b = random_placement(8, grid_domain(3, 3), seed=4)
         assert a.qubit_to_slot == b.qubit_to_slot
 
     def test_spectral_placement_valid(self):
         graph = standard.ising(9, layers=1).communication_graph()
-        placement = spectral_placement(graph, 3, 3)
+        placement = spectral_placement(graph, grid_domain(3, 3))
         assert placement.num_qubits() == 9
         assert len(placement.slots()) == 9
 
@@ -131,7 +132,7 @@ class TestPlacements:
         import numpy as np
 
         graph = standard.ising(9, layers=1).communication_graph()
-        baseline = spectral_placement(graph, 3, 3)
+        baseline = spectral_placement(graph, grid_domain(3, 3))
         real_eigh = np.linalg.eigh
 
         def negated_eigh(matrix):
@@ -139,7 +140,7 @@ class TestPlacements:
             return eigenvalues, -eigenvectors
 
         monkeypatch.setattr(np.linalg, "eigh", negated_eigh)
-        flipped = spectral_placement(graph, 3, 3)
+        flipped = spectral_placement(graph, grid_domain(3, 3))
         assert flipped.qubit_to_slot == baseline.qubit_to_slot
 
     def test_canonicalize_eigenvector_sign(self):
@@ -158,22 +159,22 @@ class TestPlacements:
     def test_best_placement_beats_snake_on_clustered_graph(self):
         circuit = standard.dnn(16, layers=6)
         graph = circuit.communication_graph()
-        ours = communication_cost(graph, best_placement(graph, 4, 4, attempts=4, seed=0))
-        snake = communication_cost(graph, trivial_snake_placement(16, 4, 4))
+        ours = communication_cost(graph, best_placement(graph, grid_domain(4, 4), attempts=4, seed=0))
+        snake = communication_cost(graph, snake_placement(16, grid_domain(4, 4)))
         assert ours <= snake
 
     def test_communication_cost_zero_for_adjacent(self):
         graph = CommunicationGraph(2)
         graph.add_cnot(0, 1)
-        placement = trivial_snake_placement(2, 1, 2)
+        placement = snake_placement(2, grid_domain(1, 2))
         assert communication_cost(graph, placement) == 1.0
 
     def test_placement_validate_against_chip(self, dd_chip_small):
         graph = standard.ghz_state(8).communication_graph()
-        placement = recursive_bisection_placement(graph, 3, 3)
+        placement = recursive_bisection_placement(graph, grid_domain(3, 3))
         placement.validate(dd_chip_small)
 
     def test_slot_of_unknown_qubit_raises(self):
-        placement = trivial_snake_placement(2, 1, 2)
+        placement = snake_placement(2, grid_domain(1, 2))
         with pytest.raises(MappingError):
             placement.slot_of(5)

@@ -28,7 +28,7 @@ from repro.partition.kl import (
     fm_refine,
     kernighan_lin_bisection,
 )
-from repro.partition.placement import recursive_bisection_placement
+from repro.partition.placement import grid_domain, recursive_bisection_placement
 
 
 @st.composite
@@ -137,7 +137,7 @@ def test_multilevel_placement_covers_defective_chips(num_qubits, seed, data):
     for (a, b), w in edges.items():
         graph.add_cnot(a, b, w)
     placement = recursive_bisection_placement(
-        graph, rows, cols, seed=seed, dead=dead, engine="fast"
+        graph, grid_domain(rows, cols, dead), seed=seed, engine="fast"
     )
     slots = [placement.slot_of(q) for q in range(num_qubits)]
     assert len(set(slots)) == num_qubits, "two qubits share a tile slot"

@@ -6,7 +6,7 @@ from repro.chip import Chip, SurfaceCodeModel
 from repro.core.cut_types import CutType
 from repro.core.schedule import EncodedCircuit, OperationKind, ScheduledOperation
 from repro.errors import SchedulingError
-from repro.partition import trivial_snake_placement
+from repro.partition import grid_domain, snake_placement
 
 
 def _encoded():
@@ -14,7 +14,7 @@ def _encoded():
     return EncodedCircuit(
         model=SurfaceCodeModel.DOUBLE_DEFECT,
         chip=chip,
-        placement=trivial_snake_placement(4, 2, 2),
+        placement=snake_placement(4, grid_domain(2, 2)),
         initial_cut_types={q: CutType.X for q in range(4)},
     )
 

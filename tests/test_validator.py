@@ -8,7 +8,7 @@ from repro.circuits import Circuit
 from repro.core.cut_types import CutType
 from repro.core.schedule import EncodedCircuit, OperationKind, ScheduledOperation
 from repro.errors import ValidationError
-from repro.partition import trivial_snake_placement
+from repro.partition import grid_domain, snake_placement
 from repro.routing import CapacityUsage, FastRouter
 from repro.verify import validate_encoded_circuit
 
@@ -24,7 +24,7 @@ def _simple_circuit():
 
 def _blank_encoded(circuit, cuts=None):
     chip = Chip.minimum_viable(DD, circuit.num_qubits, 3)
-    placement = trivial_snake_placement(circuit.num_qubits, chip.tile_rows, chip.tile_cols)
+    placement = snake_placement(circuit.num_qubits, grid_domain(chip.tile_rows, chip.tile_cols))
     if cuts is None:
         cuts = {q: (CutType.X if q % 2 == 0 else CutType.Z) for q in range(circuit.num_qubits)}
     return EncodedCircuit(model=DD, chip=chip, placement=placement, initial_cut_types=cuts)
@@ -106,7 +106,7 @@ def test_capacity_violation_detected():
     for a, b in pairs:
         circuit.cx(a, b)
     chip = Chip.minimum_viable(DD, 16, 3)
-    placement = trivial_snake_placement(16, chip.tile_rows, chip.tile_cols)
+    placement = snake_placement(16, grid_domain(chip.tile_rows, chip.tile_cols))
     encoded = EncodedCircuit(
         model=DD,
         chip=chip,
