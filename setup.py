@@ -7,9 +7,10 @@ network access (no build isolation, no ``wheel`` package) via either::
 
 or the legacy ``python setup.py develop``.
 
-``numpy`` is a *runtime* dependency, not a dev convenience: the
-scheduler's flat-array routing core (``repro.chip.graph_arrays``) builds its
-CSR adjacency and capacity tables as numpy arrays.  It is declared here so
+``numpy`` is a *runtime* dependency, not a dev convenience: spectral
+placement (``repro.partition.placement.spectral_placement``) takes the
+Fiedler vector of the communication graph's Laplacian with
+``numpy.linalg.eigh``.  It is declared here so
 ``pip install`` pulls it in; ``requirements-dev.txt`` pins the same package
 for the PYTHONPATH-based CI jobs that never install the distribution.
 """

@@ -393,8 +393,8 @@ class Chip:
 
         Square chips use Manhattan distance (the paper's metric, unchanged).
         Graph chips use the BFS hop distance between the slots' tiles over
-        the defect-adjusted routing graph, precomputed once per chip via the
-        :mod:`repro.chip.graph_arrays` kernels; unreachable or dead slots
+        the defect-adjusted routing graph, precomputed once per chip by one
+        BFS per slot (:func:`_graph_hop_distances`); unreachable or dead slots
         report a large finite sentinel so placement costs stay comparable.
         """
         if self.tile_graph is None:
@@ -452,7 +452,7 @@ def _graph_hop_distances(chip: Chip) -> tuple[tuple[int, ...], ...]:
         row = []
         for target in range(n):
             target_id = compact.node_id.get(("j", target, 0))
-            hops = int(table[target_id]) if target_id is not None else -1
+            hops = table[target_id] if target_id is not None else -1
             row.append(hops if hops >= 0 else UNREACHABLE_DISTANCE)
         rows.append(tuple(row))
     return tuple(rows)

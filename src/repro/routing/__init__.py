@@ -1,18 +1,17 @@
-"""Routing substrate: capacity-aware path search over the corridor graph."""
+"""Routing substrate: capacity-aware path search over the corridor graph.
 
-from repro.routing.edp import can_route_simultaneously, max_simultaneous, route_edge_disjoint
+:class:`FastRouter` answers every path query of the schedulers;
+:class:`CapacityUsage` tracks one cycle's reservations and
+:func:`route_edge_disjoint` packs a batch of pairs into one cycle.
+"""
+
+from repro.routing.edp import route_edge_disjoint
 from repro.routing.fast_router import FastRouter
 from repro.routing.paths import CapacityUsage, RoutedPath
-from repro.routing.router import CycleRouter, CycleRoutingResult, RoutingRequest
 
 __all__ = [
     "RoutedPath",
     "CapacityUsage",
     "FastRouter",
-    "CycleRouter",
-    "CycleRoutingResult",
-    "RoutingRequest",
     "route_edge_disjoint",
-    "can_route_simultaneously",
-    "max_simultaneous",
 ]

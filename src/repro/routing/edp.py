@@ -1,25 +1,25 @@
-"""Edge-disjoint-path utilities.
+"""Edge-disjoint-path packing for one clock cycle.
 
-Two users:
+The capacity theorem tests check Theorem 2 of the paper — any
+``⌊(b-1)/2⌋ + 3`` independent CNOT gates can execute simultaneously on a
+chip of bandwidth ``b`` — by exhibiting simultaneous routings for random
+placements.  :func:`route_edge_disjoint` finds those routings.
 
-* the **EDPCI baseline** (Beverland et al., "Surface code compilation via
-  edge-disjoint paths") routes as many ready CNOT gates per cycle as it can
-  find mutually edge-disjoint paths for;
-* the **capacity theorem tests** check Theorem 2 of the paper — any
-  ``⌊(b-1)/2⌋ + 3`` independent CNOT gates can execute simultaneously on a
-  chip of bandwidth ``b`` — by exhibiting simultaneous routings for random
-  placements.
-
-The maximum-set computation is a greedy shortest-first heuristic with a
-rip-up pass (exact maximum EDP is NP-hard), which matches how the published
-EDPCI compiler operates in practice.
+The packing is a greedy shortest-first pass through
+:class:`~repro.routing.fast_router.FastRouter` followed by rip-up-and-reroute
+rounds (exact maximum EDP is NP-hard), which matches how the published EDPCI
+compiler (Beverland et al., "Surface code compilation via edge-disjoint
+paths") operates in practice.
 """
 
 from __future__ import annotations
 
 from repro.chip.routing_graph import Node, RoutingGraph
+from repro.routing.fast_router import FastRouter
 from repro.routing.paths import CapacityUsage, RoutedPath
-from repro.routing.router import CycleRouter, RoutingRequest
+
+#: Congestion penalty per used lane: spreads paths over free corridors.
+_CONGESTION_WEIGHT = 0.25
 
 
 def route_edge_disjoint(
@@ -33,28 +33,58 @@ def route_edge_disjoint(
     Pairs are indexed by their position in the input list.  Returns the routed
     paths by index and the list of indices that could not be routed this cycle.
     Shorter source-target separations are attempted first, which is the usual
-    greedy order for edge-disjoint path packing.
+    greedy order for edge-disjoint path packing.  ``usage`` may carry earlier
+    reservations of the same cycle; it is mutated in place when provided.
     """
-    router = CycleRouter(graph, congestion_weight=0.25, rip_up_rounds=rip_up_rounds)
-    order = sorted(
-        range(len(pairs)),
-        key=lambda idx: _slot_distance(pairs[idx][0], pairs[idx][1]),
-    )
-    requests = [RoutingRequest(gate_node=idx, source=pairs[idx][0], target=pairs[idx][1]) for idx in order]
-    result = router.route_cycle(requests, usage=usage)
-    return result.routed, sorted(result.failed)
+    router = FastRouter(graph)
+    if usage is None:
+        usage = CapacityUsage()
 
+    def route(idx: int) -> RoutedPath | None:
+        source, target = pairs[idx]
+        path = router.find(usage, source, target, _CONGESTION_WEIGHT)
+        if path is not None:
+            usage.add_path(path)
+        return path
 
-def can_route_simultaneously(graph: RoutingGraph, pairs: list[tuple[Node, Node]]) -> bool:
-    """True when every pair can be routed in the same cycle."""
-    routed, failed = route_edge_disjoint(graph, pairs)
-    return not failed and len(routed) == len(pairs)
-
-
-def max_simultaneous(graph: RoutingGraph, pairs: list[tuple[Node, Node]]) -> int:
-    """Number of pairs the greedy EDP router fits into one cycle."""
-    routed, _ = route_edge_disjoint(graph, pairs)
-    return len(routed)
+    order = sorted(range(len(pairs)), key=lambda idx: _slot_distance(*pairs[idx]))
+    routed: dict[int, RoutedPath] = {}
+    failed: list[int] = []
+    for idx in order:
+        path = route(idx)
+        if path is None:
+            failed.append(idx)
+        else:
+            routed[idx] = path
+    # Rip-up-and-reroute: for each failed pair, lift the longest routed path
+    # (ties to the larger index), route the failed pair, then re-route the
+    # lifted one.  Keep the change only if both succeed.
+    for _ in range(rip_up_rounds):
+        if not failed:
+            break
+        still_failed: list[int] = []
+        for idx in failed:
+            if not routed:
+                still_failed.append(idx)
+                continue
+            _, victim = max((path.length, other) for other, path in routed.items())
+            victim_path = routed[victim]
+            usage.remove_path(victim_path)
+            new_path = route(idx)
+            if new_path is None:
+                usage.add_path(victim_path)
+                still_failed.append(idx)
+                continue
+            replacement = route(victim)
+            if replacement is None:
+                usage.remove_path(new_path)
+                usage.add_path(victim_path)
+                still_failed.append(idx)
+                continue
+            routed[idx] = new_path
+            routed[victim] = replacement
+        failed = still_failed
+    return routed, sorted(failed)
 
 
 def _slot_distance(a: Node, b: Node) -> int:

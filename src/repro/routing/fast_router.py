@@ -12,11 +12,10 @@ search runs over the dense integer core of
 :class:`~repro.chip.graph_arrays.CompactRoutingGraph` and explores a fraction
 of the graph:
 
-* **Flat-array landmark tables.**  For every target actually queried the
-  router runs one backward breadth-first sweep over the compact graph's CSR
-  arrays (vectorised level expansion, see
-  :meth:`CompactRoutingGraph.hop_distances_from`) and keeps the result as a
-  node-id-indexed distance array.  Tables are built lazily per target and
+* **Landmark tables.**  For every target actually queried the router runs
+  one backward breadth-first sweep over the compact graph's junction rows
+  (:meth:`CompactRoutingGraph.hop_distances_from`) and keeps the result as a
+  node-id-indexed distance list.  Tables are built lazily per target and
   then amortised across the whole schedule; the build cost is accounted
   separately (``landmark_build_seconds``) so shallow circuits on big chips
   can be diagnosed instead of guessed at.
@@ -77,9 +76,6 @@ class FastRouter:
         self._compact = CompactRoutingGraph(graph)
         #: Node-id-indexed hop-distance lists, keyed by target node id.
         self._tables: dict[int, list[int]] = {}
-        #: Node-keyed views of the tables, materialised only for public
-        #: :meth:`distances_to` callers (the search uses the id lists).
-        self._table_dicts: dict[Node, dict[Node, int]] = {}
         #: Canonical paths on the *empty* usage state, keyed by (source,
         #: target).  With no reservations every congestion penalty is zero,
         #: so the canonical path depends only on the endpoints — schedulers
@@ -114,36 +110,18 @@ class FastRouter:
         return len(self._static_paths)
 
     # ------------------------------------------------------------- landmarks
-    def _table_for(self, target_id: int, stats=None) -> list[int]:
+    def _table_for(self, target_id: int, stats) -> list[int]:
         """The id-indexed hop-distance list towards ``target_id`` (lazy build)."""
         table = self._tables.get(target_id)
         if table is None:
             started = time.perf_counter()
-            table = self._compact.hop_distances_from(target_id).tolist()
+            table = self._compact.hop_distances_from(target_id)
             elapsed = time.perf_counter() - started
             self.landmark_build_seconds += elapsed
             if stats is not None:
                 stats.landmark_build_seconds += elapsed
             self._tables[target_id] = table
         return table
-
-    def distances_to(self, target: Node) -> dict[Node, int]:
-        """Static hop distance of every reachable node to ``target``.
-
-        Node-keyed compatibility view over the id-indexed table; memoized per
-        target (repeated calls return the identical dict).
-        """
-        view = self._table_dicts.get(target)
-        if view is None:
-            table = self._table_for(self._compact.id_of(target))
-            nodes = self._compact.nodes
-            view = {
-                nodes[node_id]: distance
-                for node_id, distance in enumerate(table)
-                if distance >= 0
-            }
-            self._table_dicts[target] = view
-        return view
 
     # ----------------------------------------------------------------- search
     def find(
@@ -288,7 +266,7 @@ class FastRouter:
             node_used = {}
         junction_adjacency = compact.junction_adjacency
         tile_access = compact.tile_access
-        node_capacity = compact._node_capacity_list
+        node_capacity = compact.node_capacity
         edge_get = edge_used.get
         node_get = node_used.get
         heappush = heapq.heappush

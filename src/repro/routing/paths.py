@@ -79,17 +79,17 @@ class CapacityUsage:
         """True when another path may pass through ``node`` this cycle."""
         return self.node_residual(graph, node) > 0
 
-    def add_path(self, path: RoutedPath, lanes: int = 1) -> None:
-        """Reserve ``lanes`` units of capacity on every edge and interior node of ``path``."""
+    def add_path(self, path: RoutedPath) -> None:
+        """Reserve one lane on every edge and interior node of ``path``."""
         for key in path.edges:
-            self.used[key] = self.used.get(key, 0) + lanes
+            self.used[key] = self.used.get(key, 0) + 1
         for node in path.nodes[1:-1]:
-            self.node_used[node] = self.node_used.get(node, 0) + lanes
+            self.node_used[node] = self.node_used.get(node, 0) + 1
 
-    def remove_path(self, path: RoutedPath, lanes: int = 1) -> None:
+    def remove_path(self, path: RoutedPath) -> None:
         """Release a previous reservation (used by rip-up-and-reroute)."""
         for key in path.edges:
-            remaining = self.used.get(key, 0) - lanes
+            remaining = self.used.get(key, 0) - 1
             if remaining < 0:
                 raise RoutingError(f"negative usage on edge {key}")
             if remaining == 0:
@@ -97,7 +97,7 @@ class CapacityUsage:
             else:
                 self.used[key] = remaining
         for node in path.nodes[1:-1]:
-            remaining = self.node_used.get(node, 0) - lanes
+            remaining = self.node_used.get(node, 0) - 1
             if remaining < 0:
                 raise RoutingError(f"negative usage on node {node}")
             if remaining == 0:

@@ -44,7 +44,7 @@ def render_placement(chip: Chip, placement: Placement) -> str:
         lines.append(_corridor_line(chip, row, chip.tile_cols, cell_width))
         cells = []
         for col in range(chip.tile_cols):
-            qubit = slot_to_qubit.get(next(s for s in [chip.tile_slots()[row * chip.tile_cols + col]]), None)
+            qubit = slot_to_qubit.get(TileSlot(row, col))
             if (row, col) in dead:
                 label = "X"
             else:

@@ -9,8 +9,8 @@ swapped for its obviously-correct counterpart:
   scratch every cycle, calling ``priority(dag, available)`` exactly as the
   paper's Algorithm 1 states it;
 * :class:`~oracle.dijkstra.OracleRouter` answers every path query with the
-  reference Dijkstra (ReSu, the mapping stage's pre-routing and the EDP
-  helpers included);
+  reference Dijkstra (ReSu, the mapping stage's pre-routing and
+  :func:`~repro.routing.edp.route_edge_disjoint` included);
 * layer memoization is forced off.
 
 :func:`reference_engine` installs all three for the duration of a ``with``
@@ -25,7 +25,7 @@ from unittest import mock
 from repro.chip.routing_graph import RoutingGraph
 from repro.core import engines, scheduler_dd, scheduler_ls
 from repro.pipeline.registry import run_pipeline_method
-from repro.routing import router as cycle_router
+from repro.routing import edp
 
 from .dijkstra import OracleRouter
 
@@ -81,7 +81,7 @@ def reference_engine():
             stack.enter_context(mock.patch.object(module, "IncrementalReadyQueue", ReferenceReadyQueue))
         stack.enter_context(_without_memo(scheduler_dd.DoubleDefectScheduler))
         stack.enter_context(_without_memo(scheduler_ls.LatticeSurgeryScheduler))
-        stack.enter_context(mock.patch.object(cycle_router, "FastRouter", OracleRouter))
+        stack.enter_context(mock.patch.object(edp, "FastRouter", OracleRouter))
         previous = engines.set_routing_provider(_oracle_routing)
         stack.callback(engines.set_routing_provider, previous)
         yield

@@ -2,10 +2,12 @@
 
 The compact graph is a *compiled image* of a :class:`RoutingGraph`: same
 nodes, same edges, same capacities, re-indexed onto contiguous integers.
-Hypothesis drives random chips — including defective ones with dead tiles,
-disabled segments and bandwidth overrides — and checks that the image is
-lossless and that the node-id ordering invariant (id order == node-tuple
-order) the canonical-path contract rests on actually holds.
+Hypothesis drives random chips — square ones with dead tiles, disabled
+segments and bandwidth overrides, and heavy-hex / degree-3 sparse graph chips
+with dead tiles and disabled edges — and checks that the image is lossless,
+that the node-id ordering invariant (id order == node-tuple order) the
+canonical-path contract rests on actually holds, and that the hop-distance
+BFS agrees with an independent one for every node as target.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 pytest.importorskip("hypothesis")
-np = pytest.importorskip("numpy")
 
 from collections import deque
 
@@ -24,17 +25,20 @@ from repro.chip.defects import DefectSpec
 from repro.chip.geometry import SurfaceCodeModel
 from repro.chip.graph_arrays import TILE_NODE_CAPACITY, CompactRoutingGraph
 from repro.chip.routing_graph import RoutingGraph
+from repro.chip.tile_graph import degree3_sparse, heavy_hex
 from repro.errors import ReproError, RoutingError
+
+DD = SurfaceCodeModel.DOUBLE_DEFECT
 
 
 # ----------------------------------------------------------------- strategies
 @st.composite
-def chips(draw):
-    """A random small chip, possibly defective."""
+def square_chips(draw):
+    """A random small square chip, possibly defective."""
     rows = draw(st.integers(min_value=1, max_value=4))
     cols = draw(st.integers(min_value=2, max_value=4))
     chip = Chip(
-        model=SurfaceCodeModel.DOUBLE_DEFECT,
+        model=DD,
         code_distance=3,
         tile_rows=rows,
         tile_cols=cols,
@@ -70,6 +74,26 @@ def chips(draw):
     return chip
 
 
+@st.composite
+def graph_chips(draw):
+    """A heavy-hex or degree-3 sparse chip with dead tiles and disabled edges."""
+    if draw(st.booleans()):
+        graph = heavy_hex(draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+    else:
+        graph = degree3_sparse(draw(st.integers(4, 16)), seed=draw(st.integers(0, 9)))
+    nodes = st.integers(0, graph.num_nodes - 1)
+    dead = draw(st.lists(st.tuples(nodes, st.just(0)), max_size=3, unique=True))
+    disabled = draw(
+        st.lists(st.sampled_from([("e", a, b) for a, b in graph.edges]), max_size=2, unique=True)
+    )
+    return Chip.from_tile_graph(
+        DD, 3, graph, defects=DefectSpec(dead_tiles=tuple(dead), disabled_segments=tuple(disabled))
+    )
+
+
+chips = st.one_of(square_chips(), graph_chips())
+
+
 def _oracle_hop_distances(graph: RoutingGraph, target):
     """Independent BFS: static hop count to ``target``; tiles are endpoints only."""
     best = {target: 0}
@@ -87,7 +111,7 @@ def _oracle_hop_distances(graph: RoutingGraph, target):
 
 # ------------------------------------------------------------------ properties
 @settings(max_examples=120, deadline=None)
-@given(chips())
+@given(chips)
 def test_node_ids_round_trip_in_sorted_order(chip):
     graph = RoutingGraph(chip)
     compact = CompactRoutingGraph(graph)
@@ -95,7 +119,7 @@ def test_node_ids_round_trip_in_sorted_order(chip):
     assert list(compact.nodes) == sorted(graph.nodes)
     for node_id, node in enumerate(compact.nodes):
         assert compact.id_of(node) == node_id
-        assert compact.node_of(node_id) == node
+        assert compact.node_id[node] == node_id
     # The ordering invariant the lexicographic path contract rests on.
     assert all(
         compact.nodes[i] < compact.nodes[i + 1] for i in range(compact.num_nodes - 1)
@@ -103,83 +127,79 @@ def test_node_ids_round_trip_in_sorted_order(chip):
 
 
 @settings(max_examples=120, deadline=None)
-@given(chips())
+@given(chips)
 def test_edge_ids_and_capacities_round_trip(chip):
     graph = RoutingGraph(chip)
     compact = CompactRoutingGraph(graph)
-    assert compact.num_edges == len(graph.edges)
-    assert set(compact.edge_keys) == set(graph.edges)
+    assert list(compact.edge_keys) == sorted(graph.edges)
     for eid, key in enumerate(compact.edge_keys):
-        assert compact.edge_id_of(key) == eid
+        assert compact.edge_id[key] == eid
         a, b = key
-        assert compact.edge_capacity[eid] == graph.capacity(a, b)
-        ia, ib = compact.edge_endpoints[eid]
-        assert (compact.node_of(int(ia)), compact.node_of(int(ib))) == key
+        ia, ib = compact.node_id[a], compact.node_id[b]
+        assert compact.pair_edge_key[(ia, ib)] == compact.pair_edge_key[(ib, ia)] == key
+    assert len(compact.pair_edge_key) == 2 * len(compact.edge_keys)
 
 
 @settings(max_examples=120, deadline=None)
-@given(chips())
+@given(chips)
 def test_node_capacities_and_tile_mask_round_trip(chip):
     graph = RoutingGraph(chip)
     compact = CompactRoutingGraph(graph)
+    assert len(compact.node_capacity) == compact.num_nodes
     passable = True
     for node_id, node in enumerate(compact.nodes):
         if graph.is_tile(node):
-            assert bool(compact.is_tile[node_id])
-            assert compact.node_capacity_of(node_id) == TILE_NODE_CAPACITY
+            assert compact.node_capacity[node_id] == TILE_NODE_CAPACITY
         else:
-            assert not bool(compact.is_tile[node_id])
-            assert compact.node_capacity_of(node_id) == graph.node_capacity(node)
+            assert compact.node_capacity[node_id] == graph.node_capacity(node)
             passable = passable and graph.node_capacity(node) >= 1
-        assert compact.node_capacity[node_id] == compact.node_capacity_of(node_id)
     assert compact.junctions_passable == passable
+    # The tile-corner list names every tile once, with all its neighbors.
+    assert [compact.nodes[tile] for tile, _ in compact.tile_corner_ids] == list(graph.tile_nodes())
+    for tile, corners in compact.tile_corner_ids:
+        expected = sorted(compact.node_id[n] for n in graph.neighbors(compact.nodes[tile]))
+        assert list(corners) == expected
 
 
 @settings(max_examples=120, deadline=None)
-@given(chips())
-def test_csr_adjacency_matches_graph_neighbors(chip):
+@given(chips)
+def test_adjacency_rows_match_graph_neighbors(chip):
     graph = RoutingGraph(chip)
     compact = CompactRoutingGraph(graph)
-    indptr = compact.indptr
-    neighbor_ids = compact.neighbor_ids
-    adj_edge_ids = compact.adj_edge_ids
-    assert int(indptr[-1]) == len(neighbor_ids) == len(adj_edge_ids)
     for node_id, node in enumerate(compact.nodes):
-        row = neighbor_ids[int(indptr[node_id]) : int(indptr[node_id + 1])]
-        expected = sorted(compact.id_of(n) for n in graph.neighbors(node))
-        assert list(row) == expected  # ascending ids per CSR row
-        for slot_offset, neighbor in enumerate(row):
-            eid = int(adj_edge_ids[int(indptr[node_id]) + slot_offset])
+        neighbors = sorted(compact.node_id[n] for n in graph.neighbors(node))
+        junction_row = compact.junction_adjacency[node_id]
+        access = compact.tile_access[node_id]
+        # The two rows split the neighbors: junctions ascending, tiles keyed.
+        assert [entry[0] for entry in junction_row] == [
+            n for n in neighbors if not graph.is_tile(compact.nodes[n])
+        ]
+        assert sorted(access) == [n for n in neighbors if graph.is_tile(compact.nodes[n])]
+        entries = list(junction_row) + [(n, *access[n]) for n in access]
+        for neighbor, eid, capacity in entries:
             key = compact.edge_keys[eid]
-            assert set(key) == {node, compact.node_of(int(neighbor))}
-        # The flattened Python-level adjacency agrees with the CSR image.
-        assert [entry[0] for entry in compact.adjacency[node_id]] == expected
+            assert set(key) == {node, compact.nodes[neighbor]}
+            assert capacity == graph.capacity(*key)
 
 
 @settings(max_examples=80, deadline=None)
-@given(chips())
-def test_hop_distances_match_bfs_oracle_and_vector_path(chip):
+@given(chips)
+def test_hop_distances_match_bfs_oracle_for_every_target(chip):
     graph = RoutingGraph(chip)
     compact = CompactRoutingGraph(graph)
-    tiles = graph.tile_nodes()
-    assume(tiles)
-    target = tiles[0]
-    target_id = compact.id_of(target)
-    oracle = _oracle_hop_distances(graph, target)
-    scalar = compact._hop_distances_scalar(target_id)
-    vector = compact._hop_distances_vector(target_id)
-    for node_id, node in enumerate(compact.nodes):
-        expected = oracle.get(node, -1)
-        assert scalar[node_id] == expected
-        assert vector[node_id] == expected
+    # Every node as target: tiles (the router's queries) and junctions
+    # (graph-chip slot distances seed there).
+    for target_id, target in enumerate(compact.nodes):
+        oracle = _oracle_hop_distances(graph, target)
+        distances = compact.hop_distances_from(target_id)
+        assert distances == [oracle.get(node, -1) for node in compact.nodes]
 
 
 @settings(max_examples=40, deadline=None)
-@given(chips())
+@given(chips)
 def test_unknown_ids_raise_routing_error(chip):
     graph = RoutingGraph(chip)
     compact = CompactRoutingGraph(graph)
     with pytest.raises(RoutingError):
         compact.id_of(("t", 999, 999))
-    with pytest.raises(RoutingError):
-        compact.edge_id_of((("j", 999, 999), ("t", 999, 999)))
+    assert (("j", 999, 999), ("t", 999, 999)) not in compact.edge_id

@@ -1,4 +1,4 @@
-"""Tests for capacity-aware path search, the cycle router and EDP routing.
+"""Tests for capacity-aware path search, capacity bookkeeping and EDP routing.
 
 ``find_path`` is the reference router of the test oracle; the production
 router is held to it by ``tests/test_properties_routing.py``.
@@ -11,15 +11,7 @@ from oracle import find_path, reference_engine
 
 from repro.chip import Chip, RoutingGraph, SurfaceCodeModel, tile_node
 from repro.errors import RoutingError
-from repro.routing import (
-    CapacityUsage,
-    CycleRouter,
-    RoutedPath,
-    RoutingRequest,
-    can_route_simultaneously,
-    max_simultaneous,
-    route_edge_disjoint,
-)
+from repro.routing import CapacityUsage, RoutedPath, route_edge_disjoint
 
 DD = SurfaceCodeModel.DOUBLE_DEFECT
 
@@ -108,33 +100,29 @@ class TestRoutedPath:
 
 
 class TestCycleRouter:
+    """One cycle's batch of gates through :func:`route_edge_disjoint`."""
+
     def test_routes_independent_gates(self):
         graph = _graph(3, 3, bandwidth=1)
-        requests = [
-            RoutingRequest(0, tile_node(0, 0), tile_node(0, 1)),
-            RoutingRequest(1, tile_node(2, 0), tile_node(2, 1)),
-            RoutingRequest(2, tile_node(0, 2), tile_node(1, 2)),
+        pairs = [
+            (tile_node(0, 0), tile_node(0, 1)),
+            (tile_node(2, 0), tile_node(2, 1)),
+            (tile_node(0, 2), tile_node(1, 2)),
         ]
-        result = CycleRouter(graph).route_cycle(requests)
-        assert result.num_routed == 3
-        assert result.failed == []
+        routed, failed = route_edge_disjoint(graph, pairs)
+        assert len(routed) == 3
+        assert failed == []
 
     def test_respects_existing_usage(self):
         graph = _graph(2, 2, bandwidth=1)
         usage = CapacityUsage()
         for key in graph.edges:
             usage.used[key] = graph.capacity(*key)
-        result = CycleRouter(graph).route_cycle(
-            [RoutingRequest(0, tile_node(0, 0), tile_node(1, 1))], usage=usage
+        routed, failed = route_edge_disjoint(
+            graph, [(tile_node(0, 0), tile_node(1, 1))], usage=usage
         )
-        assert result.failed == [0]
-
-    def test_multi_lane_request(self):
-        graph = _graph(3, 3, bandwidth=2)
-        result = CycleRouter(graph).route_cycle(
-            [RoutingRequest(0, tile_node(0, 0), tile_node(2, 2), lanes=2)]
-        )
-        assert result.num_routed == 1
+        assert routed == {}
+        assert failed == [0]
 
 
 class TestEdgeDisjointRouting:
@@ -146,7 +134,8 @@ class TestEdgeDisjointRouting:
             (tile_node(0, 2), tile_node(2, 0)),
             (tile_node(1, 0), tile_node(1, 2)),
         ]
-        assert can_route_simultaneously(graph, pairs)
+        routed, failed = route_edge_disjoint(graph, pairs)
+        assert failed == [] and len(routed) == len(pairs)
 
     def test_route_edge_disjoint_returns_indices(self):
         graph = _graph(3, 3, bandwidth=1)
@@ -165,7 +154,8 @@ class TestEdgeDisjointRouting:
             (tile_node(1, 0), tile_node(1, 1)),
             (tile_node(2, 0), tile_node(2, 1)),
         ]
-        assert max_simultaneous(graph, pairs) == 3
+        routed, _ = route_edge_disjoint(graph, pairs)
+        assert len(routed) == 3
 
     def test_matches_the_reference_router(self):
         # Over-subscribed cycles exercise failures and rip-up-and-reroute;
