@@ -36,7 +36,7 @@ from repro.analysis.framework import Finding, Rule, registry
 DEFAULT_ARTIFACT_FIELDS = (
     "dag",
     "comm_graph",
-    "parallelism",
+    "scheme",
     "cut_types",
     "shape",
     "placement",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
-from repro.circuits.gate import Gate, GateKind
+from repro.circuits.gate import CNOT_NAMES, Gate, GateKind
 from repro.errors import CircuitError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
@@ -104,7 +104,7 @@ class Circuit:
     # ------------------------------------------------------------- derived IR
     def cnot_gates(self) -> tuple[Gate, ...]:
         """The CNOT gates of the circuit in program order."""
-        return tuple(g for g in self._gates if g.is_cnot)
+        return tuple(g for g in self._gates if g.name in CNOT_NAMES)
 
     def cnot_circuit(self, name: str | None = None) -> "Circuit":
         """Return a new circuit containing only the CNOT gates.
@@ -130,7 +130,7 @@ class Circuit:
     @property
     def num_cnots(self) -> int:
         """Number of CNOT gates (``g`` in the paper's tables)."""
-        return sum(1 for g in self._gates if g.is_cnot)
+        return sum(1 for g in self._gates if g.name in CNOT_NAMES)
 
     def depth(self, cnot_only: bool = True) -> int:
         """Circuit depth.

@@ -8,10 +8,34 @@ initialisation checks bipartiteness of prefixes of it.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from collections.abc import Iterable
 
 from repro.circuits.circuit import Circuit
 from repro.errors import CircuitError
+
+
+def two_colouring(adjacency: dict[int, set[int]], starts: Iterable[int]) -> dict[int, int] | None:
+    """BFS 2-colouring (0/1) of every component reached from ``starts``.
+
+    Each component's first vertex in ``starts`` gets colour 0.  ``None`` when
+    a component is not bipartite.
+    """
+    colors: dict[int, int] = {}
+    for start in starts:
+        if start in colors:
+            continue
+        colors[start] = 0
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            for neighbor in adjacency.get(node, ()):
+                if neighbor not in colors:
+                    colors[neighbor] = 1 - colors[node]
+                    queue.append(neighbor)
+                elif colors[neighbor] == colors[node]:
+                    return None
+    return colors
 
 
 class CommunicationGraph:
@@ -28,13 +52,28 @@ class CommunicationGraph:
     @classmethod
     def from_circuit(cls, circuit: Circuit) -> "CommunicationGraph":
         """Aggregate CNOT gates of ``circuit`` into edge weights."""
-        graph = cls(circuit.num_qubits)
-        for gate in circuit.cnot_gates():
-            graph.add_cnot(gate.control, gate.target)
+        return cls.from_operands(circuit.num_qubits, [g.qubits for g in circuit.cnot_gates()])
+
+    @classmethod
+    def from_operands(cls, num_qubits: int, operands: list[tuple[int, int]]) -> "CommunicationGraph":
+        """Aggregate a circuit's flat CNOT operand list into edge weights.
+
+        No per-edge re-validation: :meth:`Circuit.append` and :class:`Gate`
+        have already checked operand range and distinctness.  Weights and
+        adjacency are inserted in first-occurrence order, exactly as a
+        sequence of :meth:`add_cnot` calls would, so dict and set iteration
+        order (and with them placement) match.
+        """
+        graph = cls(num_qubits)
+        graph._weights = dict(Counter([(a, b) if a < b else (b, a) for a, b in operands]))
+        adjacency = graph._adjacency
+        for a, b in graph._weights:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
         return graph
 
     def add_cnot(self, control: int, target: int, count: int = 1) -> None:
-        """Record ``count`` CNOT gates between ``control`` and ``target``."""
+        """Record ``count`` CNOT gates between ``control`` and ``target`` (0 is a no-op)."""
         if control == target:
             raise CircuitError("CNOT control and target must differ")
         if count < 0:
@@ -42,6 +81,8 @@ class CommunicationGraph:
         for q in (control, target):
             if not 0 <= q < self._num_qubits:
                 raise CircuitError(f"qubit {q} outside communication graph of size {self._num_qubits}")
+        if count == 0:
+            return
         key = (min(control, target), max(control, target))
         self._weights[key] = self._weights.get(key, 0) + count
         self._adjacency[control].add(target)
@@ -90,20 +131,9 @@ class CommunicationGraph:
         the cut-type initialisation consumes: qubits in the same set receive
         the same cut type.
         """
-        color: dict[int, int] = {}
-        for start in range(self._num_qubits):
-            if start in color:
-                continue
-            color[start] = 0
-            queue = deque([start])
-            while queue:
-                node = queue.popleft()
-                for neighbor in self._adjacency[node]:
-                    if neighbor not in color:
-                        color[neighbor] = 1 - color[node]
-                        queue.append(neighbor)
-                    elif color[neighbor] == color[node]:
-                        return None
+        color = two_colouring(dict(enumerate(self._adjacency)), range(self._num_qubits))
+        if color is None:
+            return None
         side_a = {q for q, c in color.items() if c == 0}
         side_b = {q for q, c in color.items() if c == 1}
         return side_a, side_b

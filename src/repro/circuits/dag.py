@@ -22,44 +22,123 @@ from repro.circuits.gate import Gate
 from repro.errors import CircuitError
 
 
+#: Largest DAG whose descendant counts are exact (bitset masks); above it the
+#: per-path sum of :meth:`GateDAG._sweep_backward` keeps memory linear.
+EXACT_DESCENDANTS_MAX = 4096
+
+
 class GateDAG:
-    """Immutable dependency DAG over the CNOT gates of a circuit."""
+    """Immutable dependency DAG over the CNOT gates of a circuit.
+
+    Node ``i`` is the ``i``-th CNOT in program order.  Every edge goes from a
+    lower to a higher node id, so ``range(n)`` is a topological order: ASAP
+    levels come from one forward sweep, and ALAP levels, criticality and
+    descendant counts from one backward sweep.
+    """
 
     def __init__(self, num_qubits: int, gates: Iterable[Gate]):
-        self._num_qubits = num_qubits
-        self._gates: list[Gate] = list(gates)
-        for node, gate in enumerate(self._gates):
+        gates = tuple(gates)
+        for node, gate in enumerate(gates):
             if not gate.is_cnot:
                 raise CircuitError(f"GateDAG only accepts CNOT gates, got {gate} at position {node}")
-        # Flat (control, target) pairs: the scheduler inner loops read operands
-        # every cycle, and the Gate property chain is measurably more expensive
-        # than one list index.
-        self._operands: list[tuple[int, int]] = [
-            (gate.qubits[0], gate.qubits[1]) for gate in self._gates
-        ]
-        self._succ: list[list[int]] = [[] for _ in self._gates]
-        self._pred: list[list[int]] = [[] for _ in self._gates]
-        self._build_edges()
-        self._asap = self._compute_asap()
-        self._alap = self._compute_alap()
-        self._criticality = self._compute_criticality()
-        self._descendant_count = self._compute_descendant_counts()
+            if max(gate.qubits) >= num_qubits:
+                raise CircuitError(
+                    f"gate {gate} at position {node} is outside a {num_qubits}-qubit DAG"
+                )
+        self._build(num_qubits, gates, [gate.qubits for gate in gates])
 
     # ----------------------------------------------------------- construction
     @classmethod
     def from_circuit(cls, circuit: Circuit) -> "GateDAG":
         """Build the DAG from the CNOT gates of ``circuit``."""
-        return cls(circuit.num_qubits, circuit.cnot_gates())
+        gates = circuit.cnot_gates()
+        return cls.from_operands(circuit.num_qubits, [g.qubits for g in gates], gates)
 
-    def _build_edges(self) -> None:
-        last_on_qubit: dict[int, int] = {}
-        for node, gate in enumerate(self._gates):
-            parents = {last_on_qubit[q] for q in gate.qubits if q in last_on_qubit}
-            for parent in sorted(parents):
-                self._succ[parent].append(node)
-                self._pred[node].append(parent)
-            for q in gate.qubits:
-                last_on_qubit[q] = node
+    @classmethod
+    def from_operands(
+        cls, num_qubits: int, operands: list[tuple[int, int]], gates: tuple[Gate, ...]
+    ) -> "GateDAG":
+        """Build the DAG from a circuit's flat CNOT operand list.
+
+        ``operands[i]`` is the ``(control, target)`` pair of ``gates[i]``.  No
+        re-validation: :meth:`Circuit.append` and :class:`Gate` have already
+        checked operand range, arity and distinctness.
+        """
+        dag = cls.__new__(cls)
+        dag._build(num_qubits, gates, operands)
+        return dag
+
+    def _build(self, num_qubits: int, gates: tuple[Gate, ...], operands: list[tuple[int, int]]) -> None:
+        self._num_qubits = num_qubits
+        self._gates = gates
+        # Flat (control, target) pairs: the scheduler inner loops read operands
+        # every cycle, and the Gate property chain is measurably more expensive
+        # than one list index.
+        self._operands = operands
+        n = len(operands)
+        succ: list[list[int]] = [[] for _ in range(n)]
+        pred: list[list[int]] = []
+        asap: list[int] = []
+        last = [-1] * num_qubits  # node that most recently acted on each qubit
+        for node, (a, b) in enumerate(operands):
+            early, late = last[a], last[b]
+            last[a] = last[b] = node
+            if early > late:
+                early, late = late, early
+            if late < 0:  # first gate on both qubits
+                pred.append([])
+                asap.append(1)
+            elif early < 0 or early == late:  # one parent
+                succ[late].append(node)
+                pred.append([late])
+                asap.append(asap[late] + 1)
+            else:  # two parents, in ascending order
+                succ[early].append(node)
+                succ[late].append(node)
+                pred.append([early, late])
+                asap.append(1 + max(asap[early], asap[late]))
+        self._succ = succ
+        self._pred = pred
+        self._asap = asap
+        self._sweep_backward()
+
+    def _sweep_backward(self) -> None:
+        """ALAP levels, criticality and descendant counts in one reverse sweep.
+
+        Descendant counts are exact (bitset masks) for DAGs of at most
+        :data:`EXACT_DESCENDANTS_MAX` gates.  Larger DAGs, where exact sets
+        would be quadratic in memory, sum ``1 + count`` over each node's
+        successors instead: a descendant reachable along several paths is
+        counted once per path.  The priority function only needs a
+        consistent ordering.
+        """
+        succ = self._succ
+        n = len(succ)
+        depth = self._depth = max(self._asap, default=0)
+        alap = [depth] * n
+        crit = [1] * n
+        exact = n <= EXACT_DESCENDANTS_MAX
+        reach = [0] * n  # descendant bitmask (exact) or per-path count
+        for node in range(n - 1, -1, -1):
+            children = succ[node]
+            if not children:
+                continue
+            level, chain, acc = depth + 1, 0, 0
+            for child in children:  # at most two: one per operand qubit
+                if alap[child] < level:
+                    level = alap[child]
+                if crit[child] > chain:
+                    chain = crit[child]
+                if exact:
+                    acc |= reach[child] | (1 << child)
+                else:
+                    acc += 1 + reach[child]
+            alap[node] = level - 1
+            crit[node] = chain + 1
+            reach[node] = acc
+        self._alap = alap
+        self._criticality = crit
+        self._descendant_count = [mask.bit_count() for mask in reach] if exact else reach
 
     # ---------------------------------------------------------------- queries
     @property
@@ -82,7 +161,7 @@ class GateDAG:
     @property
     def gates(self) -> tuple[Gate, ...]:
         """All gates, indexed by node id."""
-        return tuple(self._gates)
+        return self._gates
 
     def operands(self, node: int) -> tuple[int, int]:
         """The (control, target) qubit pair of the CNOT at ``node``."""
@@ -110,54 +189,6 @@ class GateDAG:
         return tuple(n for n in range(len(self._gates)) if not self._succ[n])
 
     # ------------------------------------------------------------------ levels
-    def _compute_asap(self) -> list[int]:
-        asap = [0] * len(self._gates)
-        for node in self.topological_order():
-            preds = self._pred[node]
-            asap[node] = 1 + max((asap[p] for p in preds), default=0)
-        return asap
-
-    def _compute_alap(self) -> list[int]:
-        depth = self.depth()
-        alap = [depth] * len(self._gates)
-        for node in reversed(list(self.topological_order())):
-            succs = self._succ[node]
-            alap[node] = min((alap[s] - 1 for s in succs), default=depth)
-        return alap
-
-    def _compute_criticality(self) -> list[int]:
-        """Longest chain starting at each node, inclusive (>= 1)."""
-        crit = [1] * len(self._gates)
-        for node in reversed(list(self.topological_order())):
-            for succ in self._succ[node]:
-                crit[node] = max(crit[node], 1 + crit[succ])
-        return crit
-
-    def _compute_descendant_counts(self) -> list[int]:
-        """Number of (not necessarily distinct-path) descendants of each node.
-
-        Exact descendant sets can be quadratic in memory for large circuits;
-        we compute exact counts with bitsets only for moderately sized DAGs
-        and fall back to a reachable-count approximation via reverse BFS
-        otherwise.  The priority function only needs a consistent ordering.
-        """
-        n = len(self._gates)
-        if n == 0:
-            return []
-        if n <= 4096:
-            masks = [0] * n
-            for node in reversed(list(self.topological_order())):
-                mask = 0
-                for succ in self._succ[node]:
-                    mask |= masks[succ] | (1 << succ)
-                masks[node] = mask
-            return [mask.bit_count() for mask in masks]
-        # Approximation: sum of successor counts along the longest chain.
-        counts = [0] * n
-        for node in reversed(list(self.topological_order())):
-            counts[node] = sum(1 + counts[s] for s in self._succ[node])
-        return counts
-
     def asap_level(self, node: int) -> int:
         """Earliest layer (1-based) in which ``node`` may execute."""
         return self._asap[node]
@@ -176,7 +207,7 @@ class GateDAG:
 
     def depth(self) -> int:
         """Critical-path length ``α`` of the CNOT circuit."""
-        return max(self._asap, default=0) if self._gates else 0
+        return self._depth
 
     def slack(self, node: int) -> int:
         """ALAP minus ASAP level; zero for critical gates."""
@@ -232,7 +263,7 @@ class DagFrontier:
 
     def __init__(self, dag: GateDAG):
         self._dag = dag
-        self._remaining_preds = [len(dag.predecessors(n)) for n in range(len(dag))]
+        self._remaining_preds = [len(parents) for parents in dag._pred]
         self._completed = [False] * len(dag)
         self._ready: set[int] = {n for n, count in enumerate(self._remaining_preds) if count == 0}
         self._num_completed = 0

@@ -39,6 +39,10 @@ TWO_QUBIT_NAMES = frozenset({"cx", "cnot", "cz", "swap", "ch", "crz", "cry", "cr
 #: Three-qubit names that the expander decomposes.
 THREE_QUBIT_NAMES = frozenset({"ccx", "toffoli", "cswap", "fredkin"})
 
+#: Names classified as :attr:`GateKind.CNOT` (the one name test every CNOT
+#: filter uses).
+CNOT_NAMES = ("cx", "cnot")
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -71,12 +75,14 @@ class Gate:
             raise CircuitError(f"gate {self.name!r} has repeated qubit operands {self.qubits}")
         if any(q < 0 for q in self.qubits):
             raise CircuitError(f"gate {self.name!r} has a negative qubit index {self.qubits}")
+        if self.name in CNOT_NAMES and len(self.qubits) != 2:
+            raise CircuitError(f"CNOT gate {self.name!r} needs exactly two qubits, got {self.qubits}")
 
     @property
     def kind(self) -> GateKind:
         """Classify this gate for the transformation pipeline."""
         name = self.name
-        if name in ("cx", "cnot"):
+        if name in CNOT_NAMES:
             return GateKind.CNOT
         if name == "barrier":
             return GateKind.BARRIER

@@ -90,10 +90,10 @@ def _look_ahead_channel_impact(context: CutContext, qubit: int) -> float:
     impact = float(MODIFIED_BRAIDS - DIRECT_BRAIDS)  # -1: the current gate gets cheaper
     current = context.cut_types[qubit]
     for child in context.dag.successors(context.node):
-        gate = context.dag.gate(child)
-        if qubit not in gate.qubits:
+        control, target = context.dag.operands(child)
+        if qubit != control and qubit != target:
             continue
-        partner = gate.control if gate.target == qubit else gate.target
+        partner = control if target == qubit else target
         if context.cut_types[partner] == current:
             impact -= 1.0
         else:

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import enum
 import random
-from collections import deque
+from collections.abc import Iterable
 
-from repro.circuits.comm_graph import CommunicationGraph
+from repro.circuits.comm_graph import CommunicationGraph, two_colouring
 from repro.circuits.dag import GateDAG
 from repro.errors import MappingError
 
@@ -44,23 +44,23 @@ class CutType(enum.Enum):
 CutAssignment = dict[int, CutType]
 
 
+def with_cnot_edges(
+    adjacency: dict[int, set[int]], pairs: Iterable[tuple[int, int]]
+) -> dict[int, set[int]]:
+    """A copy of ``adjacency`` with each ``(control, target)`` pair added as an edge."""
+    extended = {q: set(neighbors) for q, neighbors in adjacency.items()}
+    for a, b in pairs:
+        extended.setdefault(a, set()).add(b)
+        extended.setdefault(b, set()).add(a)
+    return extended
+
+
 def _color_components(adjacency: dict[int, set[int]], num_qubits: int) -> CutAssignment | None:
-    """2-colour the graph; ``None`` when it is not bipartite."""
-    colors: dict[int, int] = {}
-    for start in range(num_qubits):
-        if start in colors:
-            continue
-        colors[start] = 0
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for neighbor in adjacency.get(node, ()):
-                if neighbor not in colors:
-                    colors[neighbor] = 1 - colors[node]
-                    queue.append(neighbor)
-                elif colors[neighbor] == colors[node]:
-                    return None
-    return {q: (CutType.X if colors.get(q, 0) == 0 else CutType.Z) for q in range(num_qubits)}
+    """2-colour the graph as cut types; ``None`` when it is not bipartite."""
+    colors = two_colouring(adjacency, range(num_qubits))
+    if colors is None:
+        return None
+    return {q: (CutType.X if colors[q] == 0 else CutType.Z) for q in range(num_qubits)}
 
 
 def bipartite_prefix_cut_types(dag: GateDAG, num_qubits: int) -> CutAssignment:
@@ -81,22 +81,13 @@ def bipartite_prefix_cut_types(dag: GateDAG, num_qubits: int) -> CutAssignment:
     while not frontier.is_done():
         ready = frontier.ready_nodes()
         # Tentatively add this whole front layer of gates.
-        trial = {q: set(neighbors) for q, neighbors in adjacency.items()}
-        for node in ready:
-            gate = dag.gate(node)
-            a, b = gate.control, gate.target
-            trial.setdefault(a, set()).add(b)
-            trial.setdefault(b, set()).add(a)
+        trial = with_cnot_edges(adjacency, [dag.operands(node) for node in ready])
         colored = _color_components(trial, num_qubits)
         if colored is None:
             # Adding this layer breaks bipartiteness; try gate-by-gate so the
             # earliest possible gates still influence the colouring.
             for node in ready:
-                gate = dag.gate(node)
-                a, b = gate.control, gate.target
-                candidate = {q: set(neighbors) for q, neighbors in adjacency.items()}
-                candidate.setdefault(a, set()).add(b)
-                candidate.setdefault(b, set()).add(a)
+                candidate = with_cnot_edges(adjacency, [dag.operands(node)])
                 colored_single = _color_components(candidate, num_qubits)
                 if colored_single is None:
                     continue
@@ -166,8 +157,4 @@ def maxcut_cut_types(graph: CommunicationGraph, seed: int | None = None, passes:
 
 def count_single_cycle_gates(dag: GateDAG, assignment: CutAssignment) -> int:
     """Number of CNOTs whose operands start with different cut types."""
-    return sum(
-        1
-        for node in range(len(dag))
-        if assignment[dag.gate(node).control] != assignment[dag.gate(node).target]
-    )
+    return sum(1 for control, target in dag.operand_pairs if assignment[control] != assignment[target])

@@ -33,13 +33,7 @@ from repro.chip.defects import DefectSpec
 from repro.chip.geometry import SurfaceCodeModel
 from repro.circuits.circuit import Circuit
 from repro.core.cut_decisions import STRATEGIES as _CUT_STRATEGIES
-from repro.core.cut_types import (
-    bipartite_prefix_cut_types,
-    maxcut_cut_types,
-    random_cut_types,
-    uniform_cut_types,
-)
-from repro.core.mapping import PLACEMENT_STRATEGIES, InitialMapping, build_initial_mapping
+from repro.core.mapping import PLACEMENT_STRATEGIES, InitialMapping
 from repro.core.metrics import circuit_parallelism_degree
 from repro.core.schedule import EncodedCircuit
 from repro.errors import SchedulingError
@@ -94,19 +88,6 @@ def _check_choice(field_name: str, value: str, valid: frozenset) -> None:
         )
 
 
-def _initial_cut_types(circuit: Circuit, options: EcmasOptions):
-    name = options.cut_initialisation
-    if name == "bipartite_prefix":
-        return bipartite_prefix_cut_types(circuit.dag(), circuit.num_qubits)
-    if name == "random":
-        return random_cut_types(circuit.num_qubits, seed=options.seed)
-    if name == "maxcut":
-        return maxcut_cut_types(circuit.communication_graph(), seed=options.seed)
-    if name == "uniform":
-        return uniform_cut_types(circuit.num_qubits)
-    raise SchedulingError(f"unknown cut initialisation {name!r}")  # pragma: no cover - validated
-
-
 def default_chip(
     circuit: Circuit,
     model: SurfaceCodeModel,
@@ -139,20 +120,22 @@ def prepare_mapping(
     model: SurfaceCodeModel,
     options: EcmasOptions | None = None,
 ) -> InitialMapping:
-    """Run only the pre-processing / initial-mapping stage."""
-    options = options or EcmasOptions()
-    cut_types = (
-        _initial_cut_types(circuit, options) if model is SurfaceCodeModel.DOUBLE_DEFECT else None
+    """Run only the pre-processing / initial-mapping stage.
+
+    These are the pipeline's profile, cut-type, placement and bandwidth passes.
+    """
+    from repro.pipeline.framework import PassContext, Pipeline
+    from repro.pipeline.passes import (
+        BandwidthAdjustPass,
+        InitCutTypesPass,
+        InitialMappingPass,
+        ProfileCircuitPass,
     )
-    return build_initial_mapping(
-        circuit,
-        chip,
-        cut_types,
-        placement_strategy=options.placement_strategy,
-        adjust=options.adjust_bandwidth,
-        attempts=options.placement_attempts,
-        seed=options.seed,
-    )
+
+    ctx = PassContext(circuit=circuit, model=model, options=options or EcmasOptions(), chip=chip)
+    passes = [ProfileCircuitPass(), InitCutTypesPass(), InitialMappingPass(), BandwidthAdjustPass()]
+    Pipeline(passes).run(ctx)
+    return ctx.require_mapping()
 
 
 def compile_circuit(

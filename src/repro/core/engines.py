@@ -78,11 +78,11 @@ def stalled_schedule_error(
     blocked = [node for node in frontier.ready_nodes() if node not in dispatched]
     if blocked:
         node = blocked[0]
-        gate = dag.gate(node)
+        control, target = dag.operands(node)
         message += (
-            f"; first blocked gate: node {node} CX(q{gate.control}, q{gate.target})"
-            f" with tiles busy until cycles {busy_until[gate.control]} and"
-            f" {busy_until[gate.target]}"
+            f"; first blocked gate: node {node} CX(q{control}, q{target})"
+            f" with tiles busy until cycles {busy_until[control]} and"
+            f" {busy_until[target]}"
         )
     elif frontier.ready_nodes():
         message += f"; {len(frontier.ready_nodes())} dispatched gate(s) still in flight"

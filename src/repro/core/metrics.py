@@ -141,10 +141,7 @@ def para_finding(dag: GateDAG) -> ExecutionScheme:
 
 def circuit_parallelism_degree(circuit: Circuit) -> int:
     """The estimate ``gPM`` of the circuit parallelism degree."""
-    dag = circuit.dag()
-    if len(dag) == 0:
-        return 0
-    return para_finding(dag).parallelism
+    return para_finding(circuit.dag()).parallelism
 
 
 def asap_parallelism(circuit: Circuit) -> int:
@@ -153,10 +150,7 @@ def asap_parallelism(circuit: Circuit) -> int:
     Para-Finding should never report a larger value than this greedy layering
     (it balances layers), which the property tests assert.
     """
-    dag = circuit.dag()
-    if len(dag) == 0:
-        return 0
-    return max(len(layer) for layer in dag.asap_layers())
+    return max((len(layer) for layer in circuit.dag().asap_layers()), default=0)
 
 
 def chip_communication_capacity(chip: Chip) -> int:

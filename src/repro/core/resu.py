@@ -18,19 +18,20 @@ per layer — the optimal ``α`` cycles.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.chip.geometry import SurfaceCodeModel
 from repro.chip.routing_graph import tile_node_for
 from repro.core.engines import routing_for
 from repro.circuits.circuit import Circuit
+from repro.circuits.comm_graph import two_colouring
 from repro.circuits.dag import GateDAG
-from repro.core.cut_types import CutAssignment, CutType
+from repro.core.cut_types import CutAssignment, CutType, with_cnot_edges
 from repro.core.mapping import InitialMapping
 from repro.core.metrics import ExecutionScheme, para_finding
 from repro.core.schedule import EncodedCircuit, OperationKind, ScheduledOperation
 from repro.errors import SchedulingError
+from repro.profiling import EngineCounters
 from repro.routing.paths import CapacityUsage
 
 #: Cycles spent remapping cut types between bipartite groups (Theorem 3 uses 3).
@@ -43,24 +44,6 @@ class BipartiteGroup:
 
     layer_indices: tuple[int, ...]
     cut_types: CutAssignment
-
-
-def _bipartition_colors(adjacency: dict[int, set[int]], num_qubits: int) -> dict[int, int] | None:
-    colors: dict[int, int] = {}
-    for start in adjacency:
-        if start in colors:
-            continue
-        colors[start] = 0
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for neighbor in adjacency.get(node, ()):
-                if neighbor not in colors:
-                    colors[neighbor] = 1 - colors[node]
-                    queue.append(neighbor)
-                elif colors[neighbor] == colors[node]:
-                    return None
-    return colors
 
 
 def split_into_bipartite_groups(
@@ -97,27 +80,19 @@ def split_into_bipartite_groups(
         previous_assignment = assignment
         groups.append(BipartiteGroup(tuple(current_layers), assignment))
 
+    operands = dag.operand_pairs
     for layer_index, layer in enumerate(scheme.layers):
-        trial = {q: set(neighbors) for q, neighbors in adjacency.items()}
-        for node in layer:
-            gate = dag.gate(node)
-            trial.setdefault(gate.control, set()).add(gate.target)
-            trial.setdefault(gate.target, set()).add(gate.control)
-        trial_colors = _bipartition_colors(trial, num_qubits)
+        pairs = [operands[node] for node in layer]
+        trial = with_cnot_edges(adjacency, pairs)
+        trial_colors = two_colouring(trial, trial)
         if trial_colors is None:
             close_group()
             current_layers = []
-            adjacency = {}
-            for node in layer:
-                gate = dag.gate(node)
-                adjacency.setdefault(gate.control, set()).add(gate.target)
-                adjacency.setdefault(gate.target, set()).add(gate.control)
-            colors = _bipartition_colors(adjacency, num_qubits) or {}
-            current_layers.append(layer_index)
+            adjacency = with_cnot_edges({}, pairs)
+            colors = two_colouring(adjacency, adjacency) or {}
         else:
-            adjacency = trial
-            colors = trial_colors
-            current_layers.append(layer_index)
+            adjacency, colors = trial, trial_colors
+        current_layers.append(layer_index)
     close_group()
     return groups
 
@@ -125,22 +100,21 @@ def split_into_bipartite_groups(
 class _LayerRouter:
     """Routes one execution-scheme layer per clock cycle, spilling on congestion."""
 
-    def __init__(self, dag: GateDAG, mapping: InitialMapping, congestion_weight: float = 0.25):
-        self._dag = dag
+    def __init__(
+        self,
+        dag: GateDAG,
+        mapping: InitialMapping,
+        counters: EngineCounters | None,
+        congestion_weight: float = 0.25,
+    ):
+        self._operands = dag.operand_pairs
         self._mapping = mapping
         _, self._router = routing_for(mapping.chip)
+        self.counters = counters if counters is not None else EngineCounters()
         self._congestion_weight = congestion_weight
 
-    def _describe_gates(self, nodes: list[int]) -> str:
-        """Human-readable gate list for diagnostics: ``CX(q0, q3) [node 7], …``."""
-        parts = []
-        for node in nodes:
-            gate = self._dag.gate(node)
-            parts.append(f"CX(q{gate.control}, q{gate.target}) [node {node}]")
-        return ", ".join(parts)
-
     def route_layer(
-        self, nodes: tuple[int, ...], start_cycle: int, kind: OperationKind
+        self, nodes: tuple[int, ...], start_cycle: int
     ) -> tuple[list[ScheduledOperation], int]:
         """Route every gate of a layer starting at ``start_cycle``.
 
@@ -155,33 +129,43 @@ class _LayerRouter:
         remaining = list(nodes)
         operations: list[ScheduledOperation] = []
         cycles_used = 0
+        operands, placement, counters = self._operands, self._mapping.placement, self.counters
         while remaining:
             usage = CapacityUsage()
             still_waiting: list[int] = []
             for node in remaining:
-                gate = self._dag.gate(node)
-                source = tile_node_for(self._mapping.placement.slot_of(gate.control))
-                target = tile_node_for(self._mapping.placement.slot_of(gate.target))
-                path = self._router.find(usage, source, target, self._congestion_weight)
+                control, target = operands[node]
+                counters.route_calls += 1
+                path = self._router.find(
+                    usage,
+                    tile_node_for(placement.slot_of(control)),
+                    tile_node_for(placement.slot_of(target)),
+                    self._congestion_weight,
+                    counters,
+                )
                 if path is None:
                     still_waiting.append(node)
                     continue
+                counters.gates_scheduled += 1
                 usage.add_path(path)
                 operations.append(
                     ScheduledOperation(
-                        kind=kind,
+                        kind=OperationKind.CNOT_BRAID,
                         start_cycle=start_cycle + cycles_used,
                         duration=1,
-                        qubits=(gate.control, gate.target),
+                        qubits=(control, target),
                         gate_node=node,
                         path=path,
                     )
                 )
             if len(still_waiting) == len(remaining):
+                unroutable = ", ".join(
+                    f"CX(q{operands[node][0]}, q{operands[node][1]}) [node {node}]"
+                    for node in still_waiting
+                )
                 raise SchedulingError(
                     f"layer routing made no progress at cycle {start_cycle + cycles_used}: "
-                    f"unroutable gates {self._describe_gates(still_waiting)} "
-                    f"on chip {self._mapping.chip.describe()}"
+                    f"unroutable gates {unroutable} on chip {self._mapping.chip.describe()}"
                 )
             remaining = still_waiting
             cycles_used += 1
@@ -189,10 +173,20 @@ class _LayerRouter:
 
 
 def schedule_resu_double_defect(
-    circuit: Circuit, mapping: InitialMapping, method: str = "ecmas-resu-dd"
+    circuit: Circuit,
+    mapping: InitialMapping,
+    method: str = "ecmas-resu-dd",
+    dag: GateDAG | None = None,
+    scheme: ExecutionScheme | None = None,
+    counters: EngineCounters | None = None,
 ) -> EncodedCircuit:
-    """Ecmas-ReSu for the double defect model (Algorithm 2)."""
-    dag = circuit.dag()
+    """Ecmas-ReSu for the double defect model (Algorithm 2).
+
+    ``dag`` and ``scheme`` are the pipeline's DAG and Para-Finding scheme;
+    standalone callers leave them out and pay for one derivation here.
+    ``counters``, when given, accumulates the routing work.
+    """
+    dag = dag if dag is not None else circuit.dag()
     result = EncodedCircuit(
         model=SurfaceCodeModel.DOUBLE_DEFECT,
         chip=mapping.chip,
@@ -208,9 +202,9 @@ def schedule_resu_double_defect(
         )
         return result
 
-    scheme = para_finding(dag)
+    scheme = scheme if scheme is not None else para_finding(dag)
     groups = split_into_bipartite_groups(dag, scheme, circuit.num_qubits)
-    router = _LayerRouter(dag, mapping)
+    router = _LayerRouter(dag, mapping, counters)
     operations: list[ScheduledOperation] = []
     cycle = 0
     previous_cuts: CutAssignment | None = None
@@ -232,23 +226,31 @@ def schedule_resu_double_defect(
                 )
                 cycle += CUT_REMAP_CYCLES
         for layer_index in group.layer_indices:
-            layer_ops, used = router.route_layer(
-                scheme.layers[layer_index], cycle, OperationKind.CNOT_BRAID
-            )
+            layer_ops, used = router.route_layer(scheme.layers[layer_index], cycle)
             operations.extend(layer_ops)
             cycle += used
         previous_cuts = group.cut_types
 
+    router.counters.cycles_simulated = cycle
     result.operations = operations
     result.initial_cut_types = dict(initial_cuts)
     return result
 
 
 def schedule_resu_lattice_surgery(
-    circuit: Circuit, mapping: InitialMapping, method: str = "ecmas-resu-ls"
+    circuit: Circuit,
+    mapping: InitialMapping,
+    method: str = "ecmas-resu-ls",
+    dag: GateDAG | None = None,
+    scheme: ExecutionScheme | None = None,
+    counters: EngineCounters | None = None,
 ) -> EncodedCircuit:
-    """Ecmas-ReSu for the lattice surgery model: one cycle per Para-Finding layer."""
-    dag = circuit.dag()
+    """Ecmas-ReSu for the lattice surgery model: one cycle per Para-Finding layer.
+
+    ``dag``, ``scheme`` and ``counters`` as for
+    :func:`schedule_resu_double_defect`.
+    """
+    dag = dag if dag is not None else circuit.dag()
     result = EncodedCircuit(
         model=SurfaceCodeModel.LATTICE_SURGERY,
         chip=mapping.chip,
@@ -260,13 +262,14 @@ def schedule_resu_lattice_surgery(
         # Lattice surgery has no cut types: ``initial_cut_types`` is ``None``
         # on the empty path exactly as on the non-empty one.
         return result
-    scheme = para_finding(dag)
-    router = _LayerRouter(dag, mapping)
+    scheme = scheme if scheme is not None else para_finding(dag)
+    router = _LayerRouter(dag, mapping, counters)
     operations: list[ScheduledOperation] = []
     cycle = 0
     for layer in scheme.layers:
-        layer_ops, used = router.route_layer(layer, cycle, OperationKind.CNOT_BRAID)
+        layer_ops, used = router.route_layer(layer, cycle)
         operations.extend(layer_ops)
         cycle += used
+    router.counters.cycles_simulated = cycle
     result.operations = operations
     return result

@@ -29,6 +29,7 @@ from repro.circuits.comm_graph import CommunicationGraph
 from repro.circuits.dag import GateDAG
 from repro.core.cut_types import CutAssignment
 from repro.core.mapping import InitialMapping
+from repro.core.metrics import ExecutionScheme
 from repro.core.schedule import EncodedCircuit
 from repro.errors import ReproError
 
@@ -83,7 +84,7 @@ class PassContext:
     # -- artifacts (produced by passes) -----------------------------------
     dag: GateDAG | None = None
     comm_graph: CommunicationGraph | None = None
-    parallelism: int | None = None
+    scheme: ExecutionScheme | None = None
     cut_types: CutAssignment | None = None
     shape: tuple[int, int] | None = None
     placement: object | None = None
@@ -109,19 +110,22 @@ class PassContext:
             raise PipelineError("no gate DAG in context — run ProfileCircuit first")
         return self.dag
 
-    def ensure_parallelism(self) -> int:
-        """Circuit parallelism degree ``gPM``, computed lazily.
+    def ensure_scheme(self) -> ExecutionScheme:
+        """The Para-Finding execution scheme, computed lazily and at most once.
 
-        Para-Finding is only needed by the ``"auto"`` scheduler choice and
-        the ``"sufficient"`` resource configuration; methods pinned to
-        ``"limited"`` never pay for it.
+        Para-Finding is only needed by the ``"auto"`` scheduler choice, the
+        ``"sufficient"`` resource configuration and Ecmas-ReSu (which routes
+        the scheme's layers); methods pinned to ``"limited"`` never pay for it.
         """
-        if self.parallelism is None:
+        if self.scheme is None:
             from repro.core.metrics import para_finding
 
-            dag = self.require_dag()
-            self.parallelism = para_finding(dag).parallelism if len(dag) else 0
-        return self.parallelism
+            self.scheme = para_finding(self.require_dag())
+        return self.scheme
+
+    def ensure_parallelism(self) -> int:
+        """Circuit parallelism degree ``gPM`` (the scheme's widest layer)."""
+        return self.ensure_scheme().parallelism
 
     def require_comm_graph(self) -> CommunicationGraph:
         """The communication graph (raises :class:`PipelineError` before ProfileCircuit)."""

@@ -2,9 +2,9 @@
 
 Each pass mirrors one stage of the paper's toolflow (Section IV):
 
-* :class:`ProfileCircuitPass` — derive the CNOT DAG, communication graph and
-  parallelism degree once, so later stages (and the scheduler auto-selection)
-  never recompute them.
+* :class:`ProfileCircuitPass` — derive the CNOT DAG and communication graph
+  once, from one flat CNOT operand list, so later stages (and the scheduler
+  auto-selection) never recompute them.
 * :class:`BuildChipPass` — materialise the target chip for the requested
   resource configuration when the caller did not supply one.
 * :class:`InitCutTypesPass` — cut-type initialisation (double defect only).
@@ -26,6 +26,8 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro.chip.geometry import SurfaceCodeModel
+from repro.circuits.comm_graph import CommunicationGraph
+from repro.circuits.dag import GateDAG
 from repro.core.cut_decisions import STRATEGIES as CUT_STRATEGIES
 from repro.core.cut_types import (
     bipartite_prefix_cut_types,
@@ -48,6 +50,7 @@ from repro.core.scheduler_ls import LatticeSurgeryScheduler
 from repro.errors import SchedulingError
 from repro.partition.placement import check_placement_engine, communication_cost
 from repro.pipeline.framework import Pass, PassContext
+from repro.profiling import EngineCounters
 
 PRIORITIES: dict[str, Callable] = {
     "criticality": criticality_priority,
@@ -62,9 +65,12 @@ DEFAULT_CONGESTION_WEIGHT = 0.25
 class ProfileCircuitPass(Pass):
     """Derive the CNOT DAG and communication graph shared by later stages.
 
-    The parallelism degree is *not* computed here: Para-Finding is only
-    needed by ``scheduler="auto"`` / ``resources="sufficient"``, so it is
-    derived lazily via :meth:`PassContext.ensure_parallelism`.
+    One scan of the circuit yields the CNOTs and their flat
+    ``(control, target)`` operand list; the DAG and the communication graph
+    are both built from that list, and every later stage reads ``ctx.dag``.
+    The Para-Finding scheme is *not* computed here: it is only needed by
+    ``scheduler="auto"`` / ``resources="sufficient"`` / Ecmas-ReSu, so it is
+    derived lazily via :meth:`PassContext.ensure_scheme`.
     """
 
     name = "profile"
@@ -72,11 +78,13 @@ class ProfileCircuitPass(Pass):
     def run(self, ctx: PassContext) -> None:
         """Derive the DAG and communication graph into ``ctx``."""
         circuit = ctx.circuit
-        ctx.dag = circuit.dag()
-        ctx.comm_graph = circuit.communication_graph()
+        cnots = circuit.cnot_gates()
+        operands = [gate.qubits for gate in cnots]
+        ctx.dag = GateDAG.from_operands(circuit.num_qubits, operands, cnots)
+        ctx.comm_graph = CommunicationGraph.from_operands(circuit.num_qubits, operands)
         ctx.artifacts["profile"] = {
             "num_qubits": circuit.num_qubits,
-            "num_cnots": circuit.num_cnots,
+            "num_cnots": len(operands),
         }
 
 
@@ -312,41 +320,38 @@ class SchedulePass(Pass):
         if ctx.use_resu is None or ctx.priority_fn is None or ctx.cut_strategy_fn is None:
             raise SchedulingError("scheduler not selected — run SelectScheduler first")
         circuit, label = ctx.circuit, ctx.method_label
-        scheduler = None
-        if ctx.model is SurfaceCodeModel.DOUBLE_DEFECT:
-            if ctx.use_resu:
-                ctx.encoded = schedule_resu_double_defect(
-                    circuit, mapping, **({"method": label} if label else {})
-                )
-            else:
-                scheduler = DoubleDefectScheduler(
-                    circuit,
-                    mapping,
-                    priority=ctx.priority_fn,
-                    cut_strategy=ctx.cut_strategy_fn,
-                    congestion_weight=ctx.congestion_weight,
-                    dag=ctx.dag,
-                    window=ctx.window,
-                    **({"method": label} if label else {}),
-                )
+        labelled = {"method": label} if label else {}
+        double_defect = ctx.model is SurfaceCodeModel.DOUBLE_DEFECT
+        if ctx.use_resu:
+            # Ecmas-ReSu routes the pipeline's own DAG and Para-Finding scheme.
+            counters = EngineCounters()
+            resu = schedule_resu_double_defect if double_defect else schedule_resu_lattice_surgery
+            ctx.encoded = resu(
+                circuit,
+                mapping,
+                dag=ctx.require_dag(),
+                scheme=ctx.ensure_scheme(),
+                counters=counters,
+                **labelled,
+            )
         else:
-            if ctx.use_resu:
-                ctx.encoded = schedule_resu_lattice_surgery(
-                    circuit, mapping, **({"method": label} if label else {})
+            common = dict(
+                priority=ctx.priority_fn,
+                congestion_weight=ctx.congestion_weight,
+                dag=ctx.dag,
+                window=ctx.window,
+                **labelled,
+            )
+            scheduler: DoubleDefectScheduler | LatticeSurgeryScheduler
+            if double_defect:
+                scheduler = DoubleDefectScheduler(
+                    circuit, mapping, cut_strategy=ctx.cut_strategy_fn, **common
                 )
             else:
-                scheduler = LatticeSurgeryScheduler(
-                    circuit,
-                    mapping,
-                    priority=ctx.priority_fn,
-                    congestion_weight=ctx.congestion_weight,
-                    dag=ctx.dag,
-                    window=ctx.window,
-                    **({"method": label} if label else {}),
-                )
-        if scheduler is not None:
+                scheduler = LatticeSurgeryScheduler(circuit, mapping, **common)
             ctx.encoded = scheduler.run()
-            ctx.artifacts["engine_counters"] = scheduler.counters.as_dict()
+            counters = scheduler.counters
+        ctx.artifacts["engine_counters"] = counters.as_dict()
 
 
 class ValidatePass(Pass):

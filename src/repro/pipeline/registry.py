@@ -68,8 +68,8 @@ def edp_priority_factory(ctx: PassContext) -> Callable:
     distance = mapping.chip.slot_distance
 
     def separation(dag: GateDAG, node: int) -> int:
-        gate = dag.gate(node)
-        return distance(placement.slot_of(gate.control), placement.slot_of(gate.target))
+        control, target = dag.operands(node)
+        return distance(placement.slot_of(control), placement.slot_of(target))
 
     @static_priority(lambda dag, node: (separation(dag, node), node))
     def priority(dag: GateDAG, ready: Sequence[int]) -> list[int]:

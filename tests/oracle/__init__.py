@@ -5,12 +5,16 @@
   scheduling engine (:mod:`oracle.engine`);
 * :func:`reference_kl` / :func:`reference_placement` — the all-pairs
   Kernighan–Lin bisection core and the placement recursions run on it
-  (:mod:`oracle.kl`).
+  (:mod:`oracle.kl`);
+* :func:`reference_dag_fields` / :func:`reference_comm_graph` — the
+  set-and-sort, Kahn-order CNOT DAG and the per-gate communication graph
+  (:mod:`oracle.dag`).
 
 Import as ``from oracle import ...``; ``tests/`` is on ``sys.path`` under
 pytest, and ``benchmarks/conftest.py`` adds it for the benchmark harness.
 """
 
+from .dag import reference_comm_graph, reference_dag_fields
 from .dijkstra import OracleRouter, find_path
 from .engine import ReferenceReadyQueue, reference_compile, reference_engine
 from .kl import kernighan_lin_bisection as reference_kl
@@ -20,7 +24,9 @@ __all__ = [
     "OracleRouter",
     "ReferenceReadyQueue",
     "find_path",
+    "reference_comm_graph",
     "reference_compile",
+    "reference_dag_fields",
     "reference_engine",
     "reference_kl",
     "reference_placement",

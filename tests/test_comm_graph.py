@@ -42,6 +42,13 @@ def test_add_cnot_rejects_negative_count():
         graph.add_cnot(0, 1, count=-1)
     graph.add_cnot(0, 1, count=0)
     assert graph.weight(0, 1) == 0
+    # A zero count records no partner: no edge, no adjacency.
+    assert graph.num_edges == 0
+    assert graph.neighbors(0) == ()
+    assert graph.degree(1) == 0
+    assert graph.bipartition() == ({0, 1}, set())
+    with pytest.raises(CircuitError, match="outside communication graph"):
+        graph.add_cnot(0, 2, count=0)
 
 
 def test_bipartite_chain():
