@@ -8,7 +8,7 @@ concurrently by every handler thread.  PR 5's inherited-lock deadlock was
 exactly this class of bug.  The sanctioned patterns are:
 
 * state behind an explicit seam with a locked owner object — the routing
-  provider (:func:`repro.core.engines.set_routing_provider` backed by the
+  provider (:func:`repro.routing.fast_router.set_routing_provider` backed by the
   ``WarmStateCache`` and its instance lock);
 * genuinely constant module attributes, spelled ``ALL_CAPS`` (leading
   underscores ignored), which the rules treat as frozen by convention;
@@ -92,7 +92,7 @@ class ModuleStateRule(Rule):
         "and held locks included) and daemon handler threads read them "
         "concurrently; a mutable module attribute is therefore silently "
         "process- and thread-unsafe.  Route mutable state through an owner "
-        "object behind a seam (see core/engines.set_routing_provider + "
+        "object behind a seam (see routing/fast_router.set_routing_provider + "
         "WarmStateCache), spell genuine constants ALL_CAPS, or pragma the "
         "line with the reason it is safe."
     )

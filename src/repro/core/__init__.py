@@ -11,8 +11,8 @@ from repro.core.metrics import (
     para_finding,
 )
 from repro.core.schedule import EncodedCircuit, OperationKind, ScheduledOperation
-from repro.core.scheduler_dd import DoubleDefectScheduler, schedule_double_defect
-from repro.core.scheduler_ls import LatticeSurgeryScheduler, schedule_lattice_surgery
+from repro.core.scheduler_dd import DoubleDefectScheduler
+from repro.core.scheduler_ls import LatticeSurgeryScheduler
 from repro.core.resu import schedule_resu_double_defect, schedule_resu_lattice_surgery
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "has_sufficient_resources",
     "DoubleDefectScheduler",
     "LatticeSurgeryScheduler",
-    "schedule_double_defect",
-    "schedule_lattice_surgery",
     "schedule_resu_double_defect",
     "schedule_resu_lattice_surgery",
 ]

@@ -24,7 +24,6 @@ from repro.chip.routing_graph import tile_node_for
 from repro.circuits.circuit import Circuit
 from repro.circuits.comm_graph import CommunicationGraph
 from repro.core.cut_types import CutAssignment
-from repro.core.engines import routing_for
 from repro.errors import ChipError, MappingError
 from repro.partition.placement import (
     Placement,
@@ -37,6 +36,7 @@ from repro.partition.placement import (
     snake_placement,
     spectral_placement,
 )
+from repro.routing.fast_router import routing_for
 from repro.routing.paths import CapacityUsage
 
 
@@ -161,7 +161,7 @@ def corridor_load(
     multiplicity of every pair whose unconstrained shortest path crosses it;
     corridors no path crosses are absent.
 
-    Routing state comes from the :func:`repro.core.engines.routing_for`
+    Routing state comes from the :func:`repro.routing.fast_router.routing_for`
     seam, so daemon processes reuse their warm per-chip graphs here instead
     of rebuilding one per compile.  Each pair follows the canonical
     (lexicographically smallest shortest) path, which the router reads off

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from repro.chip.geometry import SurfaceCodeModel
 from repro.chip.routing_graph import tile_node_for
-from repro.core.engines import routing_for
 from repro.circuits.circuit import Circuit
 from repro.circuits.comm_graph import two_colouring
 from repro.circuits.dag import GateDAG
@@ -32,6 +31,7 @@ from repro.core.metrics import ExecutionScheme, para_finding
 from repro.core.schedule import EncodedCircuit, OperationKind, ScheduledOperation
 from repro.errors import SchedulingError
 from repro.profiling import EngineCounters
+from repro.routing.fast_router import DEFAULT_CONGESTION_WEIGHT, routing_for
 from repro.routing.paths import CapacityUsage
 
 #: Cycles spent remapping cut types between bipartite groups (Theorem 3 uses 3).
@@ -105,7 +105,7 @@ class _LayerRouter:
         dag: GateDAG,
         mapping: InitialMapping,
         counters: EngineCounters | None,
-        congestion_weight: float = 0.25,
+        congestion_weight: float = DEFAULT_CONGESTION_WEIGHT,
     ):
         self._operands = dag.operand_pairs
         self._mapping = mapping

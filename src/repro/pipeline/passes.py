@@ -51,15 +51,13 @@ from repro.errors import SchedulingError
 from repro.partition.placement import check_placement_engine, communication_cost
 from repro.pipeline.framework import Pass, PassContext
 from repro.profiling import EngineCounters
+from repro.routing.fast_router import DEFAULT_CONGESTION_WEIGHT
 
 PRIORITIES: dict[str, Callable] = {
     "criticality": criticality_priority,
     "circuit_order": circuit_order_priority,
     "descendants": descendant_priority,
 }
-
-#: Default congestion weight of the Algorithm 1 schedulers.
-DEFAULT_CONGESTION_WEIGHT = 0.25
 
 
 class ProfileCircuitPass(Pass):

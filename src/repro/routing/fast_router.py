@@ -37,13 +37,25 @@ from the :class:`RoutingGraph`, which already excludes dead tiles and
 disabled segments and carries per-segment capacity overrides.  Parity on
 defective chips is enforced by ``tests/test_defects.py`` and the Hypothesis
 round-trips in ``tests/test_graph_arrays.py``.
+
+Routing seam
+------------
+Every scheduler obtains its graph and router through :func:`routing_for`,
+which consults an installable provider.  Long-lived processes — the compile
+daemon in :mod:`repro.service` — install a provider backed by an LRU of warm
+per-chip state, so repeated compiles against the same chip reuse the graph
+and the router's memoized landmark tables instead of rebuilding them from
+cold.  One-shot callers never notice: with no provider installed,
+:func:`routing_for` builds fresh state.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+from collections.abc import Callable
 
+from repro.chip.chip import Chip
 from repro.chip.graph_arrays import CompactRoutingGraph
 from repro.chip.routing_graph import Node, RoutingGraph
 from repro.errors import RoutingError
@@ -51,6 +63,10 @@ from repro.routing.paths import CapacityUsage, RoutedPath
 
 #: Distinguishes "no cache entry" from a cached ``None`` (unroutable pair).
 _UNCACHED = object()
+
+#: Congestion weight of the schedulers' path queries (ReSu included); the
+#: Braidflash baseline routes with ``0.0``.
+DEFAULT_CONGESTION_WEIGHT = 0.25
 
 
 def check_route_endpoints(graph: RoutingGraph, source: Node, target: Node) -> None:
@@ -350,3 +366,38 @@ class FastRouter:
             stats.nodes_expanded += expanded
             stats.route_failures += 1
         return None
+
+
+#: A routing provider maps a chip to a ``(graph, router)`` pair.  Both
+#: returned objects are immutable-after-construction (the router only grows
+#: memo tables), so a provider may hand the same instances to any number of
+#: sequential compiles.
+RoutingProvider = Callable[[Chip], "tuple[RoutingGraph, FastRouter]"]
+
+_routing_provider: RoutingProvider | None = None
+
+
+def set_routing_provider(provider: RoutingProvider | None) -> RoutingProvider | None:
+    """Install (or with ``None`` clear) the process-wide routing provider.
+
+    Returns the previous provider so callers can restore it; see
+    :class:`repro.service.state.WarmStateCache` for the canonical user.
+    """
+    global _routing_provider  # lint: disable=FRK001 — this IS the sanctioned seam
+    previous = _routing_provider
+    _routing_provider = provider
+    return previous
+
+
+def routing_for(chip: Chip) -> tuple[RoutingGraph, FastRouter]:
+    """The routing graph and router a scheduler should use for ``chip``.
+
+    Delegates to the installed provider when there is one (warm-state reuse
+    in daemon processes) and otherwise builds fresh state.  The result is
+    always semantically identical either way: graphs are value-determined by
+    the chip, and router memo tables only cache derived data.
+    """
+    if _routing_provider is not None:
+        return _routing_provider(chip)
+    graph = RoutingGraph(chip)
+    return graph, FastRouter(graph)

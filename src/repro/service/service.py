@@ -137,7 +137,7 @@ class CompileService:
             # provider), so clear the provider for the duration: children
             # build routing state cold — which they must anyway, since warm
             # objects cannot cross the process boundary.
-            from repro.core.engines import set_routing_provider
+            from repro.routing.fast_router import set_routing_provider
 
             previous = set_routing_provider(None)
             try:

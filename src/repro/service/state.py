@@ -8,8 +8,8 @@ daemon amortises all three: a :class:`WarmStateCache` keeps an LRU of
 :class:`WarmChipState` entries keyed by chip *content* (the same
 :func:`~repro.pipeline.batch.chip_key` the result cache fingerprints with),
 and installs itself as the process-wide routing provider
-(:func:`repro.core.engines.set_routing_provider`) so the schedulers pick the
-warm state up without any signature changes.
+(:func:`repro.routing.fast_router.set_routing_provider`) so the schedulers
+pick the warm state up without any signature changes.
 
 Sharing is safe because everything cached is immutable after construction:
 graphs never change, and the router only *grows* memo tables whose entries
@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 
 from repro.chip.chip import Chip
 from repro.chip.routing_graph import RoutingGraph
-from repro.core.engines import set_routing_provider
 from repro.pipeline.batch import chip_key
-from repro.routing.fast_router import FastRouter
+from repro.routing.fast_router import FastRouter, set_routing_provider
 
 #: Default number of distinct chips kept warm.
 DEFAULT_WARM_CHIPS = 8

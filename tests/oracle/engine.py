@@ -23,9 +23,9 @@ from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 from repro.chip.routing_graph import RoutingGraph
-from repro.core import engines, scheduler_dd, scheduler_ls
+from repro.core import algorithm1
 from repro.pipeline.registry import run_pipeline_method
-from repro.routing import edp
+from repro.routing import edp, fast_router
 
 from .dijkstra import OracleRouter
 
@@ -77,13 +77,13 @@ def _without_memo(cls):
 def reference_engine():
     """Run every compile inside the block on the reference engine."""
     with ExitStack() as stack:
-        for module in (scheduler_dd, scheduler_ls):
-            stack.enter_context(mock.patch.object(module, "IncrementalReadyQueue", ReferenceReadyQueue))
-        stack.enter_context(_without_memo(scheduler_dd.DoubleDefectScheduler))
-        stack.enter_context(_without_memo(scheduler_ls.LatticeSurgeryScheduler))
+        stack.enter_context(
+            mock.patch.object(algorithm1, "IncrementalReadyQueue", ReferenceReadyQueue)
+        )
+        stack.enter_context(_without_memo(algorithm1.Algorithm1Scheduler))
         stack.enter_context(mock.patch.object(edp, "FastRouter", OracleRouter))
-        previous = engines.set_routing_provider(_oracle_routing)
-        stack.callback(engines.set_routing_provider, previous)
+        previous = fast_router.set_routing_provider(_oracle_routing)
+        stack.callback(fast_router.set_routing_provider, previous)
         yield
 
 

@@ -7,8 +7,8 @@ import pytest
 from repro.chip.geometry import SurfaceCodeModel
 from repro.chip.routing_graph import RoutingGraph, tile_node
 from repro.circuits.circuit import Circuit
+from repro.core.algorithm1 import stalled_schedule_error
 from repro.core.ecmas import default_chip, prepare_mapping
-from repro.core.engines import stalled_schedule_error
 from repro.core.incremental import IncrementalReadyQueue
 from repro.core.priorities import criticality_priority, random_priority
 from repro.core.scheduler_dd import DoubleDefectScheduler
@@ -67,6 +67,17 @@ def test_stalled_error_names_first_blocked_gate():
         "double defect", 9, 8, frontier, dag, {0: 12, 1: 0, 2: 3, 3: 0}, dispatched={1}
     )
     assert "first blocked gate: node 2 CX(q1, q3)" in str(skipping)
+
+
+# ------------------------------------------------------------- memo replay
+def test_replay_rejects_a_modify_record_that_does_not_complete(chain_circuit):
+    """Replay re-checks a recorded modification with an error ``python -O`` keeps."""
+    scheduler = DoubleDefectScheduler(chain_circuit, _mapping(chain_circuit, DD))
+    scheduler._start([])
+    # At cycle 0 qubit 0 has been idle 0 cycles, so a modification cannot
+    # finish immediately; the hand-made record claims it did.
+    with pytest.raises(SchedulingError, match=r"cycle 0: .* q0 for node 0"):
+        scheduler._replay([0], [("modify", 0, True, None)])
 
 
 # ------------------------------------------------------- incremental ready set

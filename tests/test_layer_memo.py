@@ -200,3 +200,19 @@ def test_ls_key_is_ordered_operand_slots():
     fingerprint = LsLayerKey(dag, slots)
     assert fingerprint.key([0, 1]) == (((0, 0), (0, 1)), ((1, 0), (1, 1)))
     assert fingerprint.key([1, 0]) == (((1, 0), (1, 1)), ((0, 0), (0, 1)))
+
+
+def test_memo_cutoff_applies_to_lattice_surgery():
+    """LS stops keying once layers rarely repeat, exactly like DD; schedules do not move."""
+    from repro.pipeline.registry import run_pipeline_method
+
+    circuit = standard.multiplier(25)
+    result = run_pipeline_method(circuit, "ecmas_ls_min")
+    counters = result.counters
+    lookups = counters["layer_memo_hits"] + counters["layer_memo_misses"]
+    assert lookups < counters["cycles_simulated"]
+    ctx = result.context
+    plain = LatticeSurgeryScheduler(
+        circuit, ctx.mapping, priority=ctx.priority_fn, dag=ctx.dag, memoize=False
+    ).run()
+    assert result.encoded.operations == plain.operations

@@ -116,7 +116,8 @@ class TestBandwidthAdjusting:
         # Regression: corridor_load used to construct RoutingGraph(chip)
         # directly, bypassing routing_for — daemon processes rebuilt the
         # graph from cold on every /compile's mapping stage.
-        from repro.core import engines
+        from repro.chip.routing_graph import RoutingGraph
+        from repro.routing.fast_router import FastRouter, set_routing_provider
 
         circuit = standard.qft(9)
         chip = Chip.four_x(DD, 9, 3)
@@ -127,14 +128,14 @@ class TestBandwidthAdjusting:
 
         def provider(requested_chip):
             calls.append(requested_chip)
-            built = engines.RoutingGraph(requested_chip)
-            return built, engines.FastRouter(built)
+            built = RoutingGraph(requested_chip)
+            return built, FastRouter(built)
 
-        previous = engines.set_routing_provider(provider)
+        previous = set_routing_provider(provider)
         try:
             load = corridor_load(chip, placement, graph)
         finally:
-            engines.set_routing_provider(previous)
+            set_routing_provider(previous)
         assert calls == [chip]
         assert load == baseline
 
