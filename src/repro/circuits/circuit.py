@@ -77,14 +77,18 @@ class Circuit:
     # --------------------------------------------------------------- mutation
     def append(self, gate: Gate) -> Gate:
         """Append ``gate``, validating its qubit indices; returns the stored gate."""
-        if max(gate.qubits) >= self._num_qubits:
+        return self.add(gate.name, gate.qubits, gate.params)
+
+    def add(self, name: str, qubits: tuple[int, ...], params: tuple[float, ...] = ()) -> Gate:
+        """Append the gate ``name`` on ``qubits``, built once with its index; returns it."""
+        gate = Gate(name, qubits, params, len(self._gates))
+        if max(qubits) >= self._num_qubits:
             raise CircuitError(
-                f"gate {gate} references qubit {max(gate.qubits)} but the circuit has "
+                f"gate {gate} references qubit {max(qubits)} but the circuit has "
                 f"only {self._num_qubits} qubits"
             )
-        stored = gate.with_index(len(self._gates))
-        self._gates.append(stored)
-        return stored
+        self._gates.append(gate)
+        return gate
 
     def extend(self, gates: Iterable[Gate]) -> None:
         """Append every gate in ``gates`` in order."""
@@ -95,11 +99,11 @@ class Circuit:
         """Append a CNOT gate."""
         if control == target:
             raise CircuitError("CNOT control and target must differ")
-        return self.append(Gate("cx", (control, target)))
+        return self.add("cx", (control, target))
 
     def add_single(self, name: str, qubit: int, *params: float) -> Gate:
         """Append a single-qubit gate."""
-        return self.append(Gate(name, (qubit,), tuple(params)))
+        return self.add(name, (qubit,), params)
 
     # ------------------------------------------------------------- derived IR
     def cnot_gates(self) -> tuple[Gate, ...]:

@@ -69,14 +69,15 @@ class Gate:
     index: int = -1
 
     def __post_init__(self) -> None:
-        if not self.qubits:
+        qubits = self.qubits
+        if not qubits:
             raise CircuitError(f"gate {self.name!r} must act on at least one qubit")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise CircuitError(f"gate {self.name!r} has repeated qubit operands {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise CircuitError(f"gate {self.name!r} has a negative qubit index {self.qubits}")
-        if self.name in CNOT_NAMES and len(self.qubits) != 2:
-            raise CircuitError(f"CNOT gate {self.name!r} needs exactly two qubits, got {self.qubits}")
+        if len(set(qubits)) != len(qubits):
+            raise CircuitError(f"gate {self.name!r} has repeated qubit operands {qubits}")
+        if min(qubits) < 0:
+            raise CircuitError(f"gate {self.name!r} has a negative qubit index {qubits}")
+        if self.name in CNOT_NAMES and len(qubits) != 2:
+            raise CircuitError(f"CNOT gate {self.name!r} needs exactly two qubits, got {qubits}")
 
     @property
     def kind(self) -> GateKind:

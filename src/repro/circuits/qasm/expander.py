@@ -14,12 +14,12 @@ Responsibilities:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gate import Gate
 from repro.circuits.qasm import ast
-from repro.errors import QasmError
+from repro.errors import CircuitError, QasmError
 
 #: Gates taken as primitive by the expander (single-qubit set + CNOT).
 PRIMITIVE_GATES = frozenset(
@@ -82,15 +82,15 @@ class QasmExpander:
         return self._circuit
 
     def _expand_statement(self, statement: ast.Statement) -> None:
+        if isinstance(statement, ast.GateCall):
+            self._expand_call(statement)
+            return
         if isinstance(statement, (ast.Include, ast.RegisterDecl, ast.GateDefinition, ast.OpaqueDeclaration)):
             return
-        if isinstance(statement, ast.Measure):
+        if isinstance(statement, (ast.Measure, ast.Reset)):
+            name = "measure" if isinstance(statement, ast.Measure) else "reset"
             for qubit in self._registers.resolve(statement.qubit):
-                self._circuit.append(Gate("measure", (qubit,)))
-            return
-        if isinstance(statement, ast.Reset):
-            for qubit in self._registers.resolve(statement.qubit):
-                self._circuit.append(Gate("reset", (qubit,)))
+                self._circuit.add(name, (qubit,))
             return
         if isinstance(statement, ast.Barrier):
             return
@@ -98,45 +98,50 @@ class QasmExpander:
             if self._include_conditional:
                 self._expand_statement(statement.body)
             return
-        if isinstance(statement, ast.GateCall):
-            self._expand_call(statement)
-            return
         raise QasmError(f"unsupported statement {type(statement).__name__}")
 
     # --------------------------------------------------------------- gate calls
     def _expand_call(self, call: ast.GateCall) -> None:
-        params = [expr.evaluate({}) for expr in call.params]
-        operand_lists = [self._registers.resolve(ref) for ref in call.qubits]
-        for operands in _broadcast(operand_lists, call.name, call.line):
-            self._emit(call.name, params, list(operands))
+        try:
+            params = [expr.evaluate({}) for expr in call.params]
+            operand_lists = [self._registers.resolve(ref) for ref in call.qubits]
+            for operands in _broadcast(operand_lists, call.name, call.line):
+                self._emit(call.name, params, operands)
+        except RecursionError:
+            raise QasmError(f"gate {call.name!r} expands without end or too deeply", line=call.line) from None
+        except CircuitError as exc:
+            raise QasmError(str(exc), line=call.line) from None
+        except (ArithmeticError, ValueError) as exc:
+            raise QasmError(f"cannot evaluate a parameter of {call.name!r}: {exc}", line=call.line) from None
 
-    def _emit(self, name: str, params: list[float], qubits: list[int]) -> None:
+    def _emit(self, name: str, params: list[float], qubits: tuple[int, ...]) -> None:
         if len(set(qubits)) != len(qubits):
             # Broadcasting or a malformed file can produce a self-targeting
             # two-qubit gate; such a gate is the identity on the CNOT DAG and
             # is dropped rather than crashing the whole benchmark.
             return
-        if name in self._definitions:
-            self._emit_definition(self._definitions[name], params, qubits)
+        definition = self._definitions.get(name)
+        if definition is not None:
+            self._emit_definition(definition, params, qubits)
             return
         if name in PRIMITIVE_GATES:
-            self._circuit.append(Gate(name, tuple(qubits), tuple(params)))
+            self._circuit.add(name, qubits, tuple(params))
             return
         decomposition = _STD_DECOMPOSITIONS.get(name)
         if decomposition is None:
             # Unknown opaque gate: treat any two-qubit unknown as one CNOT of
             # communication, and ignore unknown single-qubit gates.
             if len(qubits) == 2:
-                self._circuit.append(Gate("cx", tuple(qubits)))
+                self._circuit.add("cx", qubits)
                 return
             if len(qubits) == 1:
-                self._circuit.append(Gate("u", tuple(qubits), tuple(params)))
+                self._circuit.add("u", qubits, tuple(params))
                 return
             raise QasmError(f"unknown gate {name!r} on {len(qubits)} qubits")
         for sub_name, sub_params, sub_qubit_indices in decomposition(params):
-            self._emit(sub_name, sub_params, [qubits[i] for i in sub_qubit_indices])
+            self._emit(sub_name, sub_params, tuple([qubits[i] for i in sub_qubit_indices]))
 
-    def _emit_definition(self, definition: ast.GateDefinition, params: list[float], qubits: list[int]) -> None:
+    def _emit_definition(self, definition: ast.GateDefinition, params: list[float], qubits: tuple[int, ...]) -> None:
         if len(params) != len(definition.params):
             raise QasmError(
                 f"gate {definition.name!r} expects {len(definition.params)} parameters, got {len(params)}"
@@ -154,19 +159,19 @@ class QasmExpander:
                 if ref.register not in qubit_map:
                     raise QasmError(f"gate body of {definition.name!r} references unknown qubit {ref.register!r}")
                 sub_qubits.append(qubit_map[ref.register])
-            self._emit(call.name, sub_params, sub_qubits)
+            self._emit(call.name, sub_params, tuple(sub_qubits))
 
 
-def _broadcast(operand_lists: list[list[int]], name: str, line: int) -> list[tuple[int, ...]]:
+def _broadcast(operand_lists: list[list[int]], name: str, line: int) -> Iterator[tuple[int, ...]]:
     """OpenQASM register broadcasting: whole registers are zipped element-wise."""
-    lengths = {len(ops) for ops in operand_lists if len(ops) > 1}
+    lengths = set(map(len, operand_lists))
     if len(lengths) > 1:
-        raise QasmError(f"mismatched register sizes in broadcast of {name!r}", line=line)
-    count = lengths.pop() if lengths else 1
-    broadcasted = []
-    for i in range(count):
-        broadcasted.append(tuple(ops[i] if len(ops) > 1 else ops[0] for ops in operand_lists))
-    return broadcasted
+        lengths.discard(1)
+        if len(lengths) > 1:
+            raise QasmError(f"mismatched register sizes in broadcast of {name!r}", line=line)
+        count = lengths.pop()
+        operand_lists = [ops * count if len(ops) == 1 else ops for ops in operand_lists]
+    return zip(*operand_lists)
 
 
 # ------------------------------------------------------------------ decompositions

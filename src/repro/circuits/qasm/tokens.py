@@ -1,15 +1,23 @@
-"""Lexer for the OpenQASM 2.0 subset understood by the front-end.
+"""Scanner for the OpenQASM 2.0 subset understood by the front-end.
 
-The token stream is deliberately small: identifiers, numbers, strings, the
-OpenQASM keywords, and punctuation.  Comments (``//``) and whitespace are
-skipped.  Positions are tracked so parse errors point at the offending source
-line.
+One compiled regular expression, :data:`TOKEN_PATTERN`, splits the source in
+a single ``findall`` pass.  Each match skips spaces, tabs, carriage returns
+and ``//`` comments, then captures one token string: a newline, a number, an
+identifier or keyword, a string literal, punctuation, one stray character (a
+lexical error), or the empty string that marks the end of the source.
+
+The parser walks those strings by index.  Line numbers come from counting
+newline tokens; a column is computed only when an error is raised, by
+re-scanning that one line with the same pattern (:func:`locate`).
 """
 
 from __future__ import annotations
 
 import enum
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.errors import QasmError
 
@@ -37,6 +45,7 @@ class TokenType(enum.Enum):
     STAR = "*"
     SLASH = "/"
     CARET = "^"
+    NEWLINE = "\n"
     EOF = "eof"
 
 
@@ -47,20 +56,34 @@ KEYWORDS = frozenset(
     }
 )
 
-_SINGLE_CHAR_TOKENS = {
-    "(": TokenType.LPAREN,
-    ")": TokenType.RPAREN,
-    "[": TokenType.LBRACKET,
-    "]": TokenType.RBRACKET,
-    "{": TokenType.LBRACE,
-    "}": TokenType.RBRACE,
-    ";": TokenType.SEMICOLON,
-    ",": TokenType.COMMA,
-    "+": TokenType.PLUS,
-    "*": TokenType.STAR,
-    "/": TokenType.SLASH,
-    "^": TokenType.CARET,
-}
+# Module-level aliases: attribute access on the enum class is slow in a hot loop.
+_NEWLINE = TokenType.NEWLINE
+_EOF = TokenType.EOF
+_STRING = TokenType.STRING
+
+#: Token kinds fixed by their text: punctuation, newline and end of source.
+_FIXED_KINDS = {kind.value: kind for kind in TokenType if not kind.value.isalpha()}
+_FIXED_KINDS[""] = TokenType.EOF
+
+#: The whole lexical grammar.  Group 1 is the token, after skipped blanks and
+#: a comment (which runs to the newline).  The engine never backtracks into
+#: the skipped prefix: every position after it matches a token, a newline,
+#: one stray character, or the end.  Alternatives are ordered by frequency.
+TOKEN_PATTERN = re.compile(
+    r"""
+    [ \t\r]* (?: //[^\n]* )?
+    (   [()\[\]{};,+*/^] | -> | -
+    |   [^\W\d] \w*
+    |   (?: \d+ \.? \d* | \.\d+ ) (?: [eE] [+-]? \d* )?
+    |   \n
+    |   "[^"\n]*"
+    |   ==
+    |   .
+    |   \Z
+    )
+    """,
+    re.VERBOSE,
+)
 
 
 @dataclass(frozen=True)
@@ -76,103 +99,100 @@ class Token:
         return f"{self.type.name}({self.value!r})@{self.line}:{self.column}"
 
 
+def token_kind(text: str) -> TokenType | None:
+    """The kind of the scanned token ``text``; ``None`` for a lexical error."""
+    kind = _FIXED_KINDS.get(text)
+    if kind is not None:
+        return kind
+    first = text[0]
+    if first.isdecimal() or (first == "." and len(text) > 1):
+        return TokenType.INT if text.isdecimal() else TokenType.REAL
+    if first.isalpha() or first == "_":
+        return TokenType.KEYWORD if text in KEYWORDS else TokenType.ID
+    if first == '"' and len(text) > 1:
+        return TokenType.STRING
+    return None
+
+
+def token_value(text: str) -> str:
+    """The value of the scanned token ``text`` (a string literal loses its quotes)."""
+    return text[1:-1] if text[:1] == '"' and len(text) > 1 else text
+
+
+def _lexical_error(text: str) -> str:
+    if text == "=":
+        return "single '=' is not valid OpenQASM; did you mean '=='?"
+    if text == '"':
+        return "unterminated string literal"
+    return f"unexpected character {text[0]!r}"
+
+
+def _column(match: re.Match) -> int:
+    """1-based column of a :data:`TOKEN_PATTERN` match's token."""
+    if match.group(1):
+        return match.start(1) + 1
+    # End of source: a trailing comment does not advance the column.
+    comment = match.group().find("//")
+    return match.start() + 1 + (comment if comment >= 0 else len(match.group()))
+
+
+def scan(source: str) -> tuple[list[str], list[int], dict[str, TokenType | None]]:
+    """Scan ``source`` once.
+
+    Returns the token strings without newlines, up to the end-of-source
+    token ``""`` (repeated when the source ends in blanks or a comment); the
+    index of the first token of each line after the first; and the kind of
+    every distinct token string.  Raises :class:`QasmError` at the first
+    lexical error.
+    """
+    raw = TOKEN_PATTERN.findall(source)
+    tokens: list[str] = []
+    line_starts: list[int] = []
+    begin = 0
+    for _ in range(raw.count("\n")):
+        end = raw.index("\n", begin)
+        tokens += raw[begin:end]
+        line_starts.append(len(tokens))
+        begin = end + 1
+    tokens += raw[begin:]
+    kinds = {text: token_kind(text) for text in set(tokens)}
+    if None in kinds.values():
+        index = min(tokens.index(text) for text, kind in kinds.items() if kind is None)
+        line, column = locate(source, line_starts, index)
+        raise QasmError(_lexical_error(tokens[index]), line=line, column=column)
+    return tokens, line_starts, kinds
+
+
+def locate(source: str, line_starts: list[int], index: int) -> tuple[int, int]:
+    """Line and column of token ``index`` of :func:`scan`'s token list."""
+    line = bisect_right(line_starts, index) + 1
+    position = index - (line_starts[line - 2] if line > 1 else 0)
+    matches = TOKEN_PATTERN.finditer(source.split("\n")[line - 1])
+    return line, _column(next(islice(matches, position, None)))
+
+
 def tokenize(source: str) -> list[Token]:
     """Tokenize OpenQASM 2.0 ``source`` into a list ending with an EOF token."""
+    raw = TOKEN_PATTERN.findall(source)
+    kinds = {text: token_kind(text) for text in set(raw)}
     tokens: list[Token] = []
     line = 1
-    column = 1
-    i = 0
-    n = len(source)
-
-    def error(message: str) -> QasmError:
-        return QasmError(message, line=line, column=column)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    line_start = position = 0
+    for text in raw:
+        kind = kinds[text]
+        if kind is _NEWLINE:
             line += 1
-            column = 1
-            i += 1
+            line_start = position = source.find(text, position) + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_column = column
-        if ch == "-":
-            if i + 1 < n and source[i + 1] == ">":
-                tokens.append(Token(TokenType.ARROW, "->", line, start_column))
-                i += 2
-                column += 2
-                continue
-            tokens.append(Token(TokenType.MINUS, "-", line, start_column))
-            i += 1
-            column += 1
-            continue
-        if ch == "=":
-            if i + 1 < n and source[i + 1] == "=":
-                tokens.append(Token(TokenType.EQUALS, "==", line, start_column))
-                i += 2
-                column += 2
-                continue
-            raise error("single '=' is not valid OpenQASM; did you mean '=='?")
-        if ch in _SINGLE_CHAR_TOKENS:
-            tokens.append(Token(_SINGLE_CHAR_TOKENS[ch], ch, line, start_column))
-            i += 1
-            column += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise error("unterminated string literal")
-                j += 1
-            if j >= n:
-                raise error("unterminated string literal")
-            value = source[i + 1 : j]
-            tokens.append(Token(TokenType.STRING, value, line, start_column))
-            column += j - i + 1
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            seen_exp = False
-            while j < n:
-                c = source[j]
-                if c.isdigit():
-                    j += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif c in "eE" and not seen_exp and j > i:
-                    seen_exp = True
-                    j += 1
-                    if j < n and source[j] in "+-":
-                        j += 1
-                else:
-                    break
-            value = source[i:j]
-            token_type = TokenType.REAL if (seen_dot or seen_exp) else TokenType.INT
-            tokens.append(Token(token_type, value, line, start_column))
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            value = source[i:j]
-            token_type = TokenType.KEYWORD if value in KEYWORDS else TokenType.ID
-            tokens.append(Token(token_type, value, line, start_column))
-            column += j - i
-            i = j
-            continue
-        raise error(f"unexpected character {ch!r}")
-
-    tokens.append(Token(TokenType.EOF, "", line, column))
+        if kind is None or kind is _EOF:
+            break
+        # Only blanks separate a token from the one before it on its line,
+        # so it starts at the next occurrence of its text.
+        start = source.find(text, position)
+        tokens.append(Token(kind, text[1:-1] if kind is _STRING else text, line, start - line_start + 1))
+        position = start + len(text)
+    column = _column(TOKEN_PATTERN.search(source, position)) - line_start
+    if kind is None:
+        raise QasmError(_lexical_error(text), line=line, column=column)
+    tokens.append(Token(_EOF, "", line, column))
     return tokens

@@ -8,7 +8,10 @@
   (:mod:`oracle.kl`);
 * :func:`reference_dag_fields` / :func:`reference_comm_graph` — the
   set-and-sort, Kahn-order CNOT DAG and the per-gate communication graph
-  (:mod:`oracle.dag`).
+  (:mod:`oracle.dag`);
+* :func:`reference_tokenize` / :func:`reference_parse` /
+  :func:`reference_loads` — the character-loop lexer, token-object parser
+  and AST walker of the OpenQASM front end (:mod:`oracle.qasm`).
 
 Import as ``from oracle import ...``; ``tests/`` is on ``sys.path`` under
 pytest, and ``benchmarks/conftest.py`` adds it for the benchmark harness.
@@ -19,6 +22,8 @@ from .dijkstra import OracleRouter, find_path
 from .engine import ReferenceReadyQueue, reference_compile, reference_engine
 from .kl import kernighan_lin_bisection as reference_kl
 from .kl import reference_placement
+from .qasm import reference_loads, reference_parse
+from .qasm import tokenize as reference_tokenize
 
 __all__ = [
     "OracleRouter",
@@ -29,5 +34,8 @@ __all__ = [
     "reference_dag_fields",
     "reference_engine",
     "reference_kl",
+    "reference_loads",
+    "reference_parse",
     "reference_placement",
+    "reference_tokenize",
 ]

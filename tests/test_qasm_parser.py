@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.circuits import qasm
 from repro.circuits.qasm import ast
 from repro.circuits.qasm.parser import parse_program
 from repro.errors import QasmError
@@ -97,3 +98,28 @@ def test_unbound_identifier_evaluation_raises():
     call = [s for s in program.statements if isinstance(s, ast.GateCall)][0]
     with pytest.raises(QasmError):
         call.params[0].evaluate({})
+
+
+@pytest.mark.parametrize(
+    ("body", "line"),
+    [
+        ("qreg q[\u00b2];\n", 3),
+        ("qreg q[2];\ncx q[0], q[\u00b9];\n", 4),
+        ("qreg q[1];\nrz(\u00b2) q[0];\n", 4),
+        ("qreg q[1];\nrz(1e) q[0];\n", 4),
+        ("qreg q[1];\nrz(sqrt(-1)) q[0];\n", 4),
+        ("qreg q[1];\nrz(ln(0)) q[0];\n", 4),
+        ("qreg q[1];\nrz(10^400) q[0];\n", 4),
+        ("qreg q[2];\ngate g a,b { g a,b; }\ng q[0],q[1];\n", 5),
+        ("qreg q[1];\nrz(" + "(" * 3000 + "1" + ")" * 3000 + ") q[0];\n", 4),
+    ],
+    ids=[
+        "superscript-size", "superscript-index", "superscript-param", "bare-exponent",
+        "sqrt-domain", "ln-domain", "overflow", "recursive-gate", "deep-parentheses",
+    ],
+)
+def test_malformed_input_raises_qasm_error_with_line(body, line):
+    """Inputs that once escaped as ValueError / OverflowError / RecursionError."""
+    with pytest.raises(QasmError) as excinfo:
+        qasm.loads(HEADER + body)
+    assert excinfo.value.line == line

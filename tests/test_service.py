@@ -201,6 +201,17 @@ def test_malformed_request_is_400_with_field_errors(daemon):
     assert {"method", "engine"} <= fields
 
 
+def test_malformed_inline_qasm_is_400_naming_the_qasm_field(daemon):
+    """A QASM body the front end rejects is the client's error, not a 500."""
+    with pytest.raises(ServiceError) as excinfo:
+        daemon.compile(qasm='OPENQASM 2.0;\nqreg q[\u00b2];\n', name="bad")
+    err = excinfo.value
+    assert err.status == 400
+    assert err.payload["error"] == "schema_error"
+    assert [e["field"] for e in err.payload["errors"]] == ["qasm"]
+    assert "(line 2, column 8)" in err.payload["errors"][0]["message"]
+
+
 def test_unparseable_body_and_unknown_paths(daemon):
     import urllib.error
     import urllib.request
