@@ -274,6 +274,8 @@ def test_garbage_text_agrees(source):
         "\n\nqreg q[0];",
         "qreg q[2];\nh q[2];\nh r;\n",
         "qreg q[2];\ncx q[0];\n",
+        "qreg q[" + "9" * 5000 + "];\n",
+        "qreg q[1];\nh q[" + "1" * 5000 + "];\n",
         "qreg q[3];\ngate g a { cx a; }\ng q[0];\n",
     ],
 )
