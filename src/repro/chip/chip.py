@@ -20,10 +20,20 @@ A chip may instead carry an explicit :class:`~repro.chip.tile_graph.TileGraph`
 (heavy-hex, degree-3, sparse layouts — see :mod:`repro.chip.tile_graph`).
 Graph chips address tile slot ``i`` as ``TileSlot(i, 0)`` — ``tile_rows`` is
 the node count and ``tile_cols`` is 1 — and replace the corridor vectors with
-per-edge bandwidths: segments are keyed ``("e", a, b)``, distances are BFS
-hops (:meth:`Chip.slot_distance`), and bandwidth adjusting redistributes lanes
-per edge under per-node width budgets (:meth:`Chip.with_edge_bandwidths`).
-Square chips keep the paper's corridor representation unchanged.
+per-edge bandwidths: segments are keyed ``("e", a, b)`` with ``a < b``,
+distances are BFS hops (:meth:`Chip.slot_distance`), and bandwidth adjusting
+redistributes lanes per edge under per-node width budgets
+(:meth:`Chip.with_edge_bandwidths`).  Square chips keep the paper's corridor
+representation unchanged.
+
+Wiring
+------
+Which junctions a segment joins, its corridor and lanes, and which junctions
+a tile reaches are answered only by the chip's wiring section
+(:meth:`Chip.segment_keys`, :meth:`Chip.segment`, :meth:`Chip.junctions`,
+:meth:`Chip.tile_access`), the one place that tells square from tile-graph
+wiring.  Answers are computed from the chip's fields on demand, so building a
+chip costs what its description costs, however large the tile array.
 
 Placement does not fork on the two: it runs over a *slot domain* —
 :func:`~repro.partition.placement.grid_domain` for a window of the square
@@ -43,6 +53,12 @@ from repro.chip.defects import NO_DEFECTS, DefectSpec, SegmentKey
 from repro.chip.geometry import SurfaceCodeModel
 from repro.chip.tile_graph import TileGraph
 from repro.errors import ChipError
+
+#: ``("j", row, col)`` corridor junction (the routing graph's junction node).
+Junction = tuple[str, int, int]
+#: A corridor: ``("h", r)`` / ``("v", c)`` on square chips, ``("e", index)``
+#: per tile-graph edge on graph chips.
+Corridor = tuple[str, int]
 
 
 @dataclass(frozen=True)
@@ -82,6 +98,7 @@ class Chip:
     tile_graph: TileGraph | None = None
 
     def __post_init__(self) -> None:
+        geometry.check_distance(self.code_distance)
         if self.tile_graph is not None:
             if self.tile_rows != self.tile_graph.num_nodes or self.tile_cols != 1:
                 raise ChipError(
@@ -93,21 +110,31 @@ class Chip:
                     "graph chip carries bandwidths on its tile-graph edges; "
                     "corridor vectors must be empty"
                 )
-            self.defects.validate_for_graph(self.tile_graph)
-            return
-        if self.tile_rows < 1 or self.tile_cols < 1:
-            raise ChipError("chip needs at least a 1x1 tile array")
-        if len(self.h_bandwidths) != self.tile_rows + 1:
-            raise ChipError(
-                f"expected {self.tile_rows + 1} horizontal corridors, got {len(self.h_bandwidths)}"
-            )
-        if len(self.v_bandwidths) != self.tile_cols + 1:
-            raise ChipError(
-                f"expected {self.tile_cols + 1} vertical corridors, got {len(self.v_bandwidths)}"
-            )
-        if any(b < 1 for b in self.h_bandwidths + self.v_bandwidths):
-            raise ChipError("every corridor must have bandwidth at least 1")
-        self.defects.validate_for(self.tile_rows, self.tile_cols)
+        else:
+            if self.tile_rows < 1 or self.tile_cols < 1:
+                raise ChipError("chip needs at least a 1x1 tile array")
+            if len(self.h_bandwidths) != self.tile_rows + 1:
+                raise ChipError(
+                    f"expected {self.tile_rows + 1} horizontal corridors, "
+                    f"got {len(self.h_bandwidths)}"
+                )
+            if len(self.v_bandwidths) != self.tile_cols + 1:
+                raise ChipError(
+                    f"expected {self.tile_cols + 1} vertical corridors, "
+                    f"got {len(self.v_bandwidths)}"
+                )
+            if any(b < 1 for b in self.h_bandwidths + self.v_bandwidths):
+                raise ChipError("every corridor must have bandwidth at least 1")
+            tiles_per_side = max(self.tile_rows, self.tile_cols)
+            geometry.check_side(self.model, self.code_distance, tiles_per_side, self.side)
+        for row, col in self.defects.dead_tiles:
+            if not self.contains_slot(TileSlot(row, col)):
+                raise ChipError(
+                    f"dead tile ({row}, {col}) outside the tile slots "
+                    f"(0..{self.tile_rows - 1}, 0..{self.tile_cols - 1})"
+                )
+        for key in (*self.defects.disabled_segments, *self.defects.override_map()):
+            self.segment(key)  # raises ChipError naming a key the chip lacks
 
     # ------------------------------------------------------------- factories
     @classmethod
@@ -228,19 +255,17 @@ class Chip:
         """Number of logical tile positions on the chip."""
         return self.tile_rows * self.tile_cols
 
-    @property
+    @functools.cached_property
     def bandwidth(self) -> int:
         """The chip bandwidth: the minimum capacity over all enabled corridor segments.
 
         On a pristine chip this is the minimum corridor bandwidth of the
         paper; with defects, per-segment overrides lower it and disabled
         segments are excluded (a fully disconnected corridor grid reports 0).
+        Computed once per chip: the double-defect scheduler reads it on every
+        cut decision.
         """
-        if self.tile_graph is None and self.defects.is_empty:
-            return min(min(self.h_bandwidths), min(self.v_bandwidths))
-        capacities = [
-            capacity for _key, capacity in self.corridor_segments() if capacity > 0
-        ]
+        capacities = [lanes for _key, lanes in self.corridor_segments() if lanes > 0]
         return min(capacities) if capacities else 0
 
     @property
@@ -288,47 +313,75 @@ class Chip:
         return self.num_tile_slots - len(self.defects.dead_tiles)
 
     def segment_capacity(self, key: SegmentKey) -> int:
-        """Effective lane count of one corridor segment (0 when disabled).
-
-        The nominal capacity is the corridor's bandwidth; per-segment
-        overrides and disabled segments from :attr:`defects` take precedence.
-        Overrides model *degraded* hardware, so they are clamped to the
-        nominal bandwidth — a spec cannot grant a segment phantom lanes the
-        physical corridor does not have.
-        """
-        kind, r, c = key
-        if key in self.defects.disabled_set():
-            return 0
-        if kind == "e":
-            index = self.tile_graph.edge_index(r, c) if self.tile_graph is not None else None
-            if index is None:
-                raise ChipError(f"chip has no tile-graph edge ({r}, {c})")
-            nominal = self.tile_graph.bandwidths[index]
-        else:
-            nominal = self.h_bandwidths[r] if kind == "h" else self.v_bandwidths[c]
-        override = self.defects.override_for(key)
-        if override is not None:
-            return min(override, nominal)
-        return nominal
+        """Effective lane count of one corridor segment (0 when disabled)."""
+        return self.segment(key)[3]
 
     def corridor_segments(self) -> list[tuple[SegmentKey, int]]:
-        """Every corridor segment with its effective capacity (including 0).
+        """Every corridor segment with its effective capacity (including 0)."""
+        return [(key, self.segment(key)[3]) for key in self.segment_keys()]
 
-        On graph chips a segment is a tile-graph edge, keyed ``("e", a, b)``
-        in the graph's canonical edge order.
-        """
+    # ----------------------------------------------------------------- wiring
+    def segment_keys(self) -> list[SegmentKey]:
+        """Every corridor segment key: ``"h"`` then ``"v"`` keys row-major on a
+        square chip, one ``("e", a, b)`` per tile-graph edge on a graph chip."""
         if self.tile_graph is not None:
-            return [
-                (("e", a, b), self.segment_capacity(("e", a, b)))
-                for a, b in self.tile_graph.edges
-            ]
-        return [
-            (key, self.segment_capacity(key))
-            for key in (
-                [("h", r, c) for r in range(self.tile_rows + 1) for c in range(self.tile_cols)]
-                + [("v", r, c) for r in range(self.tile_rows) for c in range(self.tile_cols + 1)]
-            )
+            return [("e", a, b) for a, b in self.tile_graph.edges]
+        rows, cols = self.tile_rows, self.tile_cols
+        return [("h", r, c) for r in range(rows + 1) for c in range(cols)] + [
+            ("v", r, c) for r in range(rows) for c in range(cols + 1)
         ]
+
+    def segment(self, key: SegmentKey) -> tuple[Junction, Junction, Corridor, int]:
+        """``(junction_a, junction_b, corridor, lanes)`` of one corridor segment.
+
+        ``("h", r, c)`` joins junctions ``(r, c)``–``(r, c + 1)`` of corridor
+        ``("h", r)``; ``("v", r, c)`` joins ``(r, c)``–``(r + 1, c)`` of
+        ``("v", c)``; ``("e", a, b)``, in either order, joins ``(a, 0)``–``(b, 0)``
+        of ``("e", edge index)``.  ``lanes`` is the corridor's bandwidth after
+        :attr:`defects`: 0 when disabled, else at most an override (overrides
+        model degraded hardware and cannot add lanes).  Raises
+        :class:`ChipError` naming ``key`` when the chip has no such segment.
+        """
+        kind, a, b = key
+        graph = self.tile_graph
+        if graph is not None:
+            index = graph.edge_index(a, b) if kind == "e" else None
+            if index is None:
+                raise ChipError(
+                    f"tile graph has no edge for corridor segment {key!r} "
+                    "(graph chips address segments as ('e', a, b))"
+                )
+            a, b = graph.edges[index]
+            key, ends = ("e", a, b), (("j", a, 0), ("j", b, 0))
+            corridor, lanes = ("e", index), graph.bandwidths[index]
+        elif kind == "h" and 0 <= a <= self.tile_rows and 0 <= b < self.tile_cols:
+            ends = (("j", a, b), ("j", a, b + 1))
+            corridor, lanes = ("h", a), self.h_bandwidths[a]
+        elif kind == "v" and 0 <= a < self.tile_rows and 0 <= b <= self.tile_cols:
+            ends = (("j", a, b), ("j", a + 1, b))
+            corridor, lanes = ("v", b), self.v_bandwidths[b]
+        else:
+            rows, cols = self.tile_rows, self.tile_cols
+            raise ChipError(
+                f"corridor segment {key!r} is not on the {rows}x{cols} tile array (kind 'h': "
+                f"0 <= r <= {rows}, 0 <= c < {cols}; kind 'v': 0 <= r < {rows}, 0 <= c <= {cols})"
+            )
+        override = 0 if key in self.defects.disabled_set() else self.defects.override_for(key)
+        return (*ends, corridor, lanes if override is None else min(override, lanes))
+
+    def junctions(self) -> list[Junction]:
+        """Every corridor junction, row-major: one per corridor crossing on a
+        square chip, one ``(i, 0)`` per tile-graph node on a graph chip."""
+        if self.tile_graph is not None:
+            return [("j", i, 0) for i in range(self.tile_rows)]
+        return [("j", r, c) for r in range(self.tile_rows + 1) for c in range(self.tile_cols + 1)]
+
+    def tile_access(self, row: int, col: int) -> tuple[Junction, ...]:
+        """The junctions tile slot ``(row, col)`` reaches: its four corners on a
+        square chip, its own junction on a graph chip."""
+        if self.tile_graph is not None:
+            return (("j", row, 0),)
+        return (("j", row, col), ("j", row, col + 1), ("j", row + 1, col), ("j", row + 1, col + 1))
 
     # ------------------------------------------------------ bandwidth adjusting
     def lane_budget_per_axis(self) -> tuple[int, int]:
@@ -433,26 +486,19 @@ def _graph_hop_distances(chip: Chip) -> tuple[tuple[int, ...], ...]:
 
     Runs one BFS per tile slot over the defect-adjusted routing graph using
     :meth:`~repro.chip.graph_arrays.CompactRoutingGraph.hop_distances_from`
-    seeded at each slot's junction — on graph chips a slot's junction hop
-    distance is exactly the tile-graph hop distance.  Dead or unreachable
-    slots report :data:`UNREACHABLE_DISTANCE`.
+    seeded at the slot's access junction (:meth:`Chip.tile_access`, one per
+    tile on graph chips) — there a slot's junction hop distance is exactly
+    the tile-graph hop distance.  Unreachable slots report
+    :data:`UNREACHABLE_DISTANCE`.
     """
     from repro.chip.graph_arrays import CompactRoutingGraph
     from repro.chip.routing_graph import RoutingGraph
 
     compact = CompactRoutingGraph(RoutingGraph(chip))
-    n = chip.tile_rows
+    slots = range(chip.tile_rows)
+    ids = [compact.node_id[access] for slot in slots for access in chip.tile_access(slot, 0)]
     rows: list[tuple[int, ...]] = []
-    for source in range(n):
-        source_id = compact.node_id.get(("j", source, 0))
-        if source_id is None:
-            rows.append(tuple([UNREACHABLE_DISTANCE] * n))
-            continue
+    for source_id in ids:
         table = compact.hop_distances_from(source_id)
-        row = []
-        for target in range(n):
-            target_id = compact.node_id.get(("j", target, 0))
-            hops = table[target_id] if target_id is not None else -1
-            row.append(hops if hops >= 0 else UNREACHABLE_DISTANCE)
-        rows.append(tuple(row))
+        rows.append(tuple(table[t] if table[t] >= 0 else UNREACHABLE_DISTANCE for t in ids))
     return tuple(rows)

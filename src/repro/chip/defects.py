@@ -24,12 +24,16 @@ Corridor segments are addressed as ``(kind, index, offset)``:
   ``0 <= c < tile_cols``;
 * ``("v", r, c)`` — the segment of vertical corridor ``c`` between junctions
   ``(r, c)`` and ``(r + 1, c)``, with ``0 <= r < tile_rows`` and
-  ``0 <= c <= tile_cols``.
+  ``0 <= c <= tile_cols``;
+* ``("e", a, b)`` — on graph chips (:attr:`~repro.chip.chip.Chip.tile_graph`
+  set), the tile-graph edge between nodes ``a`` and ``b``.  An edge has no
+  direction, so a spec stores its key canonically with ``a < b``: ``("e", 9,
+  0)`` and ``("e", 0, 9)`` name the same segment and give equal specs.
 
-Graph chips (:attr:`~repro.chip.chip.Chip.tile_graph` set) instead address
-segments as ``("e", a, b)`` — the tile-graph edge between nodes ``a < b`` —
-and dead tiles as ``(node, 0)``.  The two families never mix: ``"e"`` keys
-are invalid on square chips and ``"h"``/``"v"`` keys on graph chips.
+Graph chips address dead tiles as ``(node, 0)``.  A spec is plain data; the
+chip it is attached to checks every key against its own wiring
+(:meth:`~repro.chip.chip.Chip.segment`), so ``"e"`` keys are rejected on
+square chips and ``"h"``/``"v"`` keys on graph chips, by name.
 """
 
 from __future__ import annotations
@@ -43,17 +47,10 @@ from repro.errors import ChipError
 SegmentKey = tuple[str, int, int]
 
 
-def segment_endpoints(key: SegmentKey) -> tuple[tuple[str, int, int], tuple[str, int, int]]:
-    """The two junction nodes a corridor segment connects."""
-    kind, r, c = key
-    if kind == "h":
-        return ("j", r, c), ("j", r, c + 1)
-    if kind == "v":
-        return ("j", r, c), ("j", r + 1, c)
-    if kind == "e":
-        # Tile-graph edge between nodes r and c: one junction per node.
-        return ("j", r, 0), ("j", c, 0)
-    raise ChipError(f"unknown corridor segment kind {kind!r}")
+def _canonical_key(kind, a, b) -> SegmentKey:
+    """One spelling per segment: tile-graph edge keys put the smaller node first."""
+    kind, a, b = str(kind), int(a), int(b)
+    return (kind, b, a) if kind == "e" and a > b else (kind, a, b)
 
 
 @dataclass(frozen=True)
@@ -68,8 +65,9 @@ class DefectSpec:
     ``disabled_segments``; overrides model degraded hardware, so values
     above the nominal bandwidth are clamped down to it by the chip).
 
-    All collections are canonicalised (sorted, deduplicated) so two specs
-    describing the same defects compare and hash equal.
+    All collections are canonicalised (sorted, deduplicated, tile-graph edge
+    keys written ``("e", a, b)`` with ``a < b``) so two specs describing the
+    same defects compare and hash equal.
     """
 
     dead_tiles: tuple[tuple[int, int], ...] = ()
@@ -83,15 +81,14 @@ class DefectSpec:
         object.__setattr__(
             self,
             "disabled_segments",
-            tuple(sorted({(str(k), int(r), int(c)) for k, r, c in self.disabled_segments})),
+            tuple(sorted({_canonical_key(*key) for key in self.disabled_segments})),
         )
         overrides: dict[SegmentKey, int] = {}
         for key, capacity in self.bandwidth_overrides:
-            kind, r, c = key
             capacity = int(capacity)
             if capacity < 0:
                 raise ChipError(f"bandwidth override for segment {key} must be >= 0, got {capacity}")
-            overrides[(str(kind), int(r), int(c))] = capacity
+            overrides[_canonical_key(*key)] = capacity
         object.__setattr__(self, "bandwidth_overrides", tuple(sorted(overrides.items())))
         # Derived views, cached once: these are queried per-slot / per-segment
         # in hot loops (placement validation, routing-graph construction).
@@ -131,51 +128,6 @@ class DefectSpec:
             f"{len(self.disabled_set())} disabled segments, "
             f"{len(self.bandwidth_overrides)} overrides"
         )
-
-    # ------------------------------------------------------------- validation
-    def validate_for(self, tile_rows: int, tile_cols: int) -> None:
-        """Raise :class:`ChipError` when any defect lies outside the tile array."""
-        for row, col in self.dead_tiles:
-            if not (0 <= row < tile_rows and 0 <= col < tile_cols):
-                raise ChipError(
-                    f"dead tile ({row}, {col}) outside the {tile_rows}x{tile_cols} tile array"
-                )
-        keys = list(self.disabled_segments) + [key for key, _ in self.bandwidth_overrides]
-        for kind, r, c in keys:
-            if kind == "h":
-                valid = 0 <= r <= tile_rows and 0 <= c < tile_cols
-            elif kind == "v":
-                valid = 0 <= r < tile_rows and 0 <= c <= tile_cols
-            else:
-                raise ChipError(f"unknown corridor segment kind {kind!r}")
-            if not valid:
-                raise ChipError(
-                    f"corridor segment ({kind!r}, {r}, {c}) outside the "
-                    f"{tile_rows}x{tile_cols} tile array"
-                )
-
-    def validate_for_graph(self, graph) -> None:
-        """Raise :class:`ChipError` when any defect lies outside a tile graph.
-
-        Graph chips address dead tiles as ``(node, 0)`` and segments as
-        ``("e", a, b)`` tile-graph edges; anything else is rejected by name.
-        """
-        n = graph.num_nodes
-        for row, col in self.dead_tiles:
-            if col != 0 or not (0 <= row < n):
-                raise ChipError(
-                    f"dead tile ({row}, {col}) outside the {n}-node tile graph "
-                    "(graph chips address tiles as (node, 0))"
-                )
-        keys = list(self.disabled_segments) + [key for key, _ in self.bandwidth_overrides]
-        for kind, a, b in keys:
-            if kind != "e":
-                raise ChipError(
-                    f"corridor segment ({kind!r}, {a}, {b}) is not a tile-graph "
-                    "edge key (graph chips address segments as ('e', a, b))"
-                )
-            if graph.edge_index(a, b) is None:
-                raise ChipError(f"tile graph has no edge ({a}, {b}) to degrade")
 
     # ------------------------------------------------------------ persistence
     def key(self) -> list:
@@ -217,11 +169,12 @@ def chip_is_routable(chip) -> bool:
     A path's interior consists solely of junctions, each needing at least one
     enabled incident segment (zero-through-capacity junctions cannot be
     crossed), and tiles are endpoints only — so tile-to-tile routability is
-    *not* transitive: one tile's corners may touch two mutually disconnected
-    junction components.  The check therefore computes the connected
-    components of the usable-junction subgraph (corridor edges between
-    junctions of capacity >= 1) and requires every pair of alive tiles to
-    share at least one component among their corner junctions, which is
+    *not* transitive: one tile's access junctions may touch two mutually
+    disconnected junction components.  The check therefore computes the
+    connected components of the usable-junction subgraph (corridor edges
+    between junctions of capacity >= 1) and requires every pair of alive
+    tiles to share at least one component among their access junctions
+    (:meth:`~repro.chip.chip.Chip.tile_access`), which is
     exactly the feasibility condition of
     :meth:`repro.routing.fast_router.FastRouter.find` on an empty usage state.
     """
@@ -249,12 +202,12 @@ def chip_is_routable(chip) -> bool:
                     continue
                 component[neighbor] = start
                 queue.append(neighbor)
-    # Each tile can start a path into any component its corners touch.
+    # Each tile can start a path into any component its access junctions touch.
     reach = [
         {component[j] for j in graph.neighbors(tile) if j in component} for tile in tiles
     ]
     if any(not r for r in reach):
-        return False  # a tile with no usable corner junction routes nowhere
+        return False  # a tile with no usable access junction routes nowhere
     return all(a & b for i, a in enumerate(reach) for b in reach[i + 1 :])
 
 

@@ -49,7 +49,7 @@ DD_LANE_FACTOR = 2.5
 
 def tile_side(model: SurfaceCodeModel, code_distance: int) -> int:
     """Physical-qubit side length of one tile *core* (the logical patch itself)."""
-    _check_distance(code_distance)
+    check_distance(code_distance)
     if model is SurfaceCodeModel.DOUBLE_DEFECT:
         return int(math.ceil(DD_TILE_CORE_FACTOR * code_distance))
     return int(math.ceil(math.sqrt(2.0) * code_distance))
@@ -60,7 +60,7 @@ def tile_block_side(model: SurfaceCodeModel, code_distance: int) -> int:
 
     The minimum viable chip packs one block per logical qubit.
     """
-    _check_distance(code_distance)
+    check_distance(code_distance)
     if model is SurfaceCodeModel.DOUBLE_DEFECT:
         return int(math.ceil(DD_TILE_BLOCK_FACTOR * code_distance))
     # Lattice surgery: one data tile plus one ancilla-channel tile per block
@@ -70,7 +70,7 @@ def tile_block_side(model: SurfaceCodeModel, code_distance: int) -> int:
 
 def lane_width(model: SurfaceCodeModel, code_distance: int) -> float:
     """Channel width consumed by one communication lane."""
-    _check_distance(code_distance)
+    check_distance(code_distance)
     if model is SurfaceCodeModel.DOUBLE_DEFECT:
         return DD_LANE_FACTOR * code_distance
     return float(tile_side(model, code_distance))
@@ -120,16 +120,20 @@ def corridor_widths(
     """
     if tiles_per_side <= 0:
         raise ChipError("a chip needs at least one tile per side")
-    core = tile_side(model, code_distance)
-    occupied = tiles_per_side * core
-    if side < occupied:
-        raise ChipError(
-            f"chip side {side} cannot hold {tiles_per_side} tiles of core width {core}"
-        )
-    free = side - occupied
+    free = side - check_side(model, code_distance, tiles_per_side, side)
     corridors = tiles_per_side + 1
     base = free / corridors
     return [base] * corridors
+
+
+def check_side(model: SurfaceCodeModel, code_distance: int, tiles_per_side: int, side: int) -> int:
+    """Width the tile cores of one side occupy; raises when ``side`` is narrower."""
+    core = tile_side(model, code_distance)
+    if side < tiles_per_side * core:
+        raise ChipError(
+            f"chip side {side} cannot hold {tiles_per_side} tiles of core width {core}"
+        )
+    return tiles_per_side * core
 
 
 def total_lane_budget(
@@ -255,7 +259,8 @@ def axis_budget(
     return ChipBudget(model, code_distance, tiles_per_side + 1, total)
 
 
-def _check_distance(code_distance: int) -> None:
+def check_distance(code_distance: int) -> None:
+    """Raise :class:`ChipError` unless ``code_distance`` is at least one."""
     if code_distance < 1:
         raise ChipError(f"code distance must be positive, got {code_distance}")
 

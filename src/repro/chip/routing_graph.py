@@ -32,22 +32,24 @@ on the chip is honored everywhere without further plumbing.
 
 Graph chips
 -----------
-When the chip carries a :class:`~repro.chip.tile_graph.TileGraph`, the
-corridor grid is replaced by one junction ``("j", i, 0)`` per tile-graph
-node: corridor edges connect junctions along the tile-graph edges at their
-defect-adjusted capacities, and each alive tile ``("t", i, 0)`` attaches to
-its own junction only.  Everything downstream — canonical path search, the
-fast router's landmark tables, :class:`CompactRoutingGraph` — consumes the
-same node/edge/capacity interface and needs no topology awareness.
+The graph never asks whether the chip is square: the junctions, each
+segment's endpoints, corridor and effective lanes, and each tile's access
+junctions all come from the chip's wiring section (:meth:`Chip.junctions`,
+:meth:`Chip.segment`, :meth:`Chip.tile_access`).  On a graph chip that wiring
+is one junction ``("j", i, 0)`` per tile-graph node, one segment
+``("e", a, b)`` with ``a < b`` per tile-graph edge, and one access edge from
+each alive tile ``("t", i, 0)`` to its own junction.  Everything downstream —
+canonical path search, the fast router's landmark tables,
+:class:`CompactRoutingGraph` — consumes the same node/edge/capacity interface
+and needs no topology awareness.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.chip.chip import Chip, TileSlot
-from repro.chip.defects import segment_endpoints
-from repro.errors import ChipError, RoutingError
+from repro.chip.chip import Chip, Corridor, TileSlot
+from repro.errors import RoutingError
 
 #: Node type alias: ("j", row, col) for junctions, ("t", row, col) for tiles.
 Node = tuple[str, int, int]
@@ -88,75 +90,40 @@ class RoutingGraph:
         self._chip = chip
         self._adjacency: dict[Node, list[Node]] = {}
         self._capacity: dict[EdgeKey, int] = {}
+        self._corridor: dict[EdgeKey, Corridor | None] = {}
         self._junction_capacity: dict[Node, int] = {}
         self._build()
 
     # ----------------------------------------------------------- construction
     def _build(self) -> None:
         chip = self._chip
-        dead = chip.defects.dead_set()
-        if chip.tile_graph is not None:
-            self._build_from_tile_graph(dead)
-            return
-        for r in range(chip.tile_rows + 1):
-            for c in range(chip.tile_cols + 1):
-                self._adjacency.setdefault(junction(r, c), [])
-                self._junction_capacity[junction(r, c)] = 0
+        for node in chip.junctions():
+            self._adjacency[node] = []
+            self._junction_capacity[node] = 0
         # Corridor segments, at their defect-adjusted effective capacities.
         # Disabled segments (capacity 0) are omitted entirely; a junction's
         # through-capacity is the best lane count among its enabled segments,
-        # which reduces to max(bh[row], bv[col]) on a pristine chip.
-        for key, capacity in chip.corridor_segments():
-            if capacity < 1:
+        # which reduces to max(bh[row], bv[col]) on a pristine square chip.
+        for key in chip.segment_keys():
+            a, b, corridor, lanes = chip.segment(key)
+            if lanes < 1:
                 continue
-            (_, ra, ca), (_, rb, cb) = segment_endpoints(key)
-            a, b = junction(ra, ca), junction(rb, cb)
-            self._add_edge(a, b, capacity)
+            self._add_edge(a, b, lanes, corridor)
             for node in (a, b):
-                self._junction_capacity[node] = max(self._junction_capacity[node], capacity)
+                self._junction_capacity[node] = max(self._junction_capacity[node], lanes)
         # Tile access edges (dead tiles get no node and no edges).
-        for i in range(chip.tile_rows):
-            for j in range(chip.tile_cols):
-                if (i, j) in dead:
-                    continue
-                tile = tile_node(i, j)
-                self._adjacency.setdefault(tile, [])
-                for corner in (junction(i, j), junction(i, j + 1), junction(i + 1, j), junction(i + 1, j + 1)):
-                    self._add_edge(tile, corner, TILE_ACCESS_CAPACITY)
+        for slot in chip.alive_tile_slots():
+            tile = tile_node_for(slot)
+            self._adjacency[tile] = []
+            for access in chip.tile_access(slot.row, slot.col):
+                self._add_edge(tile, access, TILE_ACCESS_CAPACITY, None)
 
-    def _build_from_tile_graph(self, dead) -> None:
-        chip = self._chip
-        graph = chip.tile_graph
-        for i in range(graph.num_nodes):
-            self._adjacency.setdefault(junction(i, 0), [])
-            self._junction_capacity[junction(i, 0)] = 0
-        # Corridor edges along the tile-graph edges, defect-adjusted exactly
-        # like square corridor segments; a junction's through-capacity is the
-        # best lane count among its enabled incident edges.
-        for key, capacity in chip.corridor_segments():
-            if capacity < 1:
-                continue
-            a, b = segment_endpoints(key)
-            self._add_edge(a, b, capacity)
-            for node in (a, b):
-                self._junction_capacity[node] = max(self._junction_capacity[node], capacity)
-        # Each alive tile reaches the corridor network through its own junction.
-        for i in range(graph.num_nodes):
-            if (i, 0) in dead:
-                continue
-            tile = tile_node(i, 0)
-            self._adjacency.setdefault(tile, [])
-            self._add_edge(tile, junction(i, 0), TILE_ACCESS_CAPACITY)
-
-    def _add_edge(self, a: Node, b: Node, capacity: int) -> None:
-        if capacity < 1:
-            raise ChipError(f"edge {a}-{b} must have positive capacity")
+    def _add_edge(self, a: Node, b: Node, capacity: int, corridor: Corridor | None) -> None:
         key = edge_key(a, b)
-        if key in self._capacity:
-            return
         self._capacity[key] = capacity
-        self._adjacency.setdefault(a, []).append(b)
-        self._adjacency.setdefault(b, []).append(a)
+        self._corridor[key] = corridor
+        self._adjacency[a].append(b)
+        self._adjacency[b].append(a)
 
     # ---------------------------------------------------------------- queries
     @property
@@ -232,36 +199,21 @@ class RoutingGraph:
 
     def tile_nodes(self) -> tuple[Node, ...]:
         """All alive tile nodes in row-major order (dead tiles are not nodes)."""
-        dead = self._chip.defects.dead_set()
-        return tuple(
-            tile_node(i, j)
-            for i in range(self._chip.tile_rows)
-            for j in range(self._chip.tile_cols)
-            if (i, j) not in dead
-        )
+        return tuple(tile_node_for(slot) for slot in self._chip.alive_tile_slots())
 
-    def corridor_of(self, a: Node, b: Node) -> tuple[str, int] | None:
+    def corridor_of(self, a: Node, b: Node) -> Corridor | None:
         """Identify the corridor an edge belongs to.
 
-        Returns ``("h", r)`` for a segment of horizontal corridor ``r``,
-        ``("v", c)`` for a vertical corridor segment, and ``None`` for tile
-        access edges.  Graph chips return ``("e", index)`` with the tile-graph
-        edge index.  Used by bandwidth adjusting to attribute path load to
-        corridors.
+        Returns the corridor :meth:`Chip.segment` names — ``("h", r)`` for a
+        segment of horizontal corridor ``r``, ``("v", c)`` for a vertical
+        corridor segment, ``("e", index)`` for a tile-graph edge — and
+        ``None`` for tile access edges.  Used by bandwidth adjusting to
+        attribute path load to corridors.
         """
-        if self.is_tile(a) or self.is_tile(b):
-            return None
-        if self._chip.tile_graph is not None:
-            index = self._chip.tile_graph.edge_index(a[1], b[1])
-            if index is None:  # pragma: no cover - adjacency guarantees an edge
-                raise RoutingError(f"{a} and {b} are not adjacent junctions")
-            return ("e", index)
-        (_, ra, ca), (_, rb, cb) = a, b
-        if ra == rb:
-            return ("h", ra)
-        if ca == cb:
-            return ("v", ca)
-        raise RoutingError(f"{a} and {b} are not adjacent junctions")  # pragma: no cover
+        try:
+            return self._corridor[edge_key(a, b)]
+        except KeyError as exc:
+            raise RoutingError(f"no edge between {a} and {b}") from exc
 
     def path_edges(self, path: Iterable[Node]) -> list[EdgeKey]:
         """Edge keys traversed by a node path, validating adjacency."""

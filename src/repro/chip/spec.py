@@ -145,7 +145,7 @@ def _typed(payload: dict, field: str, fields: dict):
             )
         try:
             return int(value)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ChipError(
                 f"chip spec field {field!r} must be {description}, got {value!r}"
             ) from exc
@@ -160,7 +160,7 @@ def _int_list(payload: dict, field: str, fields: dict) -> tuple[int, ...]:
     values = _require(payload, field, fields)
     try:
         return tuple(int(b) for b in values)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ChipError(
             f"chip spec field {field!r} must be a list of integers: {exc}"
         ) from exc
@@ -188,7 +188,7 @@ def _defects(payload: dict, fields: dict) -> DefectSpec:
         return DefectSpec.from_dict(block)
     except ChipError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ChipError(f"chip spec field 'defects' is malformed: {exc}") from exc
 
 
@@ -221,19 +221,24 @@ def chip_from_dict(payload: dict) -> Chip:
     model = _model(payload, fields)
     code_distance = _require(payload, "code_distance", fields)
     defects = _defects(payload, fields)
-    if version == 1:
-        return Chip(
-            model=model,
-            code_distance=code_distance,
-            tile_rows=_require(payload, "tile_rows", fields),
-            tile_cols=_require(payload, "tile_cols", fields),
-            h_bandwidths=_int_list(payload, "h_bandwidths", fields),
-            v_bandwidths=_int_list(payload, "v_bandwidths", fields),
-            side=_require(payload, "side", fields),
-            defects=defects,
-        )
-    graph = TileGraph.from_dict(_require(payload, "geometry", fields))
-    chip = Chip.from_tile_graph(model, code_distance, graph, defects=defects)
+    try:
+        if version == 1:
+            return Chip(
+                model=model,
+                code_distance=code_distance,
+                tile_rows=_require(payload, "tile_rows", fields),
+                tile_cols=_require(payload, "tile_cols", fields),
+                h_bandwidths=_int_list(payload, "h_bandwidths", fields),
+                v_bandwidths=_int_list(payload, "v_bandwidths", fields),
+                side=_require(payload, "side", fields),
+                defects=defects,
+            )
+        graph = TileGraph.from_dict(_require(payload, "geometry", fields))
+        chip = Chip.from_tile_graph(model, code_distance, graph, defects=defects)
+    except OverflowError as exc:
+        # The physical accounting is floating point; a distance or width
+        # beyond float range cannot describe a chip.
+        raise ChipError(f"chip spec numbers are out of range: {exc}") from exc
     if "side" in payload:
         chip = replace(chip, side=_typed(payload, "side", fields))
     return chip

@@ -225,7 +225,7 @@ class TileGraph:
                 bandwidths=tuple(int(w) for _, _, w in edges),
                 node_budgets=tuple(int(b) for b in budgets) if budgets is not None else None,
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ChipError(f"malformed chip spec geometry: {exc}") from exc
 
     def describe(self) -> str:

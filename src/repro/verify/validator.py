@@ -30,9 +30,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.chip.defects import segment_endpoints
 from repro.chip.geometry import SurfaceCodeModel
-from repro.chip.routing_graph import RoutingGraph, tile_node_for
+from repro.chip.routing_graph import RoutingGraph, edge_key, tile_node_for
 from repro.circuits.circuit import Circuit
 from repro.core.cut_types import CutType
 from repro.core.schedule import EncodedCircuit, OperationKind, ScheduledOperation
@@ -200,8 +199,8 @@ def _check_defects(encoded: EncodedCircuit, error) -> None:
     dead = chip.defects.dead_set()
     disabled_edges = set()
     for key in chip.defects.disabled_set():
-        a, b = segment_endpoints(key)
-        disabled_edges.add((a, b) if a <= b else (b, a))
+        a, b, _corridor, _lanes = chip.segment(key)
+        disabled_edges.add(edge_key(a, b))
     placement = encoded.placement
     for op in encoded.operations:
         for qubit in op.qubits:
@@ -214,8 +213,7 @@ def _check_defects(encoded: EncodedCircuit, error) -> None:
         if op.path is None:
             continue
         for a, b in zip(op.path.nodes, op.path.nodes[1:]):
-            key = (a, b) if a <= b else (b, a)
-            if key in disabled_edges:
+            if edge_key(a, b) in disabled_edges:
                 error(
                     f"path of {op.kind.value} at cycle {op.start_cycle} crosses "
                     f"disabled corridor segment {a}-{b}"
