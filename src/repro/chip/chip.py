@@ -485,20 +485,19 @@ def _graph_hop_distances(chip: Chip) -> tuple[tuple[int, ...], ...]:
     """All-pairs tile hop distances for a graph chip (cached per chip value).
 
     Runs one BFS per tile slot over the defect-adjusted routing graph using
-    :meth:`~repro.chip.graph_arrays.CompactRoutingGraph.hop_distances_from`
+    :meth:`~repro.chip.routing_graph.RoutingGraph.hop_distances_from`
     seeded at the slot's access junction (:meth:`Chip.tile_access`, one per
     tile on graph chips) — there a slot's junction hop distance is exactly
     the tile-graph hop distance.  Unreachable slots report
     :data:`UNREACHABLE_DISTANCE`.
     """
-    from repro.chip.graph_arrays import CompactRoutingGraph
     from repro.chip.routing_graph import RoutingGraph
 
-    compact = CompactRoutingGraph(RoutingGraph(chip))
+    graph = RoutingGraph(chip)
     slots = range(chip.tile_rows)
-    ids = [compact.node_id[access] for slot in slots for access in chip.tile_access(slot, 0)]
+    ids = [graph.node_id[access] for slot in slots for access in chip.tile_access(slot, 0)]
     rows: list[tuple[int, ...]] = []
     for source_id in ids:
-        table = compact.hop_distances_from(source_id)
+        table = graph.hop_distances_from(source_id)
         rows.append(tuple(table[t] if table[t] >= 0 else UNREACHABLE_DISTANCE for t in ids))
     return tuple(rows)

@@ -178,33 +178,32 @@ def chip_is_routable(chip) -> bool:
     exactly the feasibility condition of
     :meth:`repro.routing.fast_router.FastRouter.find` on an empty usage state.
     """
-    from collections import deque
-
     from repro.chip.routing_graph import RoutingGraph
 
     graph = RoutingGraph(chip)
     tiles = graph.tile_nodes()
     if len(tiles) <= 1:
         return True
-    # Connected components of the usable-junction subgraph.
-    component: dict = {}
-    for start in graph.nodes:
-        if graph.is_tile(start) or graph.node_capacity(start) < 1 or start in component:
+    # Connected components of the usable-junction subgraph, over node ids:
+    # junctions come first, and a junction's row holds only junctions.
+    rows = graph.junction_adjacency
+    capacity = graph.through_capacity
+    num_junctions = len(graph.nodes) - len(tiles)
+    component = [-1] * num_junctions
+    for start in range(num_junctions):
+        if capacity[start] < 1 or component[start] >= 0:
             continue
         component[start] = start
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for neighbor in graph.neighbors(node):
-                if graph.is_tile(neighbor) or neighbor in component:
-                    continue
-                if graph.node_capacity(neighbor) < 1:
-                    continue
-                component[neighbor] = start
-                queue.append(neighbor)
+        stack = [start]
+        while stack:
+            for neighbor, _eid, _lanes in rows[stack.pop()]:
+                if component[neighbor] < 0 and capacity[neighbor] >= 1:
+                    component[neighbor] = start
+                    stack.append(neighbor)
     # Each tile can start a path into any component its access junctions touch.
     reach = [
-        {component[j] for j in graph.neighbors(tile) if j in component} for tile in tiles
+        {component[j] for j, _eid, _lanes in rows[tile] if component[j] >= 0}
+        for tile in range(num_junctions, len(graph.nodes))
     ]
     if any(not r for r in reach):
         return False  # a tile with no usable access junction routes nowhere

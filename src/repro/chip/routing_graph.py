@@ -39,9 +39,27 @@ junctions all come from the chip's wiring section (:meth:`Chip.junctions`,
 is one junction ``("j", i, 0)`` per tile-graph node, one segment
 ``("e", a, b)`` with ``a < b`` per tile-graph edge, and one access edge from
 each alive tile ``("t", i, 0)`` to its own junction.  Everything downstream —
-canonical path search, the fast router's landmark tables,
-:class:`CompactRoutingGraph` — consumes the same node/edge/capacity interface
-and needs no topology awareness.
+canonical path search, the fast router's landmark tables, the validator —
+consumes the same node/edge/capacity interface and needs no topology
+awareness.
+
+Integer ids
+-----------
+The graph is stored integer-indexed, built in one pass over the wiring, and
+the tuple API (:meth:`capacity`, :meth:`neighbors`, ...) is a thin lookup
+over the arrays the router searches:
+
+* **Node ids** follow insertion order — the chip's junctions, then its alive
+  tiles, each row-major.  Junction tuples sort before tile tuples
+  (``"j" < "t"``) and both families list row-major, so insertion order *is*
+  sorted node-tuple order: ``id(a) < id(b)  ⟺  a < b``.  The lexicographic
+  order of two id sequences therefore equals that of the node-tuple
+  sequences, which is what lets the router apply the canonical path
+  tie-break on integers, and a path step's edge key is its two endpoints in
+  id order.  ``tests/test_routing_graph.py`` checks the invariant on
+  random square and graph chips.
+* **Edge ids** follow insertion order too: enabled corridor segments in
+  :meth:`Chip.segment_keys` order, then each alive tile's access edges.
 """
 
 from __future__ import annotations
@@ -83,23 +101,54 @@ def edge_key(a: Node, b: Node) -> EdgeKey:
 TILE_ACCESS_CAPACITY = 2
 
 
+#: Through-capacity of a tile node.  Tiles are path endpoints only, so their
+#: capacity is effectively unbounded.
+TILE_NODE_CAPACITY = 1 << 30
+
+
 class RoutingGraph:
-    """Undirected capacitated graph over junction and tile nodes."""
+    """Undirected capacitated graph over junction and tile nodes.
+
+    The arrays below are read directly by the router; treat them as
+    read-only.
+
+    Attributes
+    ----------
+    nodes:
+        Node tuples indexed by node id (sorted tuple order); ``node_id`` is
+        the inverse map.
+    edges:
+        Canonical edge keys indexed by edge id; ``edge_id`` is the inverse map.
+    through_capacity:
+        Through-capacity per node id (see :meth:`node_capacity`).
+    junction_adjacency:
+        Per node id, its *junction* neighbors as ``(neighbor, edge id,
+        capacity)`` in ascending neighbor id.  Searches never pass through a
+        tile, so this is the only row they iterate; a tile's row holds its
+        access junctions.
+    tile_access:
+        Per node id, its *tile* neighbors as ``{tile id: (edge id,
+        capacity)}``, probed for a search's target tile.
+    junctions_passable:
+        True when every junction can pass at least one path through it.  A
+        defective chip may strand a junction with only tile-access edges
+        (through-capacity 0); the fast router's unloaded greedy walk is only
+        canonical when no such junction exists.
+    """
 
     def __init__(self, chip: Chip):
         self._chip = chip
-        self._adjacency: dict[Node, list[Node]] = {}
-        self._capacity: dict[EdgeKey, int] = {}
-        self._corridor: dict[EdgeKey, Corridor | None] = {}
-        self._junction_capacity: dict[Node, int] = {}
-        self._build()
-
-    # ----------------------------------------------------------- construction
-    def _build(self) -> None:
-        chip = self._chip
-        for node in chip.junctions():
-            self._adjacency[node] = []
-            self._junction_capacity[node] = 0
+        junctions = chip.junctions()
+        tiles = [tile_node_for(slot) for slot in chip.alive_tile_slots()]
+        nodes = (*junctions, *tiles)
+        node_id = {node: i for i, node in enumerate(nodes)}
+        num_junctions = len(junctions)
+        through = [0] * num_junctions + [TILE_NODE_CAPACITY] * len(tiles)
+        rows: list[list[tuple[int, int, int]]] = [[] for _ in nodes]
+        access: list[dict[int, tuple[int, int]]] = [{} for _ in nodes]
+        edges: list[EdgeKey] = []
+        capacities: list[int] = []
+        corridors: list[Corridor | None] = []
         # Corridor segments, at their defect-adjusted effective capacities.
         # Disabled segments (capacity 0) are omitted entirely; a junction's
         # through-capacity is the best lane count among its enabled segments,
@@ -108,28 +157,63 @@ class RoutingGraph:
             a, b, corridor, lanes = chip.segment(key)
             if lanes < 1:
                 continue
-            self._add_edge(a, b, lanes, corridor)
-            for node in (a, b):
-                self._junction_capacity[node] = max(self._junction_capacity[node], lanes)
-        # Tile access edges (dead tiles get no node and no edges).
-        for slot in chip.alive_tile_slots():
-            tile = tile_node_for(slot)
-            self._adjacency[tile] = []
-            for access in chip.tile_access(slot.row, slot.col):
-                self._add_edge(tile, access, TILE_ACCESS_CAPACITY, None)
+            ia, ib = node_id[a], node_id[b]
+            if ia > ib:
+                ia, ib = ib, ia
+            eid = len(edges)
+            edges.append((nodes[ia], nodes[ib]))
+            capacities.append(lanes)
+            corridors.append(corridor)
+            rows[ia].append((ib, eid, lanes))
+            rows[ib].append((ia, eid, lanes))
+            if through[ia] < lanes:
+                through[ia] = lanes
+            if through[ib] < lanes:
+                through[ib] = lanes
+        # Tile access edges (dead tiles get no node and no edges).  Junction
+        # ids sort below tile ids, so the junction leads each key.
+        for tile_id in range(num_junctions, len(nodes)):
+            tile = nodes[tile_id]
+            for corner in chip.tile_access(tile[1], tile[2]):
+                jid = node_id[corner]
+                eid = len(edges)
+                edges.append((nodes[jid], tile))
+                capacities.append(TILE_ACCESS_CAPACITY)
+                corridors.append(None)
+                rows[tile_id].append((jid, eid, TILE_ACCESS_CAPACITY))
+                access[jid][tile_id] = (eid, TILE_ACCESS_CAPACITY)
+        for row in rows:
+            row.sort()
 
-    def _add_edge(self, a: Node, b: Node, capacity: int, corridor: Corridor | None) -> None:
-        key = edge_key(a, b)
-        self._capacity[key] = capacity
-        self._corridor[key] = corridor
-        self._adjacency[a].append(b)
-        self._adjacency[b].append(a)
+        self.nodes: tuple[Node, ...] = nodes
+        self.node_id: dict[Node, int] = node_id
+        self.edges: tuple[EdgeKey, ...] = tuple(edges)
+        self.edge_id: dict[EdgeKey, int] = {key: i for i, key in enumerate(edges)}
+        self.through_capacity: list[int] = through
+        self.junction_adjacency: list[list[tuple[int, int, int]]] = rows
+        self.tile_access: list[dict[int, tuple[int, int]]] = access
+        self.junctions_passable: bool = all(c >= 1 for c in through[:num_junctions])
+        self._num_junctions = num_junctions
+        self._capacity = capacities
+        self._corridor = corridors
 
     # ---------------------------------------------------------------- queries
     @property
     def chip(self) -> Chip:
         """The chip this graph was built from."""
         return self._chip
+
+    def _id(self, node: Node) -> int:
+        try:
+            return self.node_id[node]
+        except KeyError as exc:
+            raise RoutingError(f"unknown node {node}") from exc
+
+    def _edge(self, a: Node, b: Node) -> int:
+        try:
+            return self.edge_id[edge_key(a, b)]
+        except KeyError as exc:
+            raise RoutingError(f"no edge between {a} and {b}") from exc
 
     def node_capacity(self, node: Node) -> int:
         """Number of distinct paths that may pass *through* ``node`` in one cycle.
@@ -140,58 +224,41 @@ class RoutingGraph:
         corridor of bandwidth ``bv`` provides ``max(bh, bv)`` disjoint lanes
         through the crossing; with defects, only the *enabled* incident
         segments (at their effective capacities) count.  Tile nodes are only
-        path endpoints, so their capacity is effectively unbounded.
+        path endpoints, so their capacity is :data:`TILE_NODE_CAPACITY`.
+        Raises :class:`RoutingError` for a node the graph lacks (a dead or
+        off-array tile, an off-chip junction).
         """
-        if self.is_tile(node):
-            return 1 << 30
-        return self._junction_capacity[node]
-
-    @property
-    def nodes(self) -> tuple[Node, ...]:
-        """All nodes (junctions then tiles, in insertion order)."""
-        return tuple(self._adjacency)
-
-    @property
-    def edges(self) -> tuple[EdgeKey, ...]:
-        """All undirected edge keys."""
-        return tuple(self._capacity)
+        return self.through_capacity[self._id(node)]
 
     @property
     def edge_capacities(self) -> dict[EdgeKey, int]:
-        """The live capacity map, keyed by canonical edge key.  Do not mutate.
-
-        Bulk accessor for :class:`~repro.chip.graph_arrays.CompactRoutingGraph`,
-        which reads every edge once at compile time; per-edge
-        :meth:`capacity` calls would dominate its constructor.
-        """
-        return self._capacity
+        """Capacity per edge key, in edge-id order."""
+        return dict(zip(self.edges, self._capacity))
 
     @property
     def junction_capacities(self) -> dict[Node, int]:
-        """The live junction through-capacity map.  Do not mutate.
+        """Through-capacity per junction node, in node-id order.
 
         Bulk counterpart of :meth:`node_capacity` for junction nodes (tiles
         are not in the map; their capacity is the unbounded sentinel).
         """
-        return self._junction_capacity
+        count = self._num_junctions
+        return dict(zip(self.nodes[:count], self.through_capacity[:count]))
 
     def capacity(self, a: Node, b: Node) -> int:
         """Capacity of the edge between ``a`` and ``b``."""
-        try:
-            return self._capacity[edge_key(a, b)]
-        except KeyError as exc:
-            raise RoutingError(f"no edge between {a} and {b}") from exc
+        return self._capacity[self._edge(a, b)]
 
     def has_edge(self, a: Node, b: Node) -> bool:
         """True when the graph contains the edge ``{a, b}``."""
-        return edge_key(a, b) in self._capacity
+        return edge_key(a, b) in self.edge_id
 
     def neighbors(self, node: Node) -> tuple[Node, ...]:
-        """Adjacent nodes of ``node``."""
-        try:
-            return tuple(self._adjacency[node])
-        except KeyError as exc:
-            raise RoutingError(f"unknown node {node}") from exc
+        """Adjacent nodes of ``node``, in ascending node order."""
+        node_index = self._id(node)
+        nodes = self.nodes
+        junctions = tuple(nodes[n] for n, _eid, _lanes in self.junction_adjacency[node_index])
+        return junctions + tuple(nodes[t] for t in self.tile_access[node_index])
 
     def is_tile(self, node: Node) -> bool:
         """True for tile nodes."""
@@ -199,7 +266,7 @@ class RoutingGraph:
 
     def tile_nodes(self) -> tuple[Node, ...]:
         """All alive tile nodes in row-major order (dead tiles are not nodes)."""
-        return tuple(tile_node_for(slot) for slot in self._chip.alive_tile_slots())
+        return self.nodes[self._num_junctions :]
 
     def corridor_of(self, a: Node, b: Node) -> Corridor | None:
         """Identify the corridor an edge belongs to.
@@ -210,10 +277,7 @@ class RoutingGraph:
         ``None`` for tile access edges.  Used by bandwidth adjusting to
         attribute path load to corridors.
         """
-        try:
-            return self._corridor[edge_key(a, b)]
-        except KeyError as exc:
-            raise RoutingError(f"no edge between {a} and {b}") from exc
+        return self._corridor[self._edge(a, b)]
 
     def path_edges(self, path: Iterable[Node]) -> list[EdgeKey]:
         """Edge keys traversed by a node path, validating adjacency."""
@@ -224,3 +288,38 @@ class RoutingGraph:
                 raise RoutingError(f"path step {a} -> {b} is not an edge")
             edges.append(edge_key(a, b))
         return edges
+
+    def hop_distances_from(self, target_id: int) -> list[int]:
+        """Static hop distance of every node id to ``target_id`` (``-1`` unreachable).
+
+        One backward breadth-first sweep.  Like the reference search, tiles
+        receive a distance (a path may *start* there) but are never expanded
+        through: the sweep walks junction rows only, starting from the target
+        (tile or junction), and every other tile then sits one access hop
+        past its nearest corner — the target itself, at distance 0, when the
+        tile hangs off a junction target.
+        """
+        distances = [-1] * len(self.nodes)
+        distances[target_id] = 0
+        junction_adjacency = self.junction_adjacency
+        frontier = [target_id]
+        level = 0
+        while frontier:
+            level += 1
+            fresh: list[int] = []
+            for node in frontier:
+                for neighbor, _eid, _capacity in junction_adjacency[node]:
+                    if distances[neighbor] < 0:
+                        distances[neighbor] = level
+                        fresh.append(neighbor)
+            frontier = fresh
+        for tile in range(self._num_junctions, len(self.nodes)):
+            if distances[tile] < 0:
+                best = -1
+                for corner, _eid, _capacity in junction_adjacency[tile]:
+                    d = distances[corner]
+                    if d >= 0 and (best < 0 or d < best):
+                        best = d
+                if best >= 0:
+                    distances[tile] = best + 1
+        return distances

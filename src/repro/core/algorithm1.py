@@ -127,7 +127,7 @@ class Algorithm1Scheduler:
         # A DAG precomputed by the pipeline's profile pass is reused as-is;
         # standalone callers pay for one derivation here.
         self._dag = dag if dag is not None else circuit.dag()
-        _, self._router = routing_for(mapping.chip)
+        self._router = routing_for(mapping.chip)
         #: Tile node per placed qubit, resolved once (placements are frozen).
         self._tiles = {
             qubit: tile_node_for(slot)

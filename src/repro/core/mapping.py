@@ -167,7 +167,8 @@ def corridor_load(
     (lexicographically smallest shortest) path, which the router reads off
     its cached BFS hop tables.
     """
-    routing_graph, router = routing_for(chip)
+    router = routing_for(chip)
+    routing_graph = router.graph
     load: dict[tuple[str, int], float] = {}
     empty = CapacityUsage()
     for a, b, weight in graph.edges():

@@ -109,7 +109,7 @@ class _LayerRouter:
     ):
         self._operands = dag.operand_pairs
         self._mapping = mapping
-        _, self._router = routing_for(mapping.chip)
+        self._router = routing_for(mapping.chip)
         self.counters = counters if counters is not None else EngineCounters()
         self._congestion_weight = congestion_weight
 

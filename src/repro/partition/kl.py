@@ -27,8 +27,8 @@ drivers live in :mod:`repro.partition.placement` and
 * :func:`fm_refine` + :class:`GainBuckets` — the Fiduccia–Mattheyses
   formulation over contiguous local vertex ids: per-vertex gains indexed
   into array-backed bucket lists (intrusive doubly-linked lists over flat
-  arrays, mirroring the CompactRoutingGraph idiom of
-  :mod:`repro.chip.graph_arrays`), single-vertex moves under a balance
+  arrays, mirroring the integer-indexed idiom of
+  :mod:`repro.chip.routing_graph`), single-vertex moves under a balance
   window, O(degree) gain updates per move.  This is the fast placement
   engine's core; one pass costs O(V + E) instead of O(n³).
 """
@@ -213,7 +213,7 @@ class GainBuckets:
     FM gains are integers bounded by the maximum weighted degree, so every
     possible gain maps to one bucket.  Buckets are intrusive doubly-linked
     lists stored in flat arrays (``_head`` per bucket, ``_next``/``_prev``
-    per vertex), the same idiom :class:`repro.chip.graph_arrays.CompactRoutingGraph`
+    per vertex), the same idiom :class:`repro.chip.routing_graph.RoutingGraph`
     uses for adjacency: no per-entry objects, O(1) insert/remove, and a
     lazily-lowered top pointer so finding the best gain is amortized O(1).
     """

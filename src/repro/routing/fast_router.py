@@ -8,13 +8,13 @@ traversed — the one whose node sequence is lexicographically smallest.  The
 tie-break makes the answer a pure function of (graph, usage, endpoints,
 weight) rather than of search order, so any exact search can stand in for
 any other; the tests hold this router to a plain reference Dijkstra.  The
-search runs over the dense integer core of
-:class:`~repro.chip.graph_arrays.CompactRoutingGraph` and explores a fraction
-of the graph:
+search runs over the integer ids and adjacency rows of the
+:class:`~repro.chip.routing_graph.RoutingGraph` it is given and explores a
+fraction of the graph:
 
 * **Landmark tables.**  For every target actually queried the router runs
-  one backward breadth-first sweep over the compact graph's junction rows
-  (:meth:`CompactRoutingGraph.hop_distances_from`) and keeps the result as a
+  one backward breadth-first sweep over the graph's junction rows
+  (:meth:`RoutingGraph.hop_distances_from`) and keeps the result as a
   node-id-indexed distance list.  Tables are built lazily per target and
   then amortised across the whole schedule; the build cost is accounted
   separately (``landmark_build_seconds``) so shallow circuits on big chips
@@ -25,38 +25,38 @@ of the graph:
   and the first pop of the target is optimal.
 
 Because node ids are assigned in sorted node-tuple order (see
-:mod:`repro.chip.graph_arrays`), the lexicographic order of id sequences
+:mod:`repro.chip.routing_graph`), the lexicographic order of id sequences
 equals the lexicographic order of node-tuple sequences — heap entries
 ordered by ``(cost + h, cost, id-sequence)`` therefore reproduce the
-canonical tie-break bit-for-bit.  ``tests/test_properties_routing.py`` and
+canonical tie-break bit-for-bit, and each path step's edge key is its two
+endpoints in id order.  ``tests/test_properties_routing.py`` and
 ``tests/test_differential_engines.py`` enforce this against the reference
 Dijkstra.
 
-Defective chips need no special handling here: the compact graph is derived
-from the :class:`RoutingGraph`, which already excludes dead tiles and
-disabled segments and carries per-segment capacity overrides.  Parity on
-defective chips is enforced by ``tests/test_defects.py`` and the Hypothesis
-round-trips in ``tests/test_graph_arrays.py``.
+Defective chips need no special handling here: the :class:`RoutingGraph`
+already excludes dead tiles and disabled segments and carries per-segment
+capacity overrides.  Parity on defective chips is enforced by
+``tests/test_defects.py`` and the Hypothesis properties in
+``tests/test_routing_graph.py``.
 
 Routing seam
 ------------
-Every scheduler obtains its graph and router through :func:`routing_for`,
-which consults an installable provider.  Long-lived processes — the compile
-daemon in :mod:`repro.service` — install a provider backed by an LRU of warm
-per-chip state, so repeated compiles against the same chip reuse the graph
-and the router's memoized landmark tables instead of rebuilding them from
-cold.  One-shot callers never notice: with no provider installed,
-:func:`routing_for` builds fresh state.
+Every scheduler obtains its router (and, as ``router.graph``, its graph)
+through :func:`routing_for`, which consults an installable provider.
+Long-lived processes — the compile daemon in :mod:`repro.service` — install
+a provider backed by an LRU of warm per-chip state, so repeated compiles
+against the same chip reuse the graph and the router's memoized landmark
+tables instead of rebuilding them from cold.  One-shot callers never
+notice: with no provider installed, :func:`routing_for` builds fresh state.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from repro.chip.chip import Chip
-from repro.chip.graph_arrays import CompactRoutingGraph
 from repro.chip.routing_graph import Node, RoutingGraph
 from repro.errors import RoutingError
 from repro.routing.paths import CapacityUsage, RoutedPath
@@ -70,26 +70,41 @@ DEFAULT_CONGESTION_WEIGHT = 0.25
 
 
 def check_route_endpoints(graph: RoutingGraph, source: Node, target: Node) -> None:
-    """Raise :class:`RoutingError` unless ``source``/``target`` are distinct tiles."""
+    """Raise :class:`RoutingError` unless ``source``/``target`` are distinct tiles of ``graph``."""
     if source == target:
         raise RoutingError("source and target tiles must differ")
     if not graph.is_tile(source) or not graph.is_tile(target):
         raise RoutingError("paths are routed between tile nodes")
+    for node in (source, target):
+        if node not in graph.node_id:
+            raise RoutingError(f"tile {node} is not on the chip (dead or off the tile array)")
+
+
+def _routed_path(nodes: tuple[Node, ...], ids: Sequence[int]) -> RoutedPath:
+    """The :class:`RoutedPath` through node ``ids``.
+
+    Id order is node-tuple order, so each step's canonical edge key is its
+    two endpoints in id order.  The steps are adjacency entries by
+    construction, so the path needs no re-validation against the graph.
+    """
+    steps = zip(ids, ids[1:])
+    return RoutedPath(
+        tuple(nodes[i] for i in ids),
+        tuple((nodes[a], nodes[b]) if a < b else (nodes[b], nodes[a]) for a, b in steps),
+    )
 
 
 class FastRouter:
-    """Capacity-aware router over the compact graph with landmark A* search.
+    """Capacity-aware router over a :class:`RoutingGraph` with landmark A* search.
 
-    One instance serves one :class:`RoutingGraph`; the compact image, the
-    landmark tables and the static-path cache are shared across every
-    :meth:`find` call, which is where the reuse pays off (the daemon's
-    :class:`~repro.service.state.WarmStateCache` additionally shares whole
-    routers across compiles).
+    One instance serves one graph; the landmark tables and the static-path
+    cache are shared across every :meth:`find` call, which is where the
+    reuse pays off (the daemon's :class:`~repro.service.state.WarmStateCache`
+    additionally shares whole routers across compiles).
     """
 
     def __init__(self, graph: RoutingGraph):
         self._graph = graph
-        self._compact = CompactRoutingGraph(graph)
         #: Node-id-indexed hop-distance lists, keyed by target node id.
         self._tables: dict[int, list[int]] = {}
         #: Canonical paths on the *empty* usage state, keyed by (source,
@@ -111,11 +126,6 @@ class FastRouter:
         return self._graph
 
     @property
-    def compact(self) -> CompactRoutingGraph:
-        """The dense integer-indexed image the searches run over."""
-        return self._compact
-
-    @property
     def landmark_table_count(self) -> int:
         """How many per-target landmark tables have been memoized so far."""
         return len(self._tables)
@@ -131,7 +141,7 @@ class FastRouter:
         table = self._tables.get(target_id)
         if table is None:
             started = time.perf_counter()
-            table = self._compact.hop_distances_from(target_id)
+            table = self._graph.hop_distances_from(target_id)
             elapsed = time.perf_counter() - started
             self.landmark_build_seconds += elapsed
             if stats is not None:
@@ -163,7 +173,7 @@ class FastRouter:
             # Endpoints are validated once per pair: invalid pairs raise here
             # and are never cached, so repeat calls re-validate and re-raise.
             check_route_endpoints(self._graph, source, target)
-            if self._compact.junctions_passable:
+            if self._graph.junctions_passable:
                 path = self._static_walk(source, target, stats)
             else:
                 path = self._search(CapacityUsage(), source, target, congestion_weight, stats)
@@ -211,12 +221,12 @@ class FastRouter:
         closer to the target (``junction_adjacency`` rows are id-ascending,
         so the first qualifying neighbor is that junction).  Interior nodes
         must be junctions able to pass a path, which is why callers gate this
-        on :attr:`CompactRoutingGraph.junctions_passable`; defective chips
+        on :attr:`RoutingGraph.junctions_passable`; defective chips
         that strand a junction fall back to the A* search instead.
         """
-        compact = self._compact
-        source_id = compact.node_id[source]
-        target_id = compact.node_id[target]
+        graph = self._graph
+        source_id = graph.node_id[source]
+        target_id = graph.node_id[target]
         remaining = self._table_for(target_id, stats)
         if stats is not None:
             stats.landmark_tables = len(self._tables)
@@ -225,7 +235,7 @@ class FastRouter:
             if stats is not None:
                 stats.route_failures += 1
             return None
-        junction_adjacency = compact.junction_adjacency
+        junction_adjacency = graph.junction_adjacency
         ids = [source_id]
         node = source_id
         while d > 1:
@@ -237,16 +247,11 @@ class FastRouter:
                     break
             else:  # pragma: no cover — BFS guarantees a closer junction
                 raise RoutingError(
-                    f"landmark table inconsistent at node {compact.nodes[node]}"
+                    f"landmark table inconsistent at node {graph.nodes[node]}"
                 )
         if node != target_id:
             ids.append(target_id)
-        nodes = compact.nodes
-        pair_key = compact.pair_edge_key
-        return RoutedPath(
-            tuple(nodes[i] for i in ids),
-            tuple(pair_key[pair] for pair in zip(ids, ids[1:])),
-        )
+        return _routed_path(graph.nodes, ids)
 
     def _search(
         self,
@@ -256,9 +261,9 @@ class FastRouter:
         congestion_weight: float,
         stats,
     ) -> RoutedPath | None:
-        compact = self._compact
-        source_id = compact.node_id[source]
-        target_id = compact.node_id[target]
+        graph = self._graph
+        source_id = graph.node_id[source]
+        target_id = graph.node_id[target]
         remaining = self._table_for(target_id, stats)
         if stats is not None:
             stats.landmark_tables = len(self._tables)
@@ -271,18 +276,18 @@ class FastRouter:
         # query: the per-cycle reservation sets are tiny compared to the
         # search, and the inner loop then hashes ints instead of node tuples.
         if usage.used:
-            edge_id = compact.edge_id
+            edge_id = graph.edge_id
             edge_used = {edge_id[key]: count for key, count in usage.used.items()}
         else:
             edge_used = {}
         if usage.node_used:
-            node_id = compact.node_id
+            node_id = graph.node_id
             node_used = {node_id[node]: count for node, count in usage.node_used.items()}
         else:
             node_used = {}
-        junction_adjacency = compact.junction_adjacency
-        tile_access = compact.tile_access
-        node_capacity = compact.node_capacity
+        junction_adjacency = graph.junction_adjacency
+        tile_access = graph.tile_access
+        node_capacity = graph.through_capacity
         edge_get = edge_used.get
         node_get = node_used.get
         heappush = heapq.heappush
@@ -294,7 +299,7 @@ class FastRouter:
         # minimum as well: any prefix of a smaller equal-cost path has a
         # strictly smaller key than a full-path target entry, hence is
         # expanded before the target can be popped.  Id-sequence order equals
-        # node-tuple-sequence order by the compact graph's id invariant.
+        # node-tuple-sequence order by the graph's id invariant.
         #
         # The best-label store is two flat id-indexed lists (cost, sequence);
         # a popped entry is current iff its sequence is the stored object, so
@@ -302,8 +307,8 @@ class FastRouter:
         # junction neighbors (tiles are endpoints, never passed through) and
         # probes ``tile_access`` for the target tile.
         infinity = float("inf")
-        best_cost = [infinity] * len(compact.nodes)
-        best_seq: list[tuple[int, ...] | None] = [None] * len(compact.nodes)
+        best_cost = [infinity] * len(graph.nodes)
+        best_seq: list[tuple[int, ...] | None] = [None] * len(graph.nodes)
         start = (source_id,)
         best_cost[source_id] = 0.0
         best_seq[source_id] = start
@@ -315,14 +320,7 @@ class FastRouter:
             if node == target_id:
                 if stats is not None:
                     stats.nodes_expanded += expanded
-                nodes = compact.nodes
-                pair_key = compact.pair_edge_key
-                # The searched edges are adjacency entries by construction, so
-                # the path needs no re-validation against the graph.
-                return RoutedPath(
-                    tuple(nodes[i] for i in ids),
-                    tuple(pair_key[pair] for pair in zip(ids, ids[1:])),
-                )
+                return _routed_path(graph.nodes, ids)
             if best_seq[node] is not ids:
                 continue  # superseded after pushing
             expanded += 1
@@ -368,11 +366,11 @@ class FastRouter:
         return None
 
 
-#: A routing provider maps a chip to a ``(graph, router)`` pair.  Both
-#: returned objects are immutable-after-construction (the router only grows
-#: memo tables), so a provider may hand the same instances to any number of
-#: sequential compiles.
-RoutingProvider = Callable[[Chip], "tuple[RoutingGraph, FastRouter]"]
+#: A routing provider maps a chip to a router (its graph is ``router.graph``).
+#: Both are immutable-after-construction (the router only grows memo tables),
+#: so a provider may hand the same router to any number of sequential
+#: compiles.
+RoutingProvider = Callable[[Chip], "FastRouter"]
 
 _routing_provider: RoutingProvider | None = None
 
@@ -389,8 +387,8 @@ def set_routing_provider(provider: RoutingProvider | None) -> RoutingProvider | 
     return previous
 
 
-def routing_for(chip: Chip) -> tuple[RoutingGraph, FastRouter]:
-    """The routing graph and router a scheduler should use for ``chip``.
+def routing_for(chip: Chip) -> FastRouter:
+    """The router (and, as ``router.graph``, the graph) a scheduler should use for ``chip``.
 
     Delegates to the installed provider when there is one (warm-state reuse
     in daemon processes) and otherwise builds fresh state.  The result is
@@ -399,5 +397,4 @@ def routing_for(chip: Chip) -> tuple[RoutingGraph, FastRouter]:
     """
     if _routing_provider is not None:
         return _routing_provider(chip)
-    graph = RoutingGraph(chip)
-    return graph, FastRouter(graph)
+    return FastRouter(RoutingGraph(chip))

@@ -1,10 +1,10 @@
 """Warm per-chip compile state for the long-lived service process.
 
-A one-shot CLI compile pays three cold-start costs for every invocation: the
-:class:`~repro.chip.routing_graph.RoutingGraph` is rebuilt from the chip, the
-:class:`~repro.routing.fast_router.FastRouter` re-derives its flattened
-adjacency, and every landmark table is re-run from scratch.  The
-daemon amortises all three: a :class:`WarmStateCache` keeps an LRU of
+A one-shot CLI compile pays two cold-start costs for every invocation: the
+integer-indexed :class:`~repro.chip.routing_graph.RoutingGraph` is rebuilt
+from the chip, and every landmark table of its
+:class:`~repro.routing.fast_router.FastRouter` is re-run from scratch.  The
+daemon amortises both: a :class:`WarmStateCache` keeps an LRU of
 :class:`WarmChipState` entries keyed by chip *content* (the same
 :func:`~repro.pipeline.batch.chip_key` the result cache fingerprints with),
 and installs itself as the process-wide routing provider
@@ -48,14 +48,13 @@ def chip_state_key(chip: Chip) -> str:
 class WarmChipState:
     """Everything worth keeping hot for one chip.
 
-    The router is built with the graph on the first compile against this
-    chip and then shared by all subsequent ones, which is what makes its
-    landmark tables pay off across requests.
+    The router (and its graph, ``router.graph``) is built on the first
+    compile against this chip and then shared by all subsequent ones, which
+    is what makes its landmark tables pay off across requests.
     """
 
     key: str
     chip: Chip
-    graph: RoutingGraph
     router: FastRouter
     hits: int = 0
     built_at: float = field(default_factory=time.time)
@@ -93,13 +92,13 @@ class WarmStateCache:
         self._installed = False
 
     # ------------------------------------------------------------- provider
-    def acquire(self, chip: Chip) -> tuple[RoutingGraph, FastRouter]:
-        """The routing-provider entry point: warm (graph, router) for ``chip``.
+    def acquire(self, chip: Chip) -> FastRouter:
+        """The routing-provider entry point: the warm router for ``chip``.
 
-        Cold construction (graph, router) happens *outside* the lock so that
-        a long build of a large chip never blocks concurrent readers such as
-        the daemon's ``/stats`` handler; a double-check on re-acquire keeps
-        racing builders consistent (last writer discards its duplicate).
+        Cold construction of the graph and router happens *outside* the lock
+        so that a long build of a large chip never blocks concurrent readers
+        such as the daemon's ``/stats`` handler; a double-check on re-acquire
+        keeps racing builders consistent (last writer discards its duplicate).
         """
         key = chip_state_key(chip)
         with self._lock:
@@ -109,12 +108,11 @@ class WarmStateCache:
                 state.hits += 1
                 self._entries.move_to_end(key)
         if state is None:
-            graph = RoutingGraph(chip)  # cold build, lock not held
-            router = FastRouter(graph)
+            router = FastRouter(RoutingGraph(chip))  # cold build, lock not held
             with self._lock:
                 state = self._entries.get(key)
                 if state is None:
-                    state = WarmChipState(key=key, chip=chip, graph=graph, router=router)
+                    state = WarmChipState(key=key, chip=chip, router=router)
                     self._entries[key] = state
                     self.misses += 1
                 else:
@@ -124,7 +122,7 @@ class WarmStateCache:
                 while len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
                     self.evictions += 1
-        return state.graph, state.router
+        return state.router
 
     def install(self) -> None:
         """Make this cache the process-wide routing provider."""

@@ -167,7 +167,9 @@ def _check_paths_and_capacity(encoded: EncodedCircuit, error) -> None:
                 if graph.has_edge(*key):
                     per_cycle_load[cycle][key] += op.lanes
             for node in op.path.nodes[1:-1]:
-                per_cycle_node_load[cycle][node] += op.lanes
+                # Unknown nodes sit on non-existent edges, flagged above.
+                if node in graph.node_id:
+                    per_cycle_node_load[cycle][node] += op.lanes
     for cycle, loads in per_cycle_load.items():
         for key, load in loads.items():
             capacity = graph.capacity(*key)

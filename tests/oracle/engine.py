@@ -59,8 +59,7 @@ class ReferenceReadyQueue:
 
 
 def _oracle_routing(chip):
-    graph = RoutingGraph(chip)
-    return graph, OracleRouter(graph)
+    return OracleRouter(RoutingGraph(chip))
 
 
 def _without_memo(cls):

@@ -22,7 +22,7 @@ from repro.chip import (
 from repro.chip.chip import TileSlot
 from repro.circuits.generators import standard
 from repro.core.mapping import determine_shape, establish_placement
-from repro.errors import ChipError, MappingError
+from repro.errors import ChipError, MappingError, RoutingError
 from repro.pipeline.batch import BatchJob
 from repro.pipeline.registry import run_pipeline_method
 from repro.verify import validate_encoded_circuit
@@ -166,6 +166,27 @@ class TestDefectiveRoutingGraph:
         assert ("t", 1, 1) not in graph.nodes
         assert ("t", 1, 1) not in graph.tile_nodes()
         assert len(graph.tile_nodes()) == 15
+
+    def test_dead_tile_has_no_capacity(self):
+        # Regression: node_capacity answered a dead or off-array tile with
+        # the unbounded tile sentinel instead of rejecting it.
+        graph = RoutingGraph(_chip().with_defects(DefectSpec(dead_tiles=((1, 1),))))
+        for missing in (("t", 1, 1), ("t", 9, 9)):
+            with pytest.raises(RoutingError, match="unknown node"):
+                graph.node_capacity(missing)
+
+    @pytest.mark.parametrize("missing", [("t", 1, 1), ("t", 9, 9)])
+    def test_router_rejects_tile_the_graph_lacks(self, missing):
+        # Regression: a dead (1, 1) or off-array (9, 9) endpoint leaked a
+        # KeyError out of the router instead of a named RoutingError.
+        from repro.routing.fast_router import FastRouter
+        from repro.routing.paths import CapacityUsage
+
+        chip = Chip.with_tile_array(DD, 3, 2, 2).with_defects(DefectSpec(dead_tiles=((1, 1),)))
+        router = FastRouter(RoutingGraph(chip))
+        for source, target in ((("t", 0, 0), missing), (missing, ("t", 0, 0))):
+            with pytest.raises(RoutingError, match=rf"tile \('t', {missing[1]}, {missing[2]}\)"):
+                router.find(CapacityUsage(), source, target)
 
     def test_disabled_segment_removed(self):
         chip = _chip().with_defects(DefectSpec(disabled_segments=(("h", 2, 1),)))

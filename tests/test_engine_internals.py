@@ -138,7 +138,7 @@ def test_fast_router_validates_endpoints(dd_chip_small):
 def test_fast_router_memoizes_landmark_tables(dd_chip_small):
     graph = RoutingGraph(dd_chip_small)
     router = FastRouter(graph)
-    compact = router.compact
+    compact = router.graph
     router.find(CapacityUsage(), tile_node(0, 1), tile_node(0, 0))
     assert router.landmark_table_count == 1
     target_id = compact.node_id[tile_node(0, 0)]

@@ -128,8 +128,7 @@ class TestBandwidthAdjusting:
 
         def provider(requested_chip):
             calls.append(requested_chip)
-            built = RoutingGraph(requested_chip)
-            return built, FastRouter(built)
+            return FastRouter(RoutingGraph(requested_chip))
 
         previous = set_routing_provider(provider)
         try:

@@ -350,9 +350,9 @@ def test_warm_state_cache_lru_eviction():
     assert cache.keys() == [chip_state_key(chips[0]), chip_state_key(chips[2])]
 
     # The evicted chip is a miss again; the survivor is still warm.
-    graph_before, _ = cache.acquire(chips[0])
-    graph_again, _ = cache.acquire(chips[0])
-    assert graph_before is graph_again
+    router_before = cache.acquire(chips[0])
+    router_again = cache.acquire(chips[0])
+    assert router_before is router_again
     cache.acquire(chips[1])
     assert cache.misses == 4  # chips 0, 1, 2 cold + chip 1 re-entry
 
@@ -363,10 +363,10 @@ def test_warm_state_cache_lru_eviction():
 def test_warm_state_cache_shares_fast_router():
     cache = WarmStateCache(capacity=2)
     chip = Chip.with_tile_array(SurfaceCodeModel.DOUBLE_DEFECT, 3, 3, 3, bandwidth=1)
-    graph1, router1 = cache.acquire(chip)
-    graph2, router2 = cache.acquire(chip)
-    assert graph1 is graph2 and router1 is router2
-    assert router1.graph is graph1
+    router1 = cache.acquire(chip)
+    router2 = cache.acquire(chip)
+    assert router1 is router2
+    assert router1.graph is router2.graph
 
 
 def test_warm_state_provider_round_trip_schedules_identical():

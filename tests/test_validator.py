@@ -165,6 +165,31 @@ def test_wrong_path_endpoints_detected():
     assert any("instead of the mapped tiles" in error for error in report.errors)
 
 
+def test_path_through_unknown_junction_reported_not_raised():
+    # Regression: the junction-load check looked up every interior node's
+    # capacity, so a path through a junction the chip lacks crashed the
+    # validator with a KeyError instead of producing a report.
+    from dataclasses import replace
+
+    from repro.circuits.generators import standard
+    from repro.pipeline.registry import run_pipeline_method
+    from repro.routing.paths import RoutedPath
+
+    circuit = standard.qft(4)
+    encoded = run_pipeline_method(circuit, "ecmas_ls_min", validate=True).encoded
+    index, op = next((i, op) for i, op in enumerate(encoded.operations) if op.path is not None)
+    bogus = ("j", 99, 99)
+    path = RoutedPath(
+        (op.path.source, bogus, op.path.target),
+        ((bogus, op.path.source), (bogus, op.path.target)),
+    )
+    encoded.operations[index] = replace(op, path=path)
+    report = validate_encoded_circuit(circuit, encoded)
+    assert not report.valid
+    assert any(f"non-existent edge {op.path.source}-{bogus}" in e for e in report.errors)
+    assert any(f"non-existent edge {bogus}-{op.path.target}" in e for e in report.errors)
+
+
 def test_real_compilations_validate(ghz8):
     for model in (DD, SurfaceCodeModel.LATTICE_SURGERY):
         encoded = compile_circuit(ghz8, model=model, scheduler="limited")
