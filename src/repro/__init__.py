@@ -47,7 +47,7 @@ from repro.pipeline import (
     run_batch,
     run_pipeline_method,
 )
-from repro.profiling import EngineCounters
+from repro.profiling import EngineCounters, PlacementCounters
 
 __version__ = "1.4.0"
 
@@ -87,4 +87,5 @@ __all__ = [
     "default_cache_dir",
     "run_batch",
     "EngineCounters",
+    "PlacementCounters",
 ]

@@ -157,15 +157,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _print_stages(result) -> None:
-    """Print a compile's per-stage timings and scheduler counters."""
+    """Print a compile's per-stage timings, placement and scheduler counters."""
     print()
     print("per-stage timings:")
     for name, seconds in result.timings_dict().items():
         print(f"  {name:<16} {seconds * 1000:8.2f} ms")
-    if result.counters:
-        print("scheduler counters:")
-        for name, value in result.counters.items():
-            print(f"  {name:<22} {value}")
+    for title, counters in (
+        ("placement counters", result.placement_counters),
+        ("scheduler counters", result.counters),
+    ):
+        if counters:
+            print(f"{title}:")
+            for name, value in counters.items():
+                print(f"  {name:<22} {value}")
 
 
 def _dump_cprofile(circuit, method: str, code_distance: int, out_path: str) -> None:

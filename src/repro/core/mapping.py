@@ -36,6 +36,7 @@ from repro.partition.placement import (
     snake_placement,
     spectral_placement,
 )
+from repro.profiling import PlacementCounters
 from repro.routing.fast_router import routing_for
 from repro.routing.paths import CapacityUsage
 
@@ -99,17 +100,17 @@ def determine_shape(num_qubits: int, chip: Chip) -> tuple[int, int]:
     return best
 
 
-#: Placement strategy → ``place(graph, domain, attempts, seed, engine)``.
+#: Placement strategy → ``place(graph, domain, attempts, seed, engine, counters)``.
 #: ``"ecmas"`` is multi-attempt recursive bisection (the default), ``"metis"``
 #: single-attempt (the Table II "Metis" column), ``"trivial"`` the EDPCI snake.
 PLACEMENT_STRATEGIES: dict[str, Callable[..., Placement]] = {
     "ecmas": best_placement,
-    "metis": lambda graph, domain, _attempts, seed, engine: best_placement(
-        graph, domain, 1, seed, engine
+    "metis": lambda graph, domain, _attempts, seed, engine, counters: best_placement(
+        graph, domain, 1, seed, engine, counters
     ),
     "trivial": lambda graph, domain, *_: snake_placement(graph.num_qubits, domain),
     "spectral": lambda graph, domain, *_: spectral_placement(graph, domain),
-    "random": lambda graph, domain, _attempts, seed, _engine: random_placement(
+    "random": lambda graph, domain, _attempts, seed, *_: random_placement(
         graph.num_qubits, domain, seed
     ),
 }
@@ -124,13 +125,15 @@ def establish_placement(
     dead: frozenset[tuple[int, int]] = frozenset(),
     placement_engine: str = "reference",
     chip: Chip | None = None,
+    counters: PlacementCounters | None = None,
 ) -> Placement:
     """Map qubits to tile slots within ``shape`` using the requested strategy.
 
     Strategies are the keys of :data:`PLACEMENT_STRATEGIES`.  ``dead`` lists
     tile slots no strategy may use.  ``placement_engine`` picks the bisection
     core for the bisection-based strategies (classic KL ``reference`` vs
-    multilevel ``fast``); the other strategies ignore it.
+    multilevel ``fast``); the other strategies ignore it, and leave
+    ``counters`` (the bisection work, when given) untouched.
 
     The slots come from a :class:`~repro.partition.placement.SlotDomain`:
     the ``shape`` window with ``dead`` removed, or, when a graph ``chip``
@@ -144,7 +147,7 @@ def establish_placement(
         domain = graph_domain(chip)
     else:
         domain = grid_domain(*shape, dead)
-    return place(graph, domain, attempts, seed, placement_engine)
+    return place(graph, domain, attempts, seed, placement_engine, counters)
 
 
 def corridor_load(

@@ -20,6 +20,7 @@ from collections.abc import Sequence
 
 from repro.errors import PartitionError
 from repro.partition.kl import WeightMap, check_weights, fm_refine, kernighan_lin_bisection
+from repro.profiling import PlacementCounters
 
 #: Below this size the classic KL core is both fast enough and higher quality.
 COARSEST_SIZE = 24
@@ -210,6 +211,7 @@ def multilevel_bisection(
     max_passes: int = 8,
     seed: int | None = None,
     size_a: int | None = None,
+    counters: PlacementCounters | None = None,
 ) -> tuple[set[int], set[int]]:
     """Bisect ``vertices`` via coarsen → bisect → uncoarsen+refine.
 
@@ -231,7 +233,7 @@ def multilevel_bisection(
     check_weights(weights)
     if n <= COARSEST_SIZE:
         return kernighan_lin_bisection(
-            vertex_list, weights, max_passes=max_passes, seed=seed, size_a=size_a
+            vertex_list, weights, max_passes=max_passes, seed=seed, size_a=size_a, counters=counters
         )
     target_a = size_a if size_a is not None else (n + 1) // 2
 
@@ -257,6 +259,8 @@ def multilevel_bisection(
         levels.append((adj, vertex_weight, coarse_of))
         adj = (c_index, c_vertex, c_weight)
         vertex_weight = c_vw
+    if counters is not None:
+        counters.coarsening_levels += len(levels)
 
     side = _greedy_initial(vertex_weight, target_a)
     max_vw = max(vertex_weight)
@@ -268,6 +272,7 @@ def multilevel_bisection(
         move_tolerance=max_vw,
         accept_tolerance=max_vw - 1,
         max_passes=max_passes,
+        counters=counters,
     )
     while levels:
         (adj, vertex_weight, coarse_of) = levels.pop()
@@ -281,6 +286,7 @@ def multilevel_bisection(
             move_tolerance=max_vw,
             accept_tolerance=max_vw - 1,
             max_passes=max_passes,
+            counters=counters,
         )
     _force_exact(*adj, side, target_a)
 

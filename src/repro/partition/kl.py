@@ -40,6 +40,7 @@ import random
 from collections.abc import Sequence
 
 from repro.errors import PartitionError
+from repro.profiling import PlacementCounters
 
 #: Weighted adjacency: ``weights[(a, b)] = w`` with ``a < b``.
 WeightMap = dict[tuple[int, int], float]
@@ -83,6 +84,7 @@ def kernighan_lin_bisection(
     seed: int | None = None,
     initial: tuple[set[int], set[int]] | None = None,
     size_a: int | None = None,
+    counters: PlacementCounters | None = None,
 ) -> tuple[set[int], set[int]]:
     """Bisect ``vertices`` into two halves with small cut weight.
 
@@ -123,8 +125,11 @@ def kernighan_lin_bisection(
     adjacency = _neighbor_weights(weights, vertex_list)
 
     for _ in range(max_passes):
-        improved = _kl_pass(side_a, side_b, adjacency)
-        if not improved:
+        kept = _kl_pass(side_a, side_b, adjacency)
+        if counters is not None:
+            counters.kl_passes += 1
+            counters.swaps_kept += kept
+        if not kept:
             break
     return side_a, side_b
 
@@ -139,8 +144,8 @@ def _gains(side_a: set[int], side_b: set[int], adjacency: dict[int, dict[int, fl
     return gains
 
 
-def _kl_pass(side_a: set[int], side_b: set[int], adjacency: dict[int, dict[int, float]]) -> bool:
-    """One KL pass; returns True when the partition was improved."""
+def _kl_pass(side_a: set[int], side_b: set[int], adjacency: dict[int, dict[int, float]]) -> int:
+    """One KL pass; returns the number of swaps kept (0 when nothing improved)."""
     gains = _gains(side_a, side_b, adjacency)
     locked: set[int] = set()
     swap_sequence: list[tuple[int, int, float]] = []
@@ -197,14 +202,12 @@ def _kl_pass(side_a: set[int], side_b: set[int], adjacency: dict[int, dict[int, 
         if running > best_total + 1e-12:
             best_total = running
             best_prefix = index
-    if best_prefix == 0:
-        return False
     for a, b, _ in swap_sequence[:best_prefix]:
         side_a.remove(a)
         side_b.remove(b)
         side_a.add(b)
         side_b.add(a)
-    return True
+    return best_prefix
 
 
 class GainBuckets:
@@ -321,6 +324,7 @@ def fm_refine(
     move_tolerance: int = 0,
     accept_tolerance: int = 0,
     max_passes: int = 8,
+    counters: PlacementCounters | None = None,
 ) -> int:
     """Fiduccia–Mattheyses refinement of a 0/1 ``side`` assignment in place.
 
@@ -353,6 +357,8 @@ def fm_refine(
         if wdeg > max_gain:
             max_gain = wdeg
     for _ in range(max_passes):
+        if counters is not None:
+            counters.fm_passes += 1
         if not _fm_pass(
             adj_index,
             adj_vertex,

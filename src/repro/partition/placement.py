@@ -38,6 +38,7 @@ from repro.circuits.comm_graph import CommunicationGraph
 from repro.errors import ChipError, MappingError
 from repro.partition.coarsen import multilevel_bisection
 from repro.partition.kl import WeightMap, kernighan_lin_bisection
+from repro.profiling import PlacementCounters
 
 #: Dead tile slots as ``(row, col)`` pairs; the empty set means a pristine chip.
 NO_DEAD_TILES: frozenset[tuple[int, int]] = frozenset()
@@ -274,19 +275,25 @@ def recursive_bisection_placement(
     domain: SlotDomain,
     seed: int | None = None,
     engine: str = "reference",
+    counters: PlacementCounters | None = None,
 ) -> Placement:
     """Place all qubits of ``graph`` into the alive slots of ``domain``.
 
     ``engine`` selects the bisection core: the classic KL ``reference`` or
     the multilevel coarsen/FM ``fast`` core (same size contract, near-linear
-    cost — see :data:`PLACEMENT_ENGINES`).
+    cost — see :data:`PLACEMENT_ENGINES`).  ``counters``, when given,
+    accumulates the placement's work.
     """
     domain.check_fits(graph.num_qubits)
     bisect = _BISECTION_CORES[check_placement_engine(engine)]
+    counters = counters if counters is not None else PlacementCounters()
+    counters.attempts += 1
     qubits = list(range(graph.num_qubits))
     assignment: dict[int, TileSlot] = {}
     rng = random.Random(seed)
-    _place_region(qubits, _weights_from_graph(graph), domain.root, domain, assignment, rng, bisect)
+    _place_region(
+        qubits, _weights_from_graph(graph), domain.root, domain, assignment, rng, bisect, counters
+    )
     return Placement(assignment)
 
 
@@ -298,10 +305,13 @@ def _place_region(
     assignment: dict[int, TileSlot],
     rng: random.Random,
     bisect=kernighan_lin_bisection,
+    counters: PlacementCounters | None = None,
 ) -> None:
     """Bisect ``qubits`` alongside ``region``; needs ``capacity(region) >= len(qubits)``."""
     if not qubits:
         return
+    counters = counters if counters is not None else PlacementCounters()
+    counters.regions += 1
     if len(qubits) == 1:
         assignment[qubits[0]] = domain.first(region)
         return
@@ -311,13 +321,17 @@ def _place_region(
     if size_first == 0 or size_second == 0:
         # Everything fits in one half; recurse into the half with enough slots.
         _place_region(
-            qubits, weights, first if size_first else second, domain, assignment, rng, bisect
+            qubits, weights, first if size_first else second, domain, assignment, rng, bisect,
+            counters,
         )
         return
-    side_a, side_b = bisect(qubits, weights, seed=rng.randrange(1 << 30), size_a=size_first)
+    counters.bisections += 1
+    side_a, side_b = bisect(
+        qubits, weights, seed=rng.randrange(1 << 30), size_a=size_first, counters=counters
+    )
     for side, half in ((side_a, first), (side_b, second)):
         _place_region(
-            sorted(side), _restrict(weights, side), half, domain, assignment, rng, bisect
+            sorted(side), _restrict(weights, side), half, domain, assignment, rng, bisect, counters
         )
 
 
@@ -327,17 +341,21 @@ def best_placement(
     attempts: int = 4,
     seed: int = 0,
     engine: str = "reference",
+    counters: PlacementCounters | None = None,
 ) -> Placement:
     """Run several seeded recursive bisections and keep the cheapest placement.
 
     Mirrors the paper: "Due to the stochastic steps in the mapping generation,
     we generate multiple mappings and select the one with minimal
-    communication cost."  Costs use the domain's slot metric.
+    communication cost."  Costs use the domain's slot metric.  ``counters``,
+    when given, accumulates the work of every attempt.
     """
     best: Placement | None = None
     best_cost = float("inf")
     for attempt in range(max(1, attempts)):
-        placement = recursive_bisection_placement(graph, domain, seed=seed + attempt, engine=engine)
+        placement = recursive_bisection_placement(
+            graph, domain, seed=seed + attempt, engine=engine, counters=counters
+        )
         cost = communication_cost(graph, placement, distance=domain.distance)
         if cost < best_cost:
             best, best_cost = placement, cost

@@ -210,6 +210,17 @@ class PipelineResult:
         """
         return self.context.artifacts.get("engine_counters")
 
+    @property
+    def placement_counters(self) -> dict | None:
+        """Placement work counters (``None`` before the initial-mapping pass).
+
+        Filled by :class:`~repro.pipeline.passes.InitialMappingPass` from
+        :class:`~repro.profiling.PlacementCounters`: attempts, regions,
+        bisections, KL swaps and passes, fast-path regions, FM passes and
+        coarsening levels.  Strategies that do not bisect leave them at 0.
+        """
+        return self.context.artifacts.get("placement_counters")
+
     def timings_dict(self) -> dict[str, float]:
         """Stage name → seconds, in execution order."""
         out: dict[str, float] = {}

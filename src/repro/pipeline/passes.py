@@ -50,7 +50,7 @@ from repro.core.scheduler_ls import LatticeSurgeryScheduler
 from repro.errors import SchedulingError
 from repro.partition.placement import check_placement_engine, communication_cost
 from repro.pipeline.framework import Pass, PassContext
-from repro.profiling import EngineCounters
+from repro.profiling import EngineCounters, PlacementCounters
 from repro.routing.fast_router import DEFAULT_CONGESTION_WEIGHT
 
 PRIORITIES: dict[str, Callable] = {
@@ -162,7 +162,11 @@ class InitCutTypesPass(Pass):
 
 
 class InitialMappingPass(Pass):
-    """Shape determining + qubit placement (pre-processing steps 1 and 2)."""
+    """Shape determining + qubit placement (pre-processing steps 1 and 2).
+
+    Stores the placement's :class:`~repro.profiling.PlacementCounters` in
+    ``ctx.artifacts["placement_counters"]``.
+    """
 
     name = "initial_mapping"
 
@@ -177,6 +181,7 @@ class InitialMappingPass(Pass):
         strategy = self._strategy or ctx.options.placement_strategy
         attempts = self._attempts if self._attempts is not None else ctx.options.placement_attempts
         ctx.shape = determine_shape(ctx.circuit.num_qubits, chip)
+        counters = PlacementCounters()
         ctx.placement = establish_placement(
             graph,
             ctx.shape,
@@ -186,7 +191,9 @@ class InitialMappingPass(Pass):
             dead=chip.defects.dead_set(),
             placement_engine=check_placement_engine(ctx.placement_engine),
             chip=chip,
+            counters=counters,
         )
+        ctx.artifacts["placement_counters"] = counters.as_dict()
         ctx.placement.validate(chip)
         # slot_distance is Manhattan on square chips (bit-identical costs)
         # and BFS hop distance on graph chips.

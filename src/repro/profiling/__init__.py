@@ -1,5 +1,5 @@
-"""Profiling helpers: hot-path work counters."""
+"""Profiling helpers: placement and hot-path work counters."""
 
-from repro.profiling.instrumentation import EngineCounters
+from repro.profiling.instrumentation import EngineCounters, PlacementCounters
 
-__all__ = ["EngineCounters"]
+__all__ = ["EngineCounters", "PlacementCounters"]

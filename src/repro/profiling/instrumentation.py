@@ -1,10 +1,13 @@
-"""Work counters for the scheduling/routing hot path.
+"""Work counters for the placement and scheduling/routing hot paths.
 
 The paper's headline claim is compile-time efficiency, so speedups here are
 measured, not asserted: every Algorithm 1 scheduler fills an
-:class:`EngineCounters` while it runs, the pipeline surfaces it through
-:attr:`PipelineResult.counters <repro.pipeline.framework.PipelineResult>`,
-and ``repro profile --method`` / ``repro compile --stages`` print them.
+:class:`EngineCounters` while it runs and every placement a
+:class:`PlacementCounters`; the pipeline surfaces them through
+:attr:`PipelineResult.counters <repro.pipeline.framework.PipelineResult>` and
+:attr:`PipelineResult.placement_counters
+<repro.pipeline.framework.PipelineResult>`, and ``repro profile --method`` /
+``repro compile --stages`` print them.
 """
 
 from __future__ import annotations
@@ -44,3 +47,31 @@ class EngineCounters:
         if not self.route_calls:
             return 0.0
         return self.nodes_expanded / self.route_calls
+
+
+@dataclass
+class PlacementCounters:
+    """Work counters accumulated by one placement (all attempts together).
+
+    ``attempts``, ``regions``, ``bisections`` and ``swaps_kept`` describe the
+    placement that came out: seeded recursions run, slot regions that held
+    at least one qubit, bisection-core calls and Kernighan–Lin swaps kept
+    by a pass.  The rest count effort: ``kl_passes`` KL passes run,
+    ``fast_path_regions`` bisections answered without the generic KL pass,
+    and ``fm_passes`` / ``coarsening_levels`` the multilevel engine's
+    Fiduccia–Mattheyses passes and coarsened levels.  Strategies that do not
+    bisect (snake, spectral, random) leave every counter at zero.
+    """
+
+    attempts: int = 0
+    regions: int = 0
+    bisections: int = 0
+    swaps_kept: int = 0
+    kl_passes: int = 0
+    fast_path_regions: int = 0
+    fm_passes: int = 0
+    coarsening_levels: int = 0
+
+    def as_dict(self) -> dict[str, int]:
+        """Plain-dict view (stored in pipeline artifacts / JSON exports)."""
+        return asdict(self)

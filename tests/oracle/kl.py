@@ -39,15 +39,18 @@ def reference_placement(weights: WeightMap) -> Iterator[None]:
     core at or below ``COARSEST_SIZE`` — is :func:`kernighan_lin_bisection`.
     """
 
-    def reference_kl(vertices, _region_weights, **options):
+    def reference_kl(vertices, _region_weights, counters=None, **options):
         return kernighan_lin_bisection(vertices, weights, **options)
 
-    def reference_multilevel(vertices, _region_weights, **options):
+    def reference_multilevel(vertices, _region_weights, counters=None, **options):
         return coarsen.multilevel_bisection(vertices, weights, **options)
+
+    def fallback_kl(vertices, region_weights, counters=None, **options):
+        return kernighan_lin_bisection(vertices, region_weights, **options)
 
     cores = {"reference": reference_kl, "fast": reference_multilevel}
     with mock.patch.dict(placement._BISECTION_CORES, cores), mock.patch.object(
-        coarsen, "kernighan_lin_bisection", kernighan_lin_bisection
+        coarsen, "kernighan_lin_bisection", fallback_kl
     ):
         yield
 
