@@ -8,9 +8,12 @@ level.  Because a coarse vertex carries the count of fine vertices it
 contracts, balance targets project exactly, and the finest level refines at
 unit vertex weights where the requested side sizes are restored exactly.
 
-The driver :func:`multilevel_bisection` is signature-compatible with
-:func:`repro.partition.kl.kernighan_lin_bisection`, so the recursive grid
-placement can swap between the two cores.
+The placement core :func:`multilevel_bisect` reads the same shared
+:data:`~repro.partition.kl.WeightRows` as the KL core
+(:func:`repro.partition.kl.kl_bisect`), with the same region-list contract,
+and delegates small regions to it.  The public :func:`multilevel_bisection`
+is a thin adapter over it that takes a weight map, like
+:func:`repro.partition.kl.kernighan_lin_bisection`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,15 @@ import random
 from collections.abc import Sequence
 
 from repro.errors import PartitionError
-from repro.partition.kl import WeightMap, check_weights, fm_refine, kernighan_lin_bisection
+from repro.partition.kl import (
+    WeightMap,
+    WeightRows,
+    check_weights,
+    fm_refine,
+    kernighan_lin_bisection,
+    kl_bisect,
+    weight_rows,
+)
 from repro.profiling import PlacementCounters
 
 #: Below this size the classic KL core is both fast enough and higher quality.
@@ -37,9 +48,13 @@ def quantize_weights(weights: WeightMap) -> dict[tuple[int, int], int]:
     :data:`WEIGHT_SCALE` and rounded, preserving relative magnitudes to
     about three decimal digits.
     """
-    if all(float(w).is_integer() for w in weights.values()):
-        return {edge: int(w) for edge, w in weights.items()}
-    return {edge: round(w * WEIGHT_SCALE) for edge, w in weights.items()}
+    return dict(zip(weights, _quantized(list(weights.values()))))
+
+
+def _quantized(weights: list[float]) -> list[int]:
+    if all(float(w).is_integer() for w in weights):
+        return [int(w) for w in weights]
+    return [round(w * WEIGHT_SCALE) for w in weights]
 
 
 def _build_csr(
@@ -211,7 +226,6 @@ def multilevel_bisection(
     max_passes: int = 8,
     seed: int | None = None,
     size_a: int | None = None,
-    counters: PlacementCounters | None = None,
 ) -> tuple[set[int], set[int]]:
     """Bisect ``vertices`` via coarsen → bisect → uncoarsen+refine.
 
@@ -220,7 +234,8 @@ def multilevel_bisection(
     near-linear cost in the number of edges: each FM pass is O(V + E) and
     the level hierarchy shrinks geometrically.  Small inputs delegate to
     the classic KL core, which is higher quality when the all-pairs scan
-    is affordable.
+    is affordable.  Larger ones quantize ``weights`` and run
+    :func:`multilevel_bisect` on their rows.
     """
     vertex_list = list(vertices)
     if len(vertex_list) < 2:
@@ -230,25 +245,53 @@ def multilevel_bisection(
     n = len(vertex_list)
     if size_a is not None and not 0 < size_a < n:
         raise PartitionError(f"size_a={size_a} must be strictly between 0 and {n}")
-    check_weights(weights)
+    check_weights((a, b, w) for (a, b), w in weights.items())
     if n <= COARSEST_SIZE:
         return kernighan_lin_bisection(
-            vertex_list, weights, max_passes=max_passes, seed=seed, size_a=size_a, counters=counters
+            vertex_list, weights, max_passes=max_passes, seed=seed, size_a=size_a
         )
+    rows = weight_rows(vertex_list, ((a, b, w) for (a, b), w in quantize_weights(weights).items()))
     target_a = size_a if size_a is not None else (n + 1) // 2
+    side_a, side_b = multilevel_bisect(rows, vertex_list, target_a, seed, max_passes=max_passes)
+    return set(side_a), set(side_b)
 
-    local_of = {vertex: index for index, vertex in enumerate(vertex_list)}
-    local_edges: dict[tuple[int, int], int] = {}
-    for (a, b), w in quantize_weights(weights).items():
-        if a in local_of and b in local_of and a != b:
-            la, lb = local_of[a], local_of[b]
-            edge = (la, lb) if la < lb else (lb, la)
-            local_edges[edge] = local_edges.get(edge, 0) + w
+
+def multilevel_bisect(
+    rows: WeightRows,
+    vertices: list[int],
+    size_a: int,
+    seed: int | None = None,
+    counters: PlacementCounters | None = None,
+    max_passes: int = 8,
+) -> tuple[list[int], list[int]]:
+    """Multilevel-bisect the region ``vertices`` of ``rows``, ``size_a`` of them first.
+
+    The fast placement engine's core; sides come back in ``vertices`` order.
+    Regions of at most :data:`COARSEST_SIZE` vertices go to
+    :func:`~repro.partition.kl.kl_bisect`.  Larger ones number the region's
+    vertices in list order, read each row in edge order into a CSR
+    (non-integral weights quantized as by :func:`quantize_weights`), and
+    coarsen it.
+    """
+    n = len(vertices)
+    if n <= COARSEST_SIZE:
+        return kl_bisect(rows, vertices, size_a, seed, counters, max_passes=max_passes)
+    local_of = {vertex: index for index, vertex in enumerate(vertices)}
+    adj_index = [0]
+    adj_vertex: list[int] = []
+    region_weights: list[float] = []
+    for vertex in vertices:
+        for neighbor, w in rows[vertex].items():
+            local = local_of.get(neighbor)
+            if local is not None and neighbor != vertex:
+                adj_vertex.append(local)
+                region_weights.append(w)
+        adj_index.append(len(adj_vertex))
     rng = random.Random(seed)
     weight_cap = max(4, n // 8)
 
     # Coarsening: stack of (csr..., vertex_weight, projection to this level).
-    adj = _build_csr(n, local_edges)
+    adj = (adj_index, adj_vertex, _quantized(region_weights))
     vertex_weight = [1] * n
     levels: list[tuple[tuple[list[int], list[int], list[int]], list[int], list[int]]] = []
     while len(vertex_weight) > COARSEST_SIZE:
@@ -262,13 +305,13 @@ def multilevel_bisection(
     if counters is not None:
         counters.coarsening_levels += len(levels)
 
-    side = _greedy_initial(vertex_weight, target_a)
+    side = _greedy_initial(vertex_weight, size_a)
     max_vw = max(vertex_weight)
     fm_refine(
         *adj,
         side,
         vertex_weight,
-        target_a,
+        size_a,
         move_tolerance=max_vw,
         accept_tolerance=max_vw - 1,
         max_passes=max_passes,
@@ -282,14 +325,14 @@ def multilevel_bisection(
             *adj,
             side,
             vertex_weight,
-            target_a,
+            size_a,
             move_tolerance=max_vw,
             accept_tolerance=max_vw - 1,
             max_passes=max_passes,
             counters=counters,
         )
-    _force_exact(*adj, side, target_a)
-
-    side_a = {vertex_list[v] for v in range(n) if side[v] == 0}
-    side_b = {vertex_list[v] for v in range(n) if side[v] == 1}
-    return side_a, side_b
+    _force_exact(*adj, side, size_a)
+    return (
+        [vertices[v] for v in range(n) if side[v] == 0],
+        [vertices[v] for v in range(n) if side[v] == 1],
+    )

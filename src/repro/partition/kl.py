@@ -5,25 +5,40 @@ the communication graph.  METIS is a multilevel refinement partitioner whose
 core refinement step is Kernighan–Lin / Fiduccia–Mattheyses; this module
 implements both refinement cores from scratch (the recursive and multilevel
 drivers live in :mod:`repro.partition.placement` and
-:mod:`repro.partition.coarsen`):
+:mod:`repro.partition.coarsen`).
 
-* :func:`kernighan_lin_bisection` — the classic KL formulation: repeatedly
-  compute gains ``D[v] = external(v) - internal(v)``, greedily swap the
-  highest-gain *pair*, lock the swapped vertices, and keep the best prefix
-  of swaps of each pass.  This is the reference placement engine's core.
-  Each swap picks the pair a row-major all-pairs scan would pick — the
-  maximum ``(D[a] + D[b]) - 2·w(a, b)``, ties to the smallest ``a``, then
-  the smallest ``b`` — with a pruned scan.  Unlocked vertices never change
-  sides within a pass, so each side keeps one sorted free list; a swap
-  orders free ``B`` by ``(-D[b], b)`` once, walks free ``A`` in id order,
-  skips an ``a`` whose bound ``D[a] + max D[b]`` cannot beat the best pair
-  so far, and stops the walk over ``B`` once ``D[a] + D[b]`` falls below
-  the best gain found for that ``a``.  The pruning is exact: weights are
-  finite and ``>= 0`` (checked on entry), and subtracting a non-negative
-  float never rounds upward, so ``fl(D[a] + D[b])`` bounds every gain a
-  skipped pair could reach.  After a swap only the pair's unlocked
-  neighbours are updated.  ``tests/oracle/kl.py`` keeps the all-pairs
-  original this core is differential-tested against.
+Both cores read one :data:`WeightRows` adjacency: ``rows[v]`` maps each
+neighbour of ``v`` to the edge weight, in edge order.  A placement builds it
+once per compile from the communication graph (:func:`weight_rows`, CNOT
+counts kept as ``int``, weights checked once by :func:`check_weights`) and
+every bisection of every attempt shares it: a region is an id-sorted vertex
+list into the rows, and the cores hand back id-sorted side lists.  A row may
+name vertices outside the region; the cores skip them, and because they keep
+the row order every gain is the same float sum a region-restricted map would
+give.  The public :func:`kernighan_lin_bisection` is a thin adapter that
+builds the same rows from a :data:`WeightMap`.
+
+* :func:`kl_refine` — the classic KL formulation: repeatedly compute gains
+  ``D[v] = external(v) - internal(v)``, greedily swap the highest-gain
+  *pair*, lock the swapped vertices, and keep the best prefix of swaps of
+  each pass.  This is the reference placement engine's core.  Each swap
+  picks the pair a row-major all-pairs scan would pick — the maximum
+  ``(D[a] + D[b]) - 2·w(a, b)``, ties to the smallest ``a``, then the
+  smallest ``b`` — with a pruned scan.  Unlocked vertices never change sides
+  within a pass, so each side keeps one sorted free list; a swap orders free
+  ``B`` by ``(-D[b], b)`` once, walks free ``A`` in id order, skips an ``a``
+  whose bound ``D[a] + max D[b]`` cannot beat the best pair so far, and
+  stops the walk over ``B`` once ``D[a] + D[b]`` falls below the best gain
+  found for that ``a``.  The pruning is exact: weights are finite and
+  ``>= 0`` (checked on entry), and subtracting a non-negative float never
+  rounds upward, so ``fl(D[a] + D[b])`` bounds every gain a skipped pair
+  could reach.  After a swap only the free vertices' gains are updated.
+  Two region shapes skip the generic pass, exactly: a 2-vertex region keeps
+  its start, because its only swap gains ``(w + w) - 2·w = 0`` (or less,
+  with self-loops) and a pass keeps only gains above ``1e-12``; a 2/2
+  four-vertex region runs an unrolled pass that scores its four pairs in
+  row-major order.  ``tests/oracle/kl.py`` keeps the all-pairs original
+  this core is differential-tested against.
 * :func:`fm_refine` + :class:`GainBuckets` — the Fiduccia–Mattheyses
   formulation over contiguous local vertex ids: per-vertex gains indexed
   into array-backed bucket lists (intrusive doubly-linked lists over flat
@@ -37,13 +52,22 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.errors import PartitionError
 from repro.profiling import PlacementCounters
 
 #: Weighted adjacency: ``weights[(a, b)] = w`` with ``a < b``.
 WeightMap = dict[tuple[int, int], float]
+
+#: Per-vertex weighted rows: ``rows[v][u]`` is the weight between ``v`` and
+#: ``u``, each row in edge order (see :func:`weight_rows`).
+WeightRows = dict[int, dict[int, float]]
+
+#: Edge weights may sum to at most this (float range ends just below
+#: ``2**1024``), so every KL gain, gain sum and FM-quantized weight
+#: (``w · 1024``) stays finite.
+MAX_TOTAL_WEIGHT = 2.0**1000
 
 
 def cut_weight(weights: WeightMap, side_a: set[int], side_b: set[int]) -> float:
@@ -55,26 +79,47 @@ def cut_weight(weights: WeightMap, side_a: set[int], side_b: set[int]) -> float:
     return total
 
 
-def check_weights(weights: WeightMap) -> None:
-    """Raise :class:`PartitionError` naming the first non-finite or negative weight.
+def check_weights(edges: Iterable[tuple[int, int, float]]) -> None:
+    """Raise :class:`PartitionError` naming the first edge with an unusable weight.
 
-    Zero and fractional weights are legal; both bisection cores call this
-    once on entry, and KL's pruned pair search relies on it.
+    ``edges`` holds ``(a, b, w)`` triples.  Zero and fractional weights are
+    legal; a weight is rejected when it is negative or not finite, or when it
+    takes the running total past :data:`MAX_TOTAL_WEIGHT`, where a core's
+    gain or quantization arithmetic could overflow.  Both bisection cores
+    rely on it: KL's pruned pair search and 2-vertex shortcut need finite
+    gains, FM's quantization finite scaled weights.
     """
-    for edge, w in weights.items():
-        if not 0.0 <= w < math.inf:
+    total = 0.0
+    for a, b, w in edges:
+        if not 0.0 <= w <= MAX_TOTAL_WEIGHT - total:
             raise PartitionError(
-                f"edge {edge} has weight {w!r}; edge weights must be finite and >= 0"
+                f"edge {(a, b)} has weight {w!r}; edge weights must be finite, >= 0 "
+                f"and sum to at most 2**1000"
             )
+        total += w
 
 
-def _neighbor_weights(weights: WeightMap, vertices: Sequence[int]) -> dict[int, dict[int, float]]:
-    adjacency: dict[int, dict[int, float]] = {v: {} for v in vertices}
-    for (a, b), w in weights.items():
-        if a in adjacency and b in adjacency:
-            adjacency[a][b] = adjacency[a].get(b, 0.0) + w
-            adjacency[b][a] = adjacency[b].get(a, 0.0) + w
-    return adjacency
+def weight_rows(vertices: Iterable[int], edges: Iterable[tuple[int, int, float]]) -> WeightRows:
+    """The :data:`WeightRows` of ``(a, b, w)`` triples, every ``vertices`` member a row.
+
+    Repeated pairs merge into the row entry of their first occurrence, and a
+    self-loop counts twice in its row (it is internal to either side).
+    Weights are not checked here; callers run :func:`check_weights` once.
+    """
+    rows: WeightRows = {v: {} for v in vertices}
+    for a, b, w in edges:
+        row = rows.setdefault(a, {})
+        row[b] = row.get(b, 0) + w
+        row = rows.setdefault(b, {})
+        row[a] = row.get(a, 0) + w
+    return rows
+
+
+def seeded_start(vertices: Sequence[int], size_a: int, seed: int | None) -> list[int]:
+    """KL's starting first side: the first ``size_a`` of a seeded shuffle."""
+    shuffled = list(vertices)
+    random.Random(seed).shuffle(shuffled)
+    return shuffled[:size_a]
 
 
 def kernighan_lin_bisection(
@@ -84,7 +129,6 @@ def kernighan_lin_bisection(
     seed: int | None = None,
     initial: tuple[set[int], set[int]] | None = None,
     size_a: int | None = None,
-    counters: PlacementCounters | None = None,
 ) -> tuple[set[int], set[int]]:
     """Bisect ``vertices`` into two halves with small cut weight.
 
@@ -97,6 +141,9 @@ def kernighan_lin_bisection(
     preserved exactly — which is also why an ``initial`` partition whose
     first side does not already have ``size_a`` vertices is rejected rather
     than silently refined at the wrong balance.
+
+    An adapter over :func:`kl_refine`: it checks ``weights``, builds their
+    :data:`WeightRows` and returns the sides as sets.
     """
     vertex_list = list(vertices)
     if len(vertex_list) < 2:
@@ -105,65 +152,138 @@ def kernighan_lin_bisection(
         raise PartitionError("duplicate vertices in bisection input")
     if size_a is not None and not 0 < size_a < len(vertex_list):
         raise PartitionError(f"size_a={size_a} must be strictly between 0 and {len(vertex_list)}")
-    rng = random.Random(seed)
     if initial is None:
-        shuffled = vertex_list[:]
-        rng.shuffle(shuffled)
-        half = size_a if size_a is not None else (len(shuffled) + 1) // 2
-        side_a, side_b = set(shuffled[:half]), set(shuffled[half:])
+        half = size_a if size_a is not None else (len(vertex_list) + 1) // 2
+        start_a = seeded_start(vertex_list, half, seed)
     else:
-        side_a, side_b = set(initial[0]), set(initial[1])
-        if side_a | side_b != set(vertex_list) or side_a & side_b:
+        start_a, start_b = set(initial[0]), set(initial[1])
+        if start_a | start_b != set(vertex_list) or start_a & start_b:
             raise PartitionError("initial partition does not cover the vertex set")
-        if size_a is not None and len(side_a) != size_a:
+        if size_a is not None and len(start_a) != size_a:
             raise PartitionError(
-                f"initial partition has {len(side_a)} vertices on the first side "
+                f"initial partition has {len(start_a)} vertices on the first side "
                 f"but size_a={size_a} was requested; KL swaps preserve sizes, so "
                 f"the initial split must already match"
             )
-    check_weights(weights)
-    adjacency = _neighbor_weights(weights, vertex_list)
+    edges = [(a, b, w) for (a, b), w in weights.items()]
+    check_weights(edges)
+    rows = weight_rows(vertex_list, edges)
+    side_a, side_b = kl_refine(rows, sorted(vertex_list), start_a, max_passes)
+    return set(side_a), set(side_b)
 
+
+def kl_bisect(
+    rows: WeightRows,
+    vertices: list[int],
+    size_a: int,
+    seed: int | None = None,
+    counters: PlacementCounters | None = None,
+    max_passes: int = 10,
+) -> tuple[list[int], list[int]]:
+    """KL-bisect the id-sorted region ``vertices``, ``size_a`` of them first.
+
+    The reference placement engine's core: :func:`kl_refine` from a
+    :func:`seeded_start`.
+    """
+    return kl_refine(rows, vertices, seeded_start(vertices, size_a, seed), max_passes, counters)
+
+
+def kl_refine(
+    rows: WeightRows,
+    vertices: list[int],
+    start_a: Iterable[int],
+    max_passes: int = 10,
+    counters: PlacementCounters | None = None,
+) -> tuple[list[int], list[int]]:
+    """Refine the split of the id-sorted region ``vertices`` whose first side is ``start_a``.
+
+    Runs KL passes until one keeps no swap or ``max_passes`` ran, and
+    returns both sides in ``vertices`` order.  A 2-vertex region and a 2/2
+    four-vertex region take the exact shortcuts in the module docstring.
+    """
+    side = dict.fromkeys(vertices, 1)
+    for v in start_a:
+        side[v] = 0
+    if len(vertices) == 2:
+        if counters is not None:
+            counters.fast_path_regions += 1
+        return [v for v in vertices if side[v] == 0], [v for v in vertices if side[v] == 1]
+    kl_pass = _kl_pass
+    if len(vertices) == 4 and len(side) - sum(side.values()) == 2:
+        kl_pass = _kl_pass_2x2
+        if counters is not None:
+            counters.fast_path_regions += 1
+    # The region's own edges, each row still in edge order.
+    inner = {v: {n: w for n, w in rows[v].items() if n in side} for v in vertices}
     for _ in range(max_passes):
-        kept = _kl_pass(side_a, side_b, adjacency)
+        kept = kl_pass(inner, vertices, side)
         if counters is not None:
             counters.kl_passes += 1
             counters.swaps_kept += kept
         if not kept:
             break
-    return side_a, side_b
+    return [v for v in vertices if side[v] == 0], [v for v in vertices if side[v] == 1]
 
 
-def _gains(side_a: set[int], side_b: set[int], adjacency: dict[int, dict[int, float]]) -> dict[int, float]:
+def _gains(inner: WeightRows, side: dict[int, int]) -> dict[int, float]:
+    """``D[v] = external(v) - internal(v)``, each a ``sum()`` in row order."""
     gains: dict[int, float] = {}
-    for vertex, neighbors in adjacency.items():
-        own = side_a if vertex in side_a else side_b
-        external = sum(w for n, w in neighbors.items() if n not in own)
-        internal = sum(w for n, w in neighbors.items() if n in own)
+    for vertex, row in inner.items():
+        own = side[vertex]
+        external = sum([w for n, w in row.items() if side[n] != own])
+        internal = sum([w for n, w in row.items() if side[n] == own])
         gains[vertex] = external - internal
     return gains
 
 
-def _kl_pass(side_a: set[int], side_b: set[int], adjacency: dict[int, dict[int, float]]) -> int:
-    """One KL pass; returns the number of swaps kept (0 when nothing improved)."""
-    gains = _gains(side_a, side_b, adjacency)
+def _keep_best_prefix(swaps: list[tuple[int, int, float]], side: dict[int, int]) -> int:
+    """Apply the best-gain prefix of a pass's swaps; returns its length."""
+    best_total = 0.0
+    best_prefix = 0
+    running = 0.0
+    for index, (_, _, gain) in enumerate(swaps, start=1):
+        running += gain
+        if running > best_total + 1e-12:
+            best_total = running
+            best_prefix = index
+    for a, b, _ in swaps[:best_prefix]:
+        side[a] = 1
+        side[b] = 0
+    return best_prefix
+
+
+def _swap_delta(row_a: dict[int, float], row_b: dict[int, float], vertex: int, in_a: bool) -> float:
+    """How swapping ``a`` and ``b`` moves the gain of a free ``vertex``."""
+    delta = 0.0
+    if vertex in row_a:
+        delta += (2.0 if in_a else -2.0) * row_a[vertex]
+    if vertex in row_b:
+        delta += (-2.0 if in_a else 2.0) * row_b[vertex]
+    return delta
+
+
+def _kl_pass(inner: WeightRows, vertices: list[int], side: dict[int, int]) -> int:
+    """One KL pass over the region's rows; returns the number of swaps kept."""
+    gains = _gains(inner, side)
     locked: set[int] = set()
-    swap_sequence: list[tuple[int, int, float]] = []
+    swaps: list[tuple[int, int, float]] = []
     # Sorted free lists pin the gain tie-break to vertex order: set
     # iteration order is hash-history-dependent, and the winning pair of an
     # equal-gain tie must not vary between two runs that feed the
     # golden-parity harness.
-    free_a, free_b = sorted(side_a), sorted(side_b)
+    free_a = [v for v in vertices if side[v] == 0]
+    free_b = [v for v in vertices if side[v] == 1]
 
     for _ in range(min(len(free_a), len(free_b))):
-        order_b = sorted(free_b, key=lambda v: (-gains[v], v))
+        # Stable sort of the id-ordered free B by descending gain: ties by id.
+        order_b = sorted(free_b, key=gains.__getitem__, reverse=True)
         top_b = gains[order_b[0]]
         best_gain, best_a, best_b = -math.inf, -1, -1
         for a in free_a:
             gain_a = gains[a]
             if gain_a + top_b <= best_gain:
                 continue
-            row = adjacency[a]
+            row = inner[a]
             row_gain, row_b = -math.inf, -1
             for b in order_b:
                 bound = gain_a + gains[b]
@@ -175,39 +295,48 @@ def _kl_pass(side_a: set[int], side_b: set[int], adjacency: dict[int, dict[int, 
             if row_gain > best_gain:
                 best_gain, best_a, best_b = row_gain, a, row_b
         a, b = best_a, best_b
-        swap_sequence.append((a, b, best_gain))
+        swaps.append((a, b, best_gain))
         locked.add(a)
         locked.add(b)
         free_a.remove(a)
         free_b.remove(b)
         # Update gains as if a and b were swapped; only their neighbours move.
-        for vertex in {**adjacency[a], **adjacency[b]}:
+        row_a, row_b = inner[a], inner[b]
+        for vertex in {**row_a, **row_b}:
             if vertex in locked:
                 continue
-            neighbors = adjacency[vertex]
             delta = 0.0
-            in_a = vertex in side_a
-            if a in neighbors:
-                delta += (2.0 if in_a else -2.0) * neighbors[a]
-            if b in neighbors:
-                delta += (-2.0 if in_a else 2.0) * neighbors[b]
+            in_a = side[vertex] == 0
+            if vertex in row_a:
+                delta += (2.0 if in_a else -2.0) * row_a[vertex]
+            if vertex in row_b:
+                delta += (-2.0 if in_a else 2.0) * row_b[vertex]
             gains[vertex] += delta
+    return _keep_best_prefix(swaps, side)
 
-    # Keep the best prefix of swaps.
-    best_total = 0.0
-    best_prefix = 0
-    running = 0.0
-    for index, (_, _, gain) in enumerate(swap_sequence, start=1):
-        running += gain
-        if running > best_total + 1e-12:
-            best_total = running
-            best_prefix = index
-    for a, b, _ in swap_sequence[:best_prefix]:
-        side_a.remove(a)
-        side_b.remove(b)
-        side_a.add(b)
-        side_b.add(a)
-    return best_prefix
+
+def _kl_pass_2x2(inner: WeightRows, vertices: list[int], side: dict[int, int]) -> int:
+    """:func:`_kl_pass` unrolled for two vertices a side; the same swaps, bit for bit.
+
+    The first swap takes the best of the four pairs in row-major order (the
+    first maximum, so ties go to the smallest ``a``, then ``b``); the second
+    swaps the remaining pair at its updated gains.
+    """
+    gains = _gains(inner, side)
+    a0, a1 = [v for v in vertices if side[v] == 0]
+    b0, b1 = [v for v in vertices if side[v] == 1]
+    best_gain, a, b = -math.inf, -1, -1
+    for pair_a, pair_b in ((a0, b0), (a0, b1), (a1, b0), (a1, b1)):
+        gain = (gains[pair_a] + gains[pair_b]) - 2.0 * inner[pair_a].get(pair_b, 0.0)
+        if gain > best_gain:
+            best_gain, a, b = gain, pair_a, pair_b
+    rest_a = a1 if a == a0 else a0
+    rest_b = b1 if b == b0 else b0
+    row_a, row_b = inner[a], inner[b]
+    gain_a = gains[rest_a] + _swap_delta(row_a, row_b, rest_a, True)
+    gain_b = gains[rest_b] + _swap_delta(row_a, row_b, rest_b, False)
+    last_gain = (gain_a + gain_b) - 2.0 * inner[rest_a].get(rest_b, 0.0)
+    return _keep_best_prefix([(a, b, best_gain), (rest_a, rest_b, last_gain)], side)
 
 
 class GainBuckets:

@@ -17,6 +17,11 @@ a chip's placement geometry.  It has two constructors:
   regions split along their wider coordinate axis, BFS hop distance
   (:meth:`~repro.chip.chip.Chip.slot_distance`).
 
+The bisections of one placement read one
+:data:`~repro.partition.kl.WeightRows` adjacency (:func:`graph_rows`), built
+once per compile and shared by every attempt; each region passes its
+id-sorted qubit list into it and gets id-sorted side lists back.
+
 Over either domain the module provides :func:`best_placement` (seeded
 multi-attempt :func:`recursive_bisection_placement`),
 :func:`snake_placement` (the trivial layout EDPCI uses),
@@ -36,8 +41,8 @@ import numpy as np
 from repro.chip.chip import Chip, TileSlot
 from repro.circuits.comm_graph import CommunicationGraph
 from repro.errors import ChipError, MappingError
-from repro.partition.coarsen import multilevel_bisection
-from repro.partition.kl import WeightMap, kernighan_lin_bisection
+from repro.partition.coarsen import multilevel_bisect
+from repro.partition.kl import WeightRows, check_weights, kl_bisect, weight_rows
 from repro.profiling import PlacementCounters
 
 #: Dead tile slots as ``(row, col)`` pairs; the empty set means a pristine chip.
@@ -47,10 +52,12 @@ NO_DEAD_TILES: frozenset[tuple[int, int]] = frozenset()
 #: golden baseline), ``fast`` = multilevel coarsen/FM bisection.
 PLACEMENT_ENGINES: tuple[str, ...] = ("reference", "fast")
 
-#: Bisection core backing each placement engine.
+#: Bisection core backing each placement engine:
+#: ``core(rows, vertices, size_a, seed, counters) -> (side_a, side_b)`` over
+#: id-sorted vertex lists into the shared rows.
 _BISECTION_CORES = {
-    "reference": kernighan_lin_bisection,
-    "fast": multilevel_bisection,
+    "reference": kl_bisect,
+    "fast": multilevel_bisect,
 }
 
 
@@ -113,19 +120,15 @@ def communication_cost(graph: CommunicationGraph, placement: Placement, distance
     return total
 
 
-def _weights_from_graph(graph: CommunicationGraph) -> WeightMap:
-    return {(a, b): float(w) for a, b, w in graph.edges()}
+def graph_rows(graph: CommunicationGraph) -> WeightRows:
+    """The communication graph's :data:`~repro.partition.kl.WeightRows`, checked once.
 
-
-def _restrict(weights: WeightMap, side: set[int]) -> WeightMap:
-    """The edges of ``weights`` inside ``side``, in the parent map's order.
-
-    Each child region bisects only its own edges, so the cores' adjacency
-    and quantization builds cost O(E_region) instead of O(E_total); keeping
-    the parent's iteration order keeps every float summation order, and
-    with it the placement, unchanged.
+    Rows follow ``graph.edges()`` order and keep the CNOT counts as ``int``;
+    every bisection of every placement attempt of one compile reads them.
     """
-    return {(a, b): w for (a, b), w in weights.items() if a in side and b in side}
+    edges = graph.edges()
+    check_weights(edges)
+    return weight_rows(range(graph.num_qubits), edges)
 
 
 # ------------------------------------------------------------------ slot domains
@@ -284,30 +287,40 @@ def recursive_bisection_placement(
     cost — see :data:`PLACEMENT_ENGINES`).  ``counters``, when given,
     accumulates the placement's work.
     """
+    return _bisection_placement(graph_rows(graph), graph, domain, seed, engine, counters)
+
+
+def _bisection_placement(
+    rows: WeightRows,
+    graph: CommunicationGraph,
+    domain: SlotDomain,
+    seed: int | None,
+    engine: str,
+    counters: PlacementCounters | None,
+) -> Placement:
     domain.check_fits(graph.num_qubits)
     bisect = _BISECTION_CORES[check_placement_engine(engine)]
     counters = counters if counters is not None else PlacementCounters()
     counters.attempts += 1
-    qubits = list(range(graph.num_qubits))
     assignment: dict[int, TileSlot] = {}
     rng = random.Random(seed)
     _place_region(
-        qubits, _weights_from_graph(graph), domain.root, domain, assignment, rng, bisect, counters
+        rows, list(range(graph.num_qubits)), domain.root, domain, assignment, rng, bisect, counters
     )
     return Placement(assignment)
 
 
 def _place_region(
+    rows: WeightRows,
     qubits: list[int],
-    weights: WeightMap,
     region: Region,
     domain: SlotDomain,
     assignment: dict[int, TileSlot],
     rng: random.Random,
-    bisect=kernighan_lin_bisection,
+    bisect=kl_bisect,
     counters: PlacementCounters | None = None,
 ) -> None:
-    """Bisect ``qubits`` alongside ``region``; needs ``capacity(region) >= len(qubits)``."""
+    """Bisect the id-sorted ``qubits`` alongside ``region``; needs ``capacity(region) >= len(qubits)``."""
     if not qubits:
         return
     counters = counters if counters is not None else PlacementCounters()
@@ -317,22 +330,17 @@ def _place_region(
         return
     first, second = domain.split(region)
     size_first = min(len(qubits), domain.capacity(first))
-    size_second = len(qubits) - size_first
-    if size_first == 0 or size_second == 0:
+    if size_first in (0, len(qubits)):
         # Everything fits in one half; recurse into the half with enough slots.
         _place_region(
-            qubits, weights, first if size_first else second, domain, assignment, rng, bisect,
+            rows, qubits, first if size_first else second, domain, assignment, rng, bisect,
             counters,
         )
         return
     counters.bisections += 1
-    side_a, side_b = bisect(
-        qubits, weights, seed=rng.randrange(1 << 30), size_a=size_first, counters=counters
-    )
-    for side, half in ((side_a, first), (side_b, second)):
-        _place_region(
-            sorted(side), _restrict(weights, side), half, domain, assignment, rng, bisect, counters
-        )
+    side_a, side_b = bisect(rows, qubits, size_first, rng.randrange(1 << 30), counters)
+    _place_region(rows, side_a, first, domain, assignment, rng, bisect, counters)
+    _place_region(rows, side_b, second, domain, assignment, rng, bisect, counters)
 
 
 def best_placement(
@@ -347,15 +355,15 @@ def best_placement(
 
     Mirrors the paper: "Due to the stochastic steps in the mapping generation,
     we generate multiple mappings and select the one with minimal
-    communication cost."  Costs use the domain's slot metric.  ``counters``,
-    when given, accumulates the work of every attempt.
+    communication cost."  Costs use the domain's slot metric.  Every attempt
+    reads one set of :func:`graph_rows`; ``counters``, when given,
+    accumulates the work of every attempt.
     """
+    rows = graph_rows(graph)
     best: Placement | None = None
     best_cost = float("inf")
     for attempt in range(max(1, attempts)):
-        placement = recursive_bisection_placement(
-            graph, domain, seed=seed + attempt, engine=engine, counters=counters
-        )
+        placement = _bisection_placement(rows, graph, domain, seed + attempt, engine, counters)
         cost = communication_cost(graph, placement, distance=domain.distance)
         if cost < best_cost:
             best, best_cost = placement, cost

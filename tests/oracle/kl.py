@@ -9,12 +9,13 @@ obviously-correct form:
 * the gain update after a swap visits every vertex of the graph;
 * ``_neighbor_weights`` filters the caller's whole weight map on every call.
 
-Production prunes the pair search, updates only the swapped pair's
-neighbours and receives region-restricted weight maps; every one of those
-must leave the chosen swaps — and therefore the placements — bit-identical
-to this module.  :func:`reference_placement` runs the production placement
-recursions the way they ran before the maps were restricted: every
-bisection sees the whole graph's weight map, and KL is this module's core.
+Production prunes the pair search, updates only the free vertices' gains,
+shortcuts 2-vertex and 2/2 four-vertex regions, and reads one set of
+per-vertex rows shared by every region; every one of those must leave the
+chosen swaps — and therefore the placements — bit-identical to this
+module.  :func:`reference_placement` runs the production placement
+recursions with every bisection on the whole graph's weight map, and KL is
+this module's core.
 """
 
 from __future__ import annotations
@@ -34,23 +35,22 @@ def reference_placement(weights: WeightMap) -> Iterator[None]:
     """Run both placement engines on the reference KL core and the full map.
 
     Inside the block every bisection the recursions ask for receives
-    ``weights`` (the whole graph's map) instead of its region's restriction,
-    and KL — the ``reference`` engine, and the multilevel ``fast`` engine's
+    ``weights`` (the whole graph's map) instead of the shared rows, and
+    KL — the ``reference`` engine, and the multilevel ``fast`` engine's
     core at or below ``COARSEST_SIZE`` — is :func:`kernighan_lin_bisection`.
     """
 
-    def reference_kl(vertices, _region_weights, counters=None, **options):
-        return kernighan_lin_bisection(vertices, weights, **options)
+    def reference_kl(_rows, vertices, size_a, seed, _counters):
+        side_a, side_b = kernighan_lin_bisection(vertices, weights, seed=seed, size_a=size_a)
+        return sorted(side_a), sorted(side_b)
 
-    def reference_multilevel(vertices, _region_weights, counters=None, **options):
-        return coarsen.multilevel_bisection(vertices, weights, **options)
-
-    def fallback_kl(vertices, region_weights, counters=None, **options):
-        return kernighan_lin_bisection(vertices, region_weights, **options)
+    def reference_multilevel(_rows, vertices, size_a, seed, _counters):
+        side_a, side_b = coarsen.multilevel_bisection(vertices, weights, seed=seed, size_a=size_a)
+        return sorted(side_a), sorted(side_b)
 
     cores = {"reference": reference_kl, "fast": reference_multilevel}
     with mock.patch.dict(placement._BISECTION_CORES, cores), mock.patch.object(
-        coarsen, "kernighan_lin_bisection", fallback_kl
+        coarsen, "kernighan_lin_bisection", kernighan_lin_bisection
     ):
         yield
 

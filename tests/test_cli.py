@@ -30,6 +30,15 @@ def test_profile_method_prints_one_compile(capsys):
     assert "route_calls" in out
 
 
+def test_compile_stages_prints_placement_and_scheduler_counters(capsys):
+    assert main(["compile", "qft_n10", "--stages"]) == 0
+    out = capsys.readouterr().out
+    placement = out[out.index("placement counters:"):out.index("scheduler counters:")]
+    assert "  attempts               4" in placement
+    assert "fast_path_regions" in placement and "coarsening_levels" in placement
+    assert "route_calls" in out[out.index("scheduler counters:"):]
+
+
 def test_compile_ecmas_default(capsys):
     assert main(["compile", "ghz_state_n23", "--model", "ls", "--scheduler", "limited"]) == 0
     out = capsys.readouterr().out

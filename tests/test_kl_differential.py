@@ -1,19 +1,21 @@
 """Differential harness: production Kernighan–Lin equals the reference core.
 
 The production KL core prunes its pair search, updates only the swapped
-pair's neighbours, and the placement recursions hand each child region a
-weight map restricted to its own edges.  None of that may change a single
-swap.  This module holds production to the all-pairs reference in
+pair's neighbours, shortcuts 2-vertex and 2/2 four-vertex regions, and the
+placement recursions hand every region a vertex list into one set of rows
+shared by the whole compile.  None of that may change a single swap.  This module holds production to the all-pairs reference in
 ``tests/oracle/kl.py``:
 
 * on Hypothesis-generated graphs whose weights include zeros, dyadic
   fractions and non-dyadic ones (0.1, 0.3, 3.3, where float rounding is
   most likely to expose a reordered sum), with and without ``size_a`` and
   ``initial=``;
+* on 2- and 4-vertex regions of a larger graph's shared rows, with
+  self-loops and every ``size_a``, where KL's exact shortcuts run;
 * through the placement recursion over both slot domains (grid windows and
   graph chips) with fractional weights, for both placement engines — the
   multilevel engine delegates to KL at or below ``COARSEST_SIZE`` and
-  receives restricted maps too;
+  reads the shared rows too;
 * end to end: ``best_placement`` for every Table I circuit that fits on a
   square chip, ``heavy_hex(3, 3)``, ``degree3_sparse(24, seed=7)`` and a
   defective square chip.
@@ -30,16 +32,16 @@ from oracle import reference_kl, reference_placement
 from repro.chip import Chip, SurfaceCodeModel, degree3_sparse, heavy_hex
 from repro.circuits import CommunicationGraph
 from repro.circuits.generators import default_suite
-from repro.partition.kl import kernighan_lin_bisection
+from repro.partition.kl import kernighan_lin_bisection, kl_bisect, weight_rows
 from repro.partition.placement import (
     PLACEMENT_ENGINES,
     _BISECTION_CORES,
     _place_region,
-    _weights_from_graph,
     best_placement,
     graph_domain,
     grid_domain,
 )
+from repro.profiling import PlacementCounters
 
 pytest.importorskip("hypothesis")
 
@@ -88,10 +90,49 @@ def test_kl_matches_reference_from_initial_partition(graph, seed, pin_size):
     assert actual == expected
 
 
+@st.composite
+def small_regions(draw):
+    """A weight map over up to 8 vertices and a 2- or 4-vertex region of it.
+
+    Every pair, and each vertex with itself, may carry a weight, so the
+    region's rows also name vertices outside it.  Weights come from a
+    palette of one to three :data:`WEIGHTS`, so equal-gain ties, where the
+    tie-break decides the swap, are common.
+    """
+    n = draw(st.integers(4, 8))
+    palette = draw(st.lists(st.sampled_from(WEIGHTS), min_size=1, max_size=3))
+    weights = {
+        (a, b): draw(st.sampled_from(palette))
+        for a in range(n)
+        for b in range(a, n)
+        if draw(st.booleans())
+    }
+    region = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True)))
+    if len(region) == 3:
+        region = region[:2]
+    return weights, region
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_regions(), st.integers(0, 2**20), st.data())
+def test_small_region_fast_paths_match_reference(graph, seed, data):
+    weights, region = graph
+    size_a = data.draw(st.integers(1, len(region) - 1))
+    rows = weight_rows(range(8), [(a, b, w) for (a, b), w in weights.items()])
+    counters = PlacementCounters()
+    side_a, side_b = kl_bisect(rows, region, size_a, seed, counters)
+    expected = reference_kl(region, weights, seed=seed, size_a=size_a)
+    assert (set(side_a), set(side_b)) == expected
+    assert side_a == sorted(side_a) and side_b == sorted(side_b)
+    assert counters.fast_path_regions == (len(region) == 2 or size_a * 2 == len(region))
+    assert kernighan_lin_bisection(region, weights, seed=seed, size_a=size_a) == expected
+
+
 def _recursion_placement(weights, n, domain, seed, engine):
     assignment = {}
     _place_region(
-        list(range(n)), weights, domain.root, domain, assignment, random.Random(seed),
+        weight_rows(range(n), [(a, b, w) for (a, b), w in weights.items()]),
+        list(range(n)), domain.root, domain, assignment, random.Random(seed),
         _BISECTION_CORES[engine],
     )
     return assignment
@@ -132,6 +173,10 @@ _GRAPH_CHIPS = {
 
 def _graph(name: str) -> CommunicationGraph:
     return CommunicationGraph.from_circuit(_TABLE1[name].build())
+
+
+def _weights_from_graph(graph: CommunicationGraph) -> dict[tuple[int, int], float]:
+    return {(a, b): float(w) for a, b, w in graph.edges()}
 
 
 def _square_windows(num_qubits: int):

@@ -85,6 +85,16 @@ class TestKernighanLin:
         with pytest.raises(PartitionError, match=r"edge \(2, 3\) has weight inf"):
             kernighan_lin_bisection(range(4), {(2, 3): float("inf")})
 
+    def test_huge_finite_weight_named(self):
+        # 2 * 1e308 overflows to inf, and the swap gain inf - inf is nan.
+        with pytest.raises(PartitionError, match=r"edge \(0, 1\) has weight 1e\+308"):
+            kernighan_lin_bisection([0, 1], {(0, 1): 1e308}, seed=1)
+
+    def test_weights_summing_past_the_bound_named(self):
+        weights = {(0, 1): 2.0**999, (1, 2): 2.0**999, (2, 3): 1.0}
+        with pytest.raises(PartitionError, match=r"edge \(2, 3\) has weight 1\.0"):
+            kernighan_lin_bisection(range(4), weights, seed=0)
+
     def test_never_worse_than_initial(self):
         weights = _two_cliques_weights()
         initial = ({0, 4, 5, 6}, {1, 2, 3, 7})

@@ -164,3 +164,30 @@ def test_every_method_returns_counters(method):
         assert counters["cycles_simulated"] == result.encoded.num_cycles
     else:
         assert counters["cycles_simulated"] >= result.encoded.num_cycles
+
+
+@pytest.mark.parametrize("method", registered_methods())
+def test_every_method_returns_placement_counters(method):
+    result = run_pipeline_method(bernstein_vazirani(10), method)
+    counters = result.placement_counters
+    assert counters is not None
+    assert all(isinstance(value, int) for value in counters.values())
+    if counters["attempts"] == 0:
+        # A strategy that does not bisect (the EDPCI snake) counts nothing.
+        assert not any(counters.values())
+        return
+    # Every bisection splits one region into two non-empty ones, so the
+    # recursion visits at least two regions per bisection plus each root.
+    assert counters["regions"] >= 2 * counters["bisections"] + counters["attempts"]
+    assert counters["kl_passes"] + counters["fast_path_regions"] >= counters["bisections"]
+    assert counters["fm_passes"] == counters["coarsening_levels"] == 0
+
+
+def test_placement_counters_match_the_attempts_asked_for():
+    options = EcmasOptions(placement_attempts=3)
+    result = run_pipeline_method(qft(12), "ecmas", options=options)
+    counters = result.placement_counters
+    assert counters["attempts"] == 3
+    # 12 qubits on a 4x3 window bisect down to 2-vertex regions, which take
+    # KL's exact shortcut.
+    assert 0 < counters["fast_path_regions"] <= counters["bisections"] < counters["regions"]

@@ -167,6 +167,14 @@ def test_multilevel_rejects_nan_weight_by_name():
         multilevel_bisection(list(range(40)), weights)
 
 
+def test_multilevel_rejects_huge_finite_weight_by_name():
+    # Quantizing 1e306 scales it by 1024, past the float range.
+    weights = {(v, v + 1): 0.5 for v in range(29)}
+    weights[(3, 4)] = 1e306
+    with pytest.raises(PartitionError, match=r"edge \(3, 4\) has weight 1e\+306"):
+        multilevel_bisection(list(range(30)), weights, seed=1)
+
+
 def test_quantize_weights_handles_integral_and_fractional():
     assert quantize_weights({(0, 1): 3.0, (1, 2): 0.0}) == {(0, 1): 3, (1, 2): 0}
     scaled = quantize_weights({(0, 1): 0.5, (1, 2): 2.0})
