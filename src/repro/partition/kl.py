@@ -200,43 +200,51 @@ def kl_refine(
     Runs KL passes until one keeps no swap or ``max_passes`` ran, and
     returns both sides in ``vertices`` order.  A 2-vertex region and a 2/2
     four-vertex region take the exact shortcuts in the module docstring.
+    The passes number the region's vertices by position, which keeps id
+    order, so every tie breaks as it would by vertex id.
     """
-    side = dict.fromkeys(vertices, 1)
-    for v in start_a:
-        side[v] = 0
+    start = set(start_a)
+    side = [0 if v in start else 1 for v in vertices]
     if len(vertices) == 2:
         if counters is not None:
             counters.fast_path_regions += 1
-        return [v for v in vertices if side[v] == 0], [v for v in vertices if side[v] == 1]
-    kl_pass = _kl_pass
-    if len(vertices) == 4 and len(side) - sum(side.values()) == 2:
-        kl_pass = _kl_pass_2x2
-        if counters is not None:
-            counters.fast_path_regions += 1
-    # The region's own edges, each row still in edge order.
-    inner = {v: {n: w for n, w in rows[v].items() if n in side} for v in vertices}
-    for _ in range(max_passes):
-        kept = kl_pass(inner, vertices, side)
-        if counters is not None:
-            counters.kl_passes += 1
-            counters.swaps_kept += kept
-        if not kept:
-            break
-    return [v for v in vertices if side[v] == 0], [v for v in vertices if side[v] == 1]
+    else:
+        kl_pass = _kl_pass
+        if len(vertices) == 4 and len(start) == 2:
+            kl_pass = _kl_pass_2x2
+            if counters is not None:
+                counters.fast_path_regions += 1
+        # The region's own edges by position, each row still in edge order.
+        local = {v: i for i, v in enumerate(vertices)}
+        inner = [{local[n]: w for n, w in rows[v].items() if n in local} for v in vertices]
+        for _ in range(max_passes):
+            kept = kl_pass(inner, side)
+            if counters is not None:
+                counters.kl_passes += 1
+                counters.swaps_kept += kept
+            if not kept:
+                break
+    return (
+        [v for v, s in zip(vertices, side) if s == 0],
+        [v for v, s in zip(vertices, side) if s == 1],
+    )
 
 
-def _gains(inner: WeightRows, side: dict[int, int]) -> dict[int, float]:
-    """``D[v] = external(v) - internal(v)``, each a ``sum()`` in row order."""
-    gains: dict[int, float] = {}
-    for vertex, row in inner.items():
-        own = side[vertex]
-        external = sum([w for n, w in row.items() if side[n] != own])
-        internal = sum([w for n, w in row.items() if side[n] == own])
-        gains[vertex] = external - internal
-    return gains
+#: A region's rows by position: ``inner[i][j]`` is the weight between the
+#: region's ``i``-th and ``j``-th vertex, each row in edge order.
+RegionRows = list[dict[int, float]]
 
 
-def _keep_best_prefix(swaps: list[tuple[int, int, float]], side: dict[int, int]) -> int:
+def _gains(inner: RegionRows, side: list[int]) -> list[float]:
+    """``D[i] = external(i) - internal(i)``, each a ``sum()`` in row order."""
+    return [
+        sum([w for j, w in row.items() if side[j] != own])
+        - sum([w for j, w in row.items() if side[j] == own])
+        for row, own in zip(inner, side)
+    ]
+
+
+def _keep_best_prefix(swaps: list[tuple[int, int, float]], side: list[int]) -> int:
     """Apply the best-gain prefix of a pass's swaps; returns its length."""
     best_total = 0.0
     best_prefix = 0
@@ -262,20 +270,19 @@ def _swap_delta(row_a: dict[int, float], row_b: dict[int, float], vertex: int, i
     return delta
 
 
-def _kl_pass(inner: WeightRows, vertices: list[int], side: dict[int, int]) -> int:
+def _kl_pass(inner: RegionRows, side: list[int]) -> int:
     """One KL pass over the region's rows; returns the number of swaps kept."""
     gains = _gains(inner, side)
-    locked: set[int] = set()
+    locked = [False] * len(side)
     swaps: list[tuple[int, int, float]] = []
-    # Sorted free lists pin the gain tie-break to vertex order: set
-    # iteration order is hash-history-dependent, and the winning pair of an
-    # equal-gain tie must not vary between two runs that feed the
-    # golden-parity harness.
-    free_a = [v for v in vertices if side[v] == 0]
-    free_b = [v for v in vertices if side[v] == 1]
+    # Free lists in position (= id) order pin the gain tie-break to vertex
+    # order, so the winning pair of an equal-gain tie never varies between
+    # two runs that feed the golden-parity harness.
+    free_a = [i for i, s in enumerate(side) if s == 0]
+    free_b = [i for i, s in enumerate(side) if s == 1]
 
     for _ in range(min(len(free_a), len(free_b))):
-        # Stable sort of the id-ordered free B by descending gain: ties by id.
+        # Stable sort of the position-ordered free B by descending gain: ties by id.
         order_b = sorted(free_b, key=gains.__getitem__, reverse=True)
         top_b = gains[order_b[0]]
         best_gain, best_a, best_b = -math.inf, -1, -1
@@ -296,14 +303,14 @@ def _kl_pass(inner: WeightRows, vertices: list[int], side: dict[int, int]) -> in
                 best_gain, best_a, best_b = row_gain, a, row_b
         a, b = best_a, best_b
         swaps.append((a, b, best_gain))
-        locked.add(a)
-        locked.add(b)
+        locked[a] = locked[b] = True
         free_a.remove(a)
         free_b.remove(b)
-        # Update gains as if a and b were swapped; only their neighbours move.
+        # Update gains as if a and b were swapped; only their neighbours
+        # move.  This is :func:`_swap_delta`, inlined in the hot loop.
         row_a, row_b = inner[a], inner[b]
         for vertex in {**row_a, **row_b}:
-            if vertex in locked:
+            if locked[vertex]:
                 continue
             delta = 0.0
             in_a = side[vertex] == 0
@@ -315,16 +322,17 @@ def _kl_pass(inner: WeightRows, vertices: list[int], side: dict[int, int]) -> in
     return _keep_best_prefix(swaps, side)
 
 
-def _kl_pass_2x2(inner: WeightRows, vertices: list[int], side: dict[int, int]) -> int:
+def _kl_pass_2x2(inner: RegionRows, side: list[int]) -> int:
     """:func:`_kl_pass` unrolled for two vertices a side; the same swaps, bit for bit.
 
     The first swap takes the best of the four pairs in row-major order (the
     first maximum, so ties go to the smallest ``a``, then ``b``); the second
-    swaps the remaining pair at its updated gains.
+    swaps the remaining pair at its gain after the first swap, computed with
+    the generic pass's float operations.
     """
     gains = _gains(inner, side)
-    a0, a1 = [v for v in vertices if side[v] == 0]
-    b0, b1 = [v for v in vertices if side[v] == 1]
+    a0, a1 = [i for i, s in enumerate(side) if s == 0]
+    b0, b1 = [i for i, s in enumerate(side) if s == 1]
     best_gain, a, b = -math.inf, -1, -1
     for pair_a, pair_b in ((a0, b0), (a0, b1), (a1, b0), (a1, b1)):
         gain = (gains[pair_a] + gains[pair_b]) - 2.0 * inner[pair_a].get(pair_b, 0.0)

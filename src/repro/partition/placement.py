@@ -112,11 +112,15 @@ def communication_cost(graph: CommunicationGraph, placement: Placement, distance
     identical to Manhattan on square chips, so callers may thread it
     unconditionally.
     """
-    if distance is None:
-        distance = TileSlot.manhattan_distance
+    return _edges_cost(graph.edges(), placement, distance or TileSlot.manhattan_distance)
+
+
+def _edges_cost(edges, placement: Placement, distance: Callable[[TileSlot, TileSlot], int]) -> float:
+    """:func:`communication_cost` over ``graph.edges()`` already in hand."""
+    slot_of = placement.slot_of
     total = 0.0
-    for a, b, weight in graph.edges():
-        total += weight * distance(placement.slot_of(a), placement.slot_of(b))
+    for a, b, weight in edges:
+        total += weight * distance(slot_of(a), slot_of(b))
     return total
 
 
@@ -360,11 +364,12 @@ def best_placement(
     accumulates the work of every attempt.
     """
     rows = graph_rows(graph)
+    edges = graph.edges()
     best: Placement | None = None
     best_cost = float("inf")
     for attempt in range(max(1, attempts)):
         placement = _bisection_placement(rows, graph, domain, seed + attempt, engine, counters)
-        cost = communication_cost(graph, placement, distance=domain.distance)
+        cost = _edges_cost(edges, placement, domain.distance)
         if cost < best_cost:
             best, best_cost = placement, cost
     assert best is not None
