@@ -64,6 +64,10 @@ WeightMap = dict[tuple[int, int], float]
 #: ``u``, each row in edge order (see :func:`weight_rows`).
 WeightRows = dict[int, dict[int, float]]
 
+#: A region's rows by position: ``inner[i][j]`` is the weight between the
+#: region's ``i``-th and ``j``-th vertex, each row in edge order.
+RegionRows = list[dict[int, float]]
+
 #: Edge weights may sum to at most this (float range ends just below
 #: ``2**1024``), so every KL gain, gain sum and FM-quantized weight
 #: (``w · 1024``) stays finite.
@@ -230,11 +234,6 @@ def kl_refine(
     )
 
 
-#: A region's rows by position: ``inner[i][j]`` is the weight between the
-#: region's ``i``-th and ``j``-th vertex, each row in edge order.
-RegionRows = list[dict[int, float]]
-
-
 def _gains(inner: RegionRows, side: list[int]) -> list[float]:
     """``D[i] = external(i) - internal(i)``, each a ``sum()`` in row order."""
     return [
@@ -262,11 +261,11 @@ def _keep_best_prefix(swaps: list[tuple[int, int, float]], side: list[int]) -> i
 
 def _swap_delta(row_a: dict[int, float], row_b: dict[int, float], vertex: int, in_a: bool) -> float:
     """How swapping ``a`` and ``b`` moves the gain of a free ``vertex``."""
-    delta = 0.0
+    delta = 0
     if vertex in row_a:
-        delta += (2.0 if in_a else -2.0) * row_a[vertex]
+        delta += (2 if in_a else -2) * row_a[vertex]
     if vertex in row_b:
-        delta += (-2.0 if in_a else 2.0) * row_b[vertex]
+        delta += (-2 if in_a else 2) * row_b[vertex]
     return delta
 
 
@@ -296,7 +295,7 @@ def _kl_pass(inner: RegionRows, side: list[int]) -> int:
                 bound = gain_a + gains[b]
                 if bound < row_gain or bound <= best_gain:
                     break
-                gain = bound - 2.0 * row.get(b, 0.0)
+                gain = bound - 2 * row.get(b, 0)
                 if gain > row_gain or (gain == row_gain and b < row_b):
                     row_gain, row_b = gain, b
             if row_gain > best_gain:
@@ -312,12 +311,12 @@ def _kl_pass(inner: RegionRows, side: list[int]) -> int:
         for vertex in {**row_a, **row_b}:
             if locked[vertex]:
                 continue
-            delta = 0.0
+            delta = 0
             in_a = side[vertex] == 0
             if vertex in row_a:
-                delta += (2.0 if in_a else -2.0) * row_a[vertex]
+                delta += (2 if in_a else -2) * row_a[vertex]
             if vertex in row_b:
-                delta += (-2.0 if in_a else 2.0) * row_b[vertex]
+                delta += (-2 if in_a else 2) * row_b[vertex]
             gains[vertex] += delta
     return _keep_best_prefix(swaps, side)
 
@@ -335,7 +334,7 @@ def _kl_pass_2x2(inner: RegionRows, side: list[int]) -> int:
     b0, b1 = [i for i, s in enumerate(side) if s == 1]
     best_gain, a, b = -math.inf, -1, -1
     for pair_a, pair_b in ((a0, b0), (a0, b1), (a1, b0), (a1, b1)):
-        gain = (gains[pair_a] + gains[pair_b]) - 2.0 * inner[pair_a].get(pair_b, 0.0)
+        gain = (gains[pair_a] + gains[pair_b]) - 2 * inner[pair_a].get(pair_b, 0)
         if gain > best_gain:
             best_gain, a, b = gain, pair_a, pair_b
     rest_a = a1 if a == a0 else a0
@@ -343,7 +342,7 @@ def _kl_pass_2x2(inner: RegionRows, side: list[int]) -> int:
     row_a, row_b = inner[a], inner[b]
     gain_a = gains[rest_a] + _swap_delta(row_a, row_b, rest_a, True)
     gain_b = gains[rest_b] + _swap_delta(row_a, row_b, rest_b, False)
-    last_gain = (gain_a + gain_b) - 2.0 * inner[rest_a].get(rest_b, 0.0)
+    last_gain = (gain_a + gain_b) - 2 * inner[rest_a].get(rest_b, 0)
     return _keep_best_prefix([(a, b, best_gain), (rest_a, rest_b, last_gain)], side)
 
 

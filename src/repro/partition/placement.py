@@ -115,7 +115,11 @@ def communication_cost(graph: CommunicationGraph, placement: Placement, distance
     return _edges_cost(graph.edges(), placement, distance or TileSlot.manhattan_distance)
 
 
-def _edges_cost(edges, placement: Placement, distance: Callable[[TileSlot, TileSlot], int]) -> float:
+def _edges_cost(
+    edges: tuple[tuple[int, int, int], ...],
+    placement: Placement,
+    distance: Callable[[TileSlot, TileSlot], int],
+) -> float:
     """:func:`communication_cost` over ``graph.edges()`` already in hand."""
     slot_of = placement.slot_of
     total = 0.0
