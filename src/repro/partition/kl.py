@@ -13,10 +13,10 @@ once per compile from the communication graph (:func:`weight_rows`, CNOT
 counts kept as ``int``, weights checked once by :func:`check_weights`) and
 every bisection of every attempt shares it: a region is an id-sorted vertex
 list into the rows, and the cores hand back id-sorted side lists.  A row may
-name vertices outside the region; the cores skip them, and because they keep
-the row order every gain is the same float sum a region-restricted map would
-give.  The public :func:`kernighan_lin_bisection` is a thin adapter that
-builds the same rows from a :data:`WeightMap`.
+name vertices outside the region; each bisection reads only the region's
+entries, in row order, so every gain is the same sum a region-restricted map
+would give.  The public :func:`kernighan_lin_bisection` is a thin adapter
+that builds the same rows from a :data:`WeightMap`.
 
 * :func:`kl_refine` — the classic KL formulation: repeatedly compute gains
   ``D[v] = external(v) - internal(v)``, greedily swap the highest-gain
@@ -32,13 +32,18 @@ builds the same rows from a :data:`WeightMap`.
   found for that ``a``.  The pruning is exact: weights are finite and
   ``>= 0`` (checked on entry), and subtracting a non-negative float never
   rounds upward, so ``fl(D[a] + D[b])`` bounds every gain a skipped pair
-  could reach.  After a swap only the free vertices' gains are updated.
-  Two region shapes skip the generic pass, exactly: a 2-vertex region keeps
-  its start, because its only swap gains ``(w + w) - 2·w = 0`` (or less,
-  with self-loops) and a pass keeps only gains above ``1e-12``; a 2/2
-  four-vertex region runs an unrolled pass that scores its four pairs in
-  row-major order.  ``tests/oracle/kl.py`` keeps the all-pairs original
-  this core is differential-tested against.
+  could reach.  After a swap only the pair's free neighbours get new
+  gains.  Gains are two ``sum()`` calls per vertex, never a hand-written
+  loop: from Python 3.12 ``sum()`` of floats is compensated, and the
+  oracle uses it.  Gain arithmetic multiplies by the int ``2``, so integer
+  weights (CNOT counts) keep every gain an exact int, while fractional
+  weights give the floats ``2.0 *`` would.  Two region shapes skip the
+  generic pass, exactly: a 2-vertex region keeps its start, because its
+  only swap gains ``(w + w) - 2·w = 0`` (or less, with self-loops) and a
+  pass keeps only gains above ``1e-12``; a 2/2 four-vertex region runs an
+  unrolled pass that scores its four pairs in row-major order.
+  ``tests/oracle/kl.py`` keeps the all-pairs original this core is
+  differential-tested against.
 * :func:`fm_refine` + :class:`GainBuckets` — the Fiduccia–Mattheyses
   formulation over contiguous local vertex ids: per-vertex gains indexed
   into array-backed bucket lists (intrusive doubly-linked lists over flat
@@ -119,7 +124,7 @@ def weight_rows(vertices: Iterable[int], edges: Iterable[tuple[int, int, float]]
     return rows
 
 
-def seeded_start(vertices: Sequence[int], size_a: int, seed: int | None) -> list[int]:
+def _seeded_start(vertices: Sequence[int], size_a: int, seed: int | None) -> list[int]:
     """KL's starting first side: the first ``size_a`` of a seeded shuffle."""
     shuffled = list(vertices)
     random.Random(seed).shuffle(shuffled)
@@ -158,7 +163,7 @@ def kernighan_lin_bisection(
         raise PartitionError(f"size_a={size_a} must be strictly between 0 and {len(vertex_list)}")
     if initial is None:
         half = size_a if size_a is not None else (len(vertex_list) + 1) // 2
-        start_a = seeded_start(vertex_list, half, seed)
+        start_a = _seeded_start(vertex_list, half, seed)
     else:
         start_a, start_b = set(initial[0]), set(initial[1])
         if start_a | start_b != set(vertex_list) or start_a & start_b:
@@ -186,10 +191,10 @@ def kl_bisect(
 ) -> tuple[list[int], list[int]]:
     """KL-bisect the id-sorted region ``vertices``, ``size_a`` of them first.
 
-    The reference placement engine's core: :func:`kl_refine` from a
-    :func:`seeded_start`.
+    The reference placement engine's core: :func:`kl_refine` from the first
+    ``size_a`` vertices of a shuffle seeded with ``seed``.
     """
-    return kl_refine(rows, vertices, seeded_start(vertices, size_a, seed), max_passes, counters)
+    return kl_refine(rows, vertices, _seeded_start(vertices, size_a, seed), max_passes, counters)
 
 
 def kl_refine(

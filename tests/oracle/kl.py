@@ -9,11 +9,11 @@ obviously-correct form:
 * the gain update after a swap visits every vertex of the graph;
 * ``_neighbor_weights`` filters the caller's whole weight map on every call.
 
-Production prunes the pair search, updates only the free vertices' gains,
-shortcuts 2-vertex and 2/2 four-vertex regions, and reads one set of
-per-vertex rows shared by every region; every one of those must leave the
-chosen swaps — and therefore the placements — bit-identical to this
-module.  :func:`reference_placement` runs the production placement
+Production prunes the pair search, updates only the swapped pair's free
+neighbours, shortcuts 2-vertex and 2/2 four-vertex regions, and reads one
+set of per-vertex rows shared by every region; every one of those must
+leave the chosen swaps — and therefore the placements — bit-identical to
+this module.  :func:`reference_placement` runs the production placement
 recursions with every bisection on the whole graph's weight map, and KL is
 this module's core.
 """

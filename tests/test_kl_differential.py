@@ -3,7 +3,8 @@
 The production KL core prunes its pair search, updates only the swapped
 pair's neighbours, shortcuts 2-vertex and 2/2 four-vertex regions, and the
 placement recursions hand every region a vertex list into one set of rows
-shared by the whole compile.  None of that may change a single swap.  This module holds production to the all-pairs reference in
+shared by the whole compile.  None of that may change a single swap.  This
+module holds production to the all-pairs reference in
 ``tests/oracle/kl.py``:
 
 * on Hypothesis-generated graphs whose weights include zeros, dyadic
