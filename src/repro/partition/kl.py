@@ -264,16 +264,6 @@ def _keep_best_prefix(swaps: list[tuple[int, int, float]], side: list[int]) -> i
     return best_prefix
 
 
-def _swap_delta(row_a: dict[int, float], row_b: dict[int, float], vertex: int, in_a: bool) -> float:
-    """How swapping ``a`` and ``b`` moves the gain of a free ``vertex``."""
-    delta = 0
-    if vertex in row_a:
-        delta += (2 if in_a else -2) * row_a[vertex]
-    if vertex in row_b:
-        delta += (-2 if in_a else 2) * row_b[vertex]
-    return delta
-
-
 def _kl_pass(inner: RegionRows, side: list[int]) -> int:
     """One KL pass over the region's rows; returns the number of swaps kept."""
     gains = _gains(inner, side)
@@ -310,8 +300,7 @@ def _kl_pass(inner: RegionRows, side: list[int]) -> int:
         locked[a] = locked[b] = True
         free_a.remove(a)
         free_b.remove(b)
-        # Update gains as if a and b were swapped; only their neighbours
-        # move.  This is :func:`_swap_delta`, inlined in the hot loop.
+        # Update gains as if a and b were swapped; only their neighbours move.
         row_a, row_b = inner[a], inner[b]
         for vertex in {**row_a, **row_b}:
             if locked[vertex]:
@@ -331,8 +320,11 @@ def _kl_pass_2x2(inner: RegionRows, side: list[int]) -> int:
 
     The first swap takes the best of the four pairs in row-major order (the
     first maximum, so ties go to the smallest ``a``, then ``b``); the second
-    swaps the remaining pair at its gain after the first swap, computed with
-    the generic pass's float operations.
+    swaps the remaining pair at its gain after the first swap.  That gain
+    cancels the first one exactly, so only float rounding can keep the
+    second swap; the pass therefore reproduces the generic update's floats
+    (an absent row entry reads as the int ``0``, and ``x - y`` equals
+    ``-y + x``).
     """
     gains = _gains(inner, side)
     a0, a1 = [i for i, s in enumerate(side) if s == 0]
@@ -345,8 +337,8 @@ def _kl_pass_2x2(inner: RegionRows, side: list[int]) -> int:
     rest_a = a1 if a == a0 else a0
     rest_b = b1 if b == b0 else b0
     row_a, row_b = inner[a], inner[b]
-    gain_a = gains[rest_a] + _swap_delta(row_a, row_b, rest_a, True)
-    gain_b = gains[rest_b] + _swap_delta(row_a, row_b, rest_b, False)
+    gain_a = gains[rest_a] + (2 * row_a.get(rest_a, 0) - 2 * row_b.get(rest_a, 0))
+    gain_b = gains[rest_b] + (2 * row_b.get(rest_b, 0) - 2 * row_a.get(rest_b, 0))
     last_gain = (gain_a + gain_b) - 2 * inner[rest_a].get(rest_b, 0)
     return _keep_best_prefix([(a, b, best_gain), (rest_a, rest_b, last_gain)], side)
 

@@ -325,13 +325,12 @@ def _place_region(
     domain: SlotDomain,
     assignment: dict[int, TileSlot],
     rng: random.Random,
-    bisect=kl_bisect,
-    counters: PlacementCounters | None = None,
+    bisect,
+    counters: PlacementCounters,
 ) -> None:
     """Bisect the id-sorted ``qubits`` alongside ``region``; needs ``capacity(region) >= len(qubits)``."""
     if not qubits:
         return
-    counters = counters if counters is not None else PlacementCounters()
     counters.regions += 1
     if len(qubits) == 1:
         assignment[qubits[0]] = domain.first(region)

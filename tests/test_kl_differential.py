@@ -12,7 +12,8 @@ module holds production to the all-pairs reference in
   most likely to expose a reordered sum), with and without ``size_a`` and
   ``initial=``;
 * on 2- and 4-vertex regions of a larger graph's shared rows, with
-  self-loops and every ``size_a``, where KL's exact shortcuts run;
+  self-loops, every ``size_a`` and large fractional weights, where KL's
+  exact shortcuts run;
 * through the placement recursion over both slot domains (grid windows and
   graph chips) with fractional weights, for both placement engines — the
   multilevel engine delegates to KL at or below ``COARSEST_SIZE`` and
@@ -50,6 +51,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 #: Edge weights: zero, integral, dyadic and non-dyadic fractions.
 WEIGHTS = (0.0, 0.0, 1.0, 2.0, 0.5, 0.1, 0.3, 3.3)
+
+#: Large non-dyadic weights, whose gain sums round by more than KL's
+#: ``1e-12`` keep threshold.
+LARGE_WEIGHTS = (1e5 + 0.1, 3e7 + 0.3, 1e9 / 3)
 
 
 @st.composite
@@ -97,11 +102,13 @@ def small_regions(draw):
 
     Every pair, and each vertex with itself, may carry a weight, so the
     region's rows also name vertices outside it.  Weights come from a
-    palette of one to three :data:`WEIGHTS`, so equal-gain ties, where the
-    tie-break decides the swap, are common.
+    palette of one to three :data:`WEIGHTS` or :data:`LARGE_WEIGHTS`, so
+    equal-gain ties, where the tie-break decides the swap, are common, and
+    so are 2/2 passes whose second swap is kept only through float rounding
+    (its exact gain cancels the first swap's).
     """
     n = draw(st.integers(4, 8))
-    palette = draw(st.lists(st.sampled_from(WEIGHTS), min_size=1, max_size=3))
+    palette = draw(st.lists(st.sampled_from(WEIGHTS + LARGE_WEIGHTS), min_size=1, max_size=3))
     weights = {
         (a, b): draw(st.sampled_from(palette))
         for a in range(n)
@@ -134,7 +141,7 @@ def _recursion_placement(weights, n, domain, seed, engine):
     _place_region(
         weight_rows(range(n), [(a, b, w) for (a, b), w in weights.items()]),
         list(range(n)), domain.root, domain, assignment, random.Random(seed),
-        _BISECTION_CORES[engine],
+        _BISECTION_CORES[engine], PlacementCounters(),
     )
     return assignment
 

@@ -4,18 +4,21 @@
 The ledger holds, for each run, perfbench's own ``environment`` block and
 its final JSON result line, for both checkouts, so a change's effect is
 read from the benchmark's own output.  This script measures nothing itself:
-it runs ``python3 perfbench/run.py --workload W --seed S --seconds T
+it runs ``python3 perfbench/run.py --workload W --seed 1 --seconds 32
 --trace X`` inside each checkout, alternating which side runs first, and
 summarizes every metric as parent and head medians and quartiles, the
 median of the per-pair head/parent ratios, and the pairs the head won
 (by the ``better`` direction in ``BENCHMARK.json``; per-layer metrics of
 traced runs are raw seconds and counts, compare them only pair by pair).
+A run that exits non-zero, including one whose result says ``"correct":
+false``, stops the script: a ledger only records runs whose every
+operation succeeded.
 
 Usage, from the root of the head checkout::
 
     git clone . ../parent && git -C ../parent checkout <parent-commit>
     python3 tools/bench_ledger.py --workload table1 --parent ../parent \\
-        --seed 1 --seconds 32 --pairs 10 --traced-pairs 5
+        --pairs 10 --traced-pairs 5
 
 writes ``BENCH_table1.json`` at the root of the head checkout.
 """
@@ -31,14 +34,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: Every ledger run uses perfbench's seed 1 and its 32-second budget.
+SEED = 1
+SECONDS = 32
+
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--parent", type=Path, required=True, help="the parent commit's checkout")
     parser.add_argument("--head", type=Path, default=ROOT, help="the change's checkout")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=32)
     parser.add_argument("--pairs", type=int, default=1, help="untraced parent/head pairs")
     parser.add_argument("--traced-pairs", type=int, default=0, help="traced parent/head pairs")
     parser.add_argument("--out", type=Path, help="default: BENCH_<workload>.json in --head")
@@ -49,7 +54,7 @@ def run_perfbench(checkout: Path, args: argparse.Namespace, trace: int) -> dict:
     """One perfbench run: its environment block and its final result line."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", args.workload,
-        "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(trace),
+        "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.splitlines()
@@ -57,8 +62,11 @@ def run_perfbench(checkout: Path, args: argparse.Namespace, trace: int) -> dict:
         (json.loads(line.split(" ", 1)[1]) for line in lines if line.startswith("environment ")),
         None,
     )
-    if done.returncode not in (0, 1) or not lines or environment is None:
-        raise RuntimeError(f"perfbench failed in {checkout}:\n{done.stderr}")
+    if done.returncode != 0 or not lines or environment is None:
+        last = lines[-1] if lines else ""
+        raise RuntimeError(
+            f"perfbench exited {done.returncode} in {checkout}:\n{last}\n{done.stderr}"
+        )
     return {"environment": environment, "result": json.loads(lines[-1])}
 
 
@@ -115,11 +123,11 @@ def main(argv: list[str] | None = None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     ledger: dict = {
         "workload": args.workload,
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": SECONDS,
         "command": (
-            f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed} "
-            f"--seconds {args.seconds:g} --trace <0|1>"
+            f"python3 perfbench/run.py --workload {args.workload} --seed {SEED} "
+            f"--seconds {SECONDS} --trace <0|1>"
         ),
     }
     for key, pairs, trace in (("untraced", args.pairs, 0), ("traced", args.traced_pairs, 1)):
