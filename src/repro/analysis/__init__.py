@@ -6,8 +6,7 @@ instead of after a parity test flakes:
 * determinism of the compilation hot paths (``DET001``-``DET004``),
 * completeness of the batch-cache fingerprint (``FPR001``),
 * fork/thread safety of module state (``FRK001``-``FRK002``),
-* docstring coverage, unified from ``tools/check_docstrings.py``
-  (``DOC001``).
+* docstring coverage (``DOC001``).
 
 Importing this package registers every rule; the
 :class:`~repro.analysis.analyzer.Analyzer` is the entry point used by the

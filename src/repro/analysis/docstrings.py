@@ -1,10 +1,8 @@
-"""DOC001: docstring coverage, unified under ``repro lint``.
+"""DOC001: docstring coverage, enforced by ``repro lint``.
 
-The measurement logic lived in ``tools/check_docstrings.py`` (the stdlib
-interrogate-equivalent the docs CI job runs); it now lives here so docstring
-coverage, determinism and fingerprint checks run under one command with one
-baseline/pragma format.  The standalone script remains as a thin CLI shim
-over :func:`measure` for CI back-compat.
+A stdlib equivalent of interrogate's count, so docstring coverage,
+determinism and fingerprint checks run under one command with one
+baseline/pragma format; :func:`measure` is also what the test suite calls.
 
 Counted definitions: modules, public classes, and public functions/methods.
 A leading underscore marks something private; dunders, nested functions and

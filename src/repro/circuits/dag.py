@@ -109,7 +109,7 @@ class GateDAG:
         :data:`EXACT_DESCENDANTS_MAX` gates.  Larger DAGs, where exact sets
         would be quadratic in memory, sum ``1 + count`` over each node's
         successors instead: a descendant reachable along several paths is
-        counted once per path.  The priority function only needs a
+        counted once per path.  The priority key only needs a
         consistent ordering.
         """
         succ = self._succ

@@ -54,7 +54,8 @@ class EcmasOptions:
     """Tuning knobs of the Ecmas pipeline (all default to the paper's choices).
 
     Every value is validated eagerly: an unknown ``priority`` or
-    ``cut_strategy`` fails at construction rather than mid-compile.
+    ``cut_strategy``, or a value of the wrong type, fails at construction
+    rather than mid-compile.
     """
 
     placement_strategy: str = "ecmas"
@@ -70,9 +71,18 @@ class EcmasOptions:
         _check_choice("cut_initialisation", self.cut_initialisation, VALID_CUT_INITIALISATIONS)
         _check_choice("cut_strategy", self.cut_strategy, VALID_CUT_STRATEGIES)
         _check_choice("priority", self.priority, VALID_PRIORITIES)
-        if not isinstance(self.placement_attempts, int) or self.placement_attempts < 1:
+        # bool is an int subclass, but ``True`` is no seed or attempt count.
+        for name in ("seed", "placement_attempts"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise SchedulingError(f"{name} must be an integer, got {value!r}")
+        if self.placement_attempts < 1:
             raise SchedulingError(
                 f"placement_attempts must be a positive integer, got {self.placement_attempts!r}"
+            )
+        if not isinstance(self.adjust_bandwidth, bool):
+            raise SchedulingError(
+                f"adjust_bandwidth must be a boolean, got {self.adjust_bandwidth!r}"
             )
 
     @classmethod
@@ -82,7 +92,7 @@ class EcmasOptions:
 
 
 def _check_choice(field_name: str, value: str, valid: frozenset) -> None:
-    if value not in valid:
+    if not isinstance(value, str) or value not in valid:
         raise SchedulingError(
             f"unknown {field_name} {value!r}; valid choices: {', '.join(sorted(valid))}"
         )

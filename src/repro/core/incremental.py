@@ -7,19 +7,17 @@ O(R log R) per cycle even though the ready set changes only at gate dispatch
 and gate retirement.
 
 :class:`IncrementalReadyQueue` keeps the ready set permanently ordered
-instead.  Priorities with a ``static_key`` (see
-:mod:`repro.core.priorities`) are evaluated once per node when it becomes
+instead.  A priority is a fixed per-node sort key (see
+:mod:`repro.core.priorities`), evaluated once per node when it becomes
 ready — criticality and descendant counts are already computed once on the
-DAG — and maintained under two O(log R) events:
+DAG — and the sorted entries are maintained under two O(log R) events:
 
 * :meth:`add` when gate retirement makes new nodes ready,
 * :meth:`discard` when a gate is dispatched.
 
 The per-cycle cost is then a single linear scan over the ordered entries to
 drop busy tiles (:meth:`available`), which yields *exactly* the list the
-per-cycle rebuild computes.  Priorities without a static key fall back to
-calling the priority function per cycle on the identically-ordered input the
-rebuild would pass it, so seeded/random ablations stay bit-equal too.
+per-cycle rebuild computes (``tests/oracle/engine.py`` holds the rebuild).
 """
 
 from __future__ import annotations
@@ -28,36 +26,25 @@ from bisect import bisect_left, insort
 from heapq import heappop, heappush
 
 from repro.circuits.dag import GateDAG
-from repro.core.priorities import PriorityFunction
+from repro.core.priorities import PriorityKey
 from repro.errors import SchedulingError
 
 
 class IncrementalReadyQueue:
     """Priority-ordered view of the not-yet-dispatched ready gates."""
 
-    def __init__(self, dag: GateDAG, priority: PriorityFunction, initial_ready=()):
+    def __init__(self, dag: GateDAG, priority: PriorityKey, initial_ready=()):
         self._dag = dag
-        self._priority = priority
-        self._key = getattr(priority, "static_key", None)
-        #: Sorted (key, node, control, target) entries (static-key mode) …
+        self._key = priority
+        #: Sorted (key, node, control, target) entries.
         self._entries: list[tuple] = []
-        #: … or the plain ready set (fallback mode).
-        self._ready: set[int] = set()
         self.add(initial_ready)
 
     def __len__(self) -> int:
-        return len(self._entries) if self._key is not None else len(self._ready)
-
-    @property
-    def uses_static_key(self) -> bool:
-        """True when the queue maintains a permanently sorted ready list."""
-        return self._key is not None
+        return len(self._entries)
 
     def add(self, nodes) -> None:
         """Insert newly ready nodes (from gate retirement)."""
-        if self._key is None:
-            self._ready.update(nodes)
-            return
         dag, key = self._dag, self._key
         operands = dag.operand_pairs
         for node in nodes:
@@ -66,9 +53,6 @@ class IncrementalReadyQueue:
 
     def discard(self, node: int) -> None:
         """Remove a dispatched node from the ready view."""
-        if self._key is None:
-            self._ready.discard(node)
-            return
         # A (key, node) 2-tuple sorts immediately before the 4-tuple entry it
         # prefixes, so bisect_left lands exactly on the node's entry.
         index = bisect_left(self._entries, (self._key(self._dag, node), node))
@@ -76,27 +60,12 @@ class IncrementalReadyQueue:
             del self._entries[index]
 
     def available(self, busy_until: dict[int, int], cycle: int) -> list[int]:
-        """Ready nodes whose operand tiles are free, in dispatch order.
-
-        Matches the per-cycle rebuild's ``priority(dag, available)`` output:
-        in static-key mode the entries are already in key order; in fallback
-        mode the priority function receives the ascending-id list the
-        rebuild would make from ``frontier.ready_nodes()``.
-        """
-        if self._key is not None:
-            return [
-                node
-                for _key, node, control, target in self._entries
-                if busy_until[control] <= cycle and busy_until[target] <= cycle
-            ]
-        dag = self._dag
-        operands = dag.operand_pairs
-        candidates = []
-        for node in sorted(self._ready):
-            control, target = operands[node]
-            if busy_until[control] <= cycle and busy_until[target] <= cycle:
-                candidates.append(node)
-        return self._priority(dag, candidates)
+        """Ready nodes whose operand tiles are free, smallest key first."""
+        return [
+            node
+            for _key, node, control, target in self._entries
+            if busy_until[control] <= cycle and busy_until[target] <= cycle
+        ]
 
 
 class WindowedDagFrontier:

@@ -42,7 +42,7 @@ from repro.core.cut_decisions import (
 )
 from repro.core.layer_memo import LOOKAHEAD_STRATEGIES, MEMO_SAFE_STRATEGIES, DdLayerKey
 from repro.core.mapping import InitialMapping
-from repro.core.priorities import PriorityFunction, criticality_priority
+from repro.core.priorities import PriorityKey, criticality_priority
 from repro.core.schedule import OperationKind, ScheduledOperation
 from repro.errors import SchedulingError
 from repro.routing.fast_router import DEFAULT_CONGESTION_WEIGHT
@@ -61,7 +61,7 @@ class DoubleDefectScheduler(Algorithm1Scheduler):
         self,
         circuit: Circuit,
         mapping: InitialMapping,
-        priority: PriorityFunction = criticality_priority,
+        priority: PriorityKey = criticality_priority,
         cut_strategy: CutDecisionStrategy = adaptive_strategy,
         congestion_weight: float = DEFAULT_CONGESTION_WEIGHT,
         method: str = "ecmas-dd",

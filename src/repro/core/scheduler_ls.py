@@ -23,7 +23,7 @@ from repro.circuits.circuit import Circuit
 from repro.core.algorithm1 import Algorithm1Scheduler
 from repro.core.layer_memo import LsLayerKey
 from repro.core.mapping import InitialMapping
-from repro.core.priorities import PriorityFunction, criticality_priority
+from repro.core.priorities import PriorityKey, criticality_priority
 from repro.routing.fast_router import DEFAULT_CONGESTION_WEIGHT
 
 
@@ -38,7 +38,7 @@ class LatticeSurgeryScheduler(Algorithm1Scheduler):
         self,
         circuit: Circuit,
         mapping: InitialMapping,
-        priority: PriorityFunction = criticality_priority,
+        priority: PriorityKey = criticality_priority,
         congestion_weight: float = DEFAULT_CONGESTION_WEIGHT,
         method: str = "ecmas-ls",
         max_cycles: int | None = None,

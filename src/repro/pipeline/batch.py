@@ -65,7 +65,8 @@ from repro.core.ecmas import EcmasOptions
 #: 3: defect-aware chips — the chip key carries the defect spec, jobs carry a
 #: ``defects`` field, and the ReSu cut-remap fix changed ReSu schedules.
 #: (The streaming rework did not bump it: records are bit-identical to the
-#: barrier engine's, and pre-shard flat entries are still found on disk.)
+#: barrier engine's.  Sharding came with it at version 3, so no key of a
+#: later version names a flat file.)
 #: 4: placement-engine field — the fast multilevel placement core produces
 #: different (parity-bounded) placements, so ``placement`` is part of result
 #: identity and pre-knob records must not be served for either value.
@@ -203,7 +204,8 @@ class ResultCache:
     """Two-tier cache of JSON-serialised experiment records, one per job hash.
 
     Disk entries live under ``<directory>/<fingerprint[:2]>/<fingerprint>.json``
-    (pre-sharding flat entries are still found and served); an in-memory LRU
+    (flat files from before sharding are never read, only swept by
+    :meth:`clear` and :meth:`prune`); an in-memory LRU
     of at most ``memory_limit`` serialised records sits in front of the disk
     tier.  ``directory=None`` resolves :func:`default_cache_dir` at
     construction time, honouring ``$REPRO_CACHE_DIR`` changes made after
@@ -226,12 +228,8 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.json"
 
-    def _legacy_path(self, key: str) -> Path:
-        """Flat pre-sharding location, still honoured on reads."""
-        return self.directory / f"{key}.json"
-
     def _entry_paths(self):
-        """Every record file, sharded and legacy-flat alike."""
+        """Every record file: the shards' and stray flat ones from before v3."""
         if not self.directory.is_dir():
             return
         yield from self.directory.glob("*.json")
@@ -267,21 +265,19 @@ class ResultCache:
             self._memory.move_to_end(key)
             record = ExperimentRecord.from_dict(json.loads(text))
         else:
-            for path in (self._path(key), self._legacy_path(key)):
-                try:
-                    text = path.read_text(encoding="utf-8")
-                except OSError:
-                    continue
-                try:
-                    record = ExperimentRecord.from_dict(json.loads(text))
-                except (ValueError, TypeError):
-                    # Corrupt or schema-skewed entries self-heal: delete the
-                    # unreadable file on the way to a miss so the rerun's
-                    # fresh record replaces it for good.
-                    path.unlink(missing_ok=True)
-                    continue
+            path = self._path(key)
+            try:
+                text = path.read_text(encoding="utf-8")
+                record = ExperimentRecord.from_dict(json.loads(text))
+            except OSError:
+                pass
+            except (ValueError, TypeError):
+                # Corrupt or schema-skewed entries self-heal: delete the
+                # unreadable file on the way to a miss so the rerun's fresh
+                # record replaces it for good.
+                path.unlink(missing_ok=True)
+            else:
                 self._remember(key, text)
-                break
         if record is None:
             self.misses += 1
             return None

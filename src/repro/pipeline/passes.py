@@ -43,7 +43,12 @@ from repro.core.mapping import (
     establish_placement,
 )
 from repro.core.metrics import chip_communication_capacity
-from repro.core.priorities import circuit_order_priority, criticality_priority, descendant_priority
+from repro.core.priorities import (
+    PriorityKey,
+    circuit_order_priority,
+    criticality_priority,
+    descendant_priority,
+)
 from repro.core.resu import schedule_resu_double_defect, schedule_resu_lattice_surgery
 from repro.core.scheduler_dd import DoubleDefectScheduler
 from repro.core.scheduler_ls import LatticeSurgeryScheduler
@@ -53,7 +58,7 @@ from repro.pipeline.framework import Pass, PassContext
 from repro.profiling import EngineCounters, PlacementCounters
 from repro.routing.fast_router import DEFAULT_CONGESTION_WEIGHT
 
-PRIORITIES: dict[str, Callable] = {
+PRIORITIES: dict[str, PriorityKey] = {
     "criticality": criticality_priority,
     "circuit_order": circuit_order_priority,
     "descendants": descendant_priority,
@@ -240,9 +245,9 @@ class SelectSchedulerPass(Pass):
         Overrides ``ctx.scheduler`` (``"auto"`` / ``"limited"`` / ``"resu"``).
     priority:
         A priority name (looked up in :data:`PRIORITIES`) or a priority
-        function; defaults to ``ctx.options.priority``.
+        key ``(dag, node) -> tuple``; defaults to ``ctx.options.priority``.
     priority_factory:
-        A callable ``(ctx) -> priority_fn`` for priorities that depend on
+        A callable ``(ctx) -> priority key`` for priorities that depend on
         earlier artifacts (EDPCI orders gates by placed tile separation).
     cut_strategy:
         A cut-decision strategy name or function; defaults to
@@ -259,8 +264,8 @@ class SelectSchedulerPass(Pass):
     def __init__(
         self,
         scheduler: str | None = None,
-        priority: str | Callable | None = None,
-        priority_factory: Callable[[PassContext], Callable] | None = None,
+        priority: str | PriorityKey | None = None,
+        priority_factory: Callable[[PassContext], PriorityKey] | None = None,
         cut_strategy: str | Callable | None = None,
         congestion_weight: float | None = None,
         method_label: str | None = None,

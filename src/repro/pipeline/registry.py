@@ -35,7 +35,7 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.dag import GateDAG
 from repro.core.cut_decisions import never_modify_strategy
 from repro.core.ecmas import EcmasOptions
-from repro.core.priorities import static_priority
+from repro.core.priorities import PriorityKey
 from repro.errors import ReproError
 from repro.pipeline.framework import Pass, PassContext, Pipeline, PipelineResult
 from repro.pipeline.passes import (
@@ -54,26 +54,21 @@ LS = SurfaceCodeModel.LATTICE_SURGERY
 
 
 # ------------------------------------------------------------ gate priorities
-@static_priority(lambda dag, node: (-dag.criticality(node), node))
-def braidflash_priority(dag: GateDAG, ready: Sequence[int]) -> list[int]:
+def braidflash_priority(dag: GateDAG, node: int) -> tuple:
     """Critical-path gates first, then program order (no descendant tie-break)."""
-    return sorted(ready, key=lambda node: (-dag.criticality(node), node))
+    return (-dag.criticality(node), node)
 
 
-def edp_priority_factory(ctx: PassContext) -> Callable:
+def edp_priority_factory(ctx: PassContext) -> PriorityKey:
     """EDPCI gate order: shortest placed tile separation first, then program order."""
     mapping = ctx.require_mapping()
-    placement = mapping.placement
+    slot_of = mapping.placement.slot_of
     # Manhattan on square chips (unchanged ordering), BFS hops on graph chips.
     distance = mapping.chip.slot_distance
 
-    def separation(dag: GateDAG, node: int) -> int:
+    def priority(dag: GateDAG, node: int) -> tuple:
         control, target = dag.operands(node)
-        return distance(placement.slot_of(control), placement.slot_of(target))
-
-    @static_priority(lambda dag, node: (separation(dag, node), node))
-    def priority(dag: GateDAG, ready: Sequence[int]) -> list[int]:
-        return sorted(ready, key=lambda node: (separation(dag, node), node))
+        return (distance(slot_of(control), slot_of(target)), node)
 
     return priority
 
@@ -100,8 +95,8 @@ def standard_passes(
     placement: str | None = None,
     adjust: bool | None = None,
     scheduler: str | None = None,
-    priority: str | Callable | None = None,
-    priority_factory: Callable[[PassContext], Callable] | None = None,
+    priority: str | PriorityKey | None = None,
+    priority_factory: Callable[[PassContext], PriorityKey] | None = None,
     cut_strategy: str | Callable | None = None,
     congestion_weight: float | None = None,
     method_label: str | None = None,

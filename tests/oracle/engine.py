@@ -6,8 +6,8 @@ reference engine is the same loop with each of those three accelerations
 swapped for its obviously-correct counterpart:
 
 * :class:`ReferenceReadyQueue` recomputes the prioritised ready list from
-  scratch every cycle, calling ``priority(dag, available)`` exactly as the
-  paper's Algorithm 1 states it;
+  scratch every cycle, sorting the available gates by the priority key
+  exactly as the paper's Algorithm 1 states it;
 * :class:`~oracle.dijkstra.OracleRouter` answers every path query with the
   reference Dijkstra (ReSu, the mapping stage's pre-routing and
   :func:`~repro.routing.edp.route_edge_disjoint` included);
@@ -48,14 +48,15 @@ class ReferenceReadyQueue:
         self._ready.discard(node)
 
     def available(self, busy_until, cycle: int) -> list[int]:
-        """The ready gates whose operand tiles are free, in priority order."""
+        """The ready gates whose operand tiles are free, smallest key first."""
         operands = self._dag.operand_pairs
         available = [
             node
             for node in sorted(self._ready)
             if busy_until[operands[node][0]] <= cycle and busy_until[operands[node][1]] <= cycle
         ]
-        return self._priority(self._dag, available)
+        # A stable sort of the ascending-id list: equal keys go in id order.
+        return sorted(available, key=lambda node: self._priority(self._dag, node))
 
 
 def _oracle_routing(chip):

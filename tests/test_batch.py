@@ -154,18 +154,17 @@ class TestResultCacheTiers:
         assert stats["shards"] == 1
         assert stats["bytes"] > 0
 
-    def test_legacy_flat_entries_are_still_served(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
+    def test_stray_flat_files_are_swept_not_served(self, tmp_path):
         job = _jobs(methods=("ecmas_ls_min",))[0]
         record = execute_job(job)
         (tmp_path / "c").mkdir()
         flat = tmp_path / "c" / f"{job.fingerprint()}.json"
         flat.write_text(json.dumps(asdict(record), sort_keys=True), encoding="utf-8")
-        fresh = ResultCache(tmp_path / "c")
-        hit = fresh.get(job)
-        assert hit is not None and hit.cycles == record.cycles
-        assert fresh.stats()["entries"] == 1
-        assert fresh.clear() == 1
+        cache = ResultCache(tmp_path / "c")
+        assert cache.get(job) is None
+        assert cache.stats()["entries"] == 1
+        assert cache.clear() == 1
+        assert not flat.exists()
 
     def test_memory_tier_serves_hits_without_disk(self, tmp_path):
         cache = ResultCache(tmp_path / "c")

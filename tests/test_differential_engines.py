@@ -18,7 +18,7 @@ alters any schedule anywhere in the suite fails here with the exact
 from __future__ import annotations
 
 import pytest
-from oracle import reference_compile, reference_engine
+from oracle import reference_compile
 
 from repro.circuits.generators import default_suite
 from repro.pipeline.registry import run_pipeline_method
@@ -73,21 +73,3 @@ def test_fast_engine_reports_landmark_reuse(circuits, method):
     assert reference.counters["layer_memo_hits"] == reference.counters["layer_memo_misses"] == 0
     # Goal-directed search must beat exhaustive Dijkstra on explored nodes.
     assert counters["nodes_expanded"] < reference.counters["nodes_expanded"]
-
-
-def test_random_priority_falls_back_identically(circuits):
-    """Priorities without a static key schedule exactly like the per-cycle rebuild."""
-    from repro.chip.geometry import SurfaceCodeModel
-    from repro.core.ecmas import default_chip, prepare_mapping
-    from repro.core.priorities import random_priority
-    from repro.core.scheduler_dd import DoubleDefectScheduler
-
-    circuit = circuits["adder_n10"]
-    model = SurfaceCodeModel.DOUBLE_DEFECT
-    mapping = prepare_mapping(circuit, default_chip(circuit, model), model)
-    production = DoubleDefectScheduler(circuit, mapping, priority=random_priority(seed=11)).run()
-    with reference_engine():
-        reference = DoubleDefectScheduler(circuit, mapping, priority=random_priority(seed=11)).run()
-    assert production.operations == reference.operations
-    report = validate_encoded_circuit(circuit, production)
-    assert report.valid, report.errors[:3]

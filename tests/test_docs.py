@@ -7,7 +7,6 @@ not just in the ``docs-build`` CI job.
 
 from __future__ import annotations
 
-import subprocess
 import sys
 from pathlib import Path
 
@@ -15,7 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
 import build_docs  # noqa: E402  (tools/ is not a package)
-import check_docstrings  # noqa: E402
+
+from repro.analysis.docstrings import measure  # noqa: E402
 
 
 def test_http_api_reference_matches_schema():
@@ -50,22 +50,12 @@ def test_offline_builder_catches_broken_links(tmp_path):
 
 def test_docstring_coverage_gate():
     """The interrogate-style gate holds at >= 80% repo-wide (and 100% where promised)."""
-    documented, total, missing = check_docstrings.measure(ROOT / "src" / "repro")
+    documented, total, missing = measure(ROOT / "src" / "repro", ROOT / "src")
     coverage = 100.0 * documented / total
     assert coverage >= 80.0, f"docstring coverage fell to {coverage:.1f}%: {missing}"
     for package in ("pipeline", "routing", "chip", "service"):
-        documented, total, missing = check_docstrings.measure(ROOT / "src" / "repro" / package)
+        documented, total, missing = measure(ROOT / "src" / "repro" / package, ROOT / "src")
         assert documented == total, f"repro.{package} lost docstrings: {missing}"
-
-
-def test_docstring_gate_cli_passes():
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "check_docstrings.py"), "--fail-under", "80"],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "PASSED" in result.stdout
 
 
 def test_readme_is_not_stale():

@@ -10,7 +10,7 @@ from repro.circuits.circuit import Circuit
 from repro.core.algorithm1 import stalled_schedule_error
 from repro.core.ecmas import default_chip, prepare_mapping
 from repro.core.incremental import IncrementalReadyQueue
-from repro.core.priorities import criticality_priority, random_priority
+from repro.core.priorities import criticality_priority
 from repro.core.scheduler_dd import DoubleDefectScheduler
 from repro.core.scheduler_ls import LatticeSurgeryScheduler
 from repro.errors import RoutingError, SchedulingError
@@ -91,12 +91,15 @@ def _diamond_dag():
     return circuit.dag()
 
 
+def _by_priority(dag, nodes):
+    return sorted(nodes, key=lambda node: criticality_priority(dag, node))
+
+
 def test_queue_orders_like_priority_function():
     dag = _diamond_dag()
     queue = IncrementalReadyQueue(dag, criticality_priority, range(len(dag)))
-    assert queue.uses_static_key
     busy = {q: 0 for q in range(4)}
-    assert queue.available(busy, 0) == criticality_priority(dag, list(range(len(dag))))
+    assert queue.available(busy, 0) == _by_priority(dag, range(len(dag)))
 
 
 def test_queue_add_discard_and_busy_filter():
@@ -111,18 +114,7 @@ def test_queue_add_discard_and_busy_filter():
     # Gate 1 acts on busy qubit 0; only gate 2's operands (0, 2) ... both busy
     # via qubit 0, so nothing is available until the tiles free up.
     assert queue.available(busy, 0) == []
-    assert queue.available(busy, 5) == criticality_priority(dag, [1, 2])
-
-
-def test_queue_fallback_without_static_key():
-    dag = _diamond_dag()
-    priority = random_priority(seed=3)
-    queue = IncrementalReadyQueue(dag, priority, [0, 1, 2])
-    assert not queue.uses_static_key
-    queue.discard(1)
-    busy = {q: 0 for q in range(4)}
-    expected = random_priority(seed=3)(dag, [0, 2])
-    assert queue.available(busy, 0) == expected
+    assert queue.available(busy, 5) == _by_priority(dag, [1, 2])
 
 
 # --------------------------------------------------------------- fast router

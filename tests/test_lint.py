@@ -233,7 +233,7 @@ def test_fpr001_metadata_matches_live_dataclasses():
 
 
 # ---------------------------------------------------------------------------
-# DOC001 and the docstring shim
+# DOC001
 
 
 def test_doc001_threshold(tmp_path):
@@ -263,19 +263,6 @@ def test_measure_agrees_with_doc001_metadata():
     )
     meta = report.metadata["DOC001"]
     assert (meta["documented"], meta["total"]) == (documented, total)
-
-
-def test_check_docstrings_shim(capsys):
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "check_docstrings", REPO_ROOT / "tools" / "check_docstrings.py"
-    )
-    shim = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(shim)
-    assert shim.main(["--fail-under", "80"]) == 0
-    assert "PASSED" in capsys.readouterr().out
-    assert shim.main(["--fail-under", "100"]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -77,14 +77,12 @@ def _seed_edpci(circuit, resources, code_distance=3):
     )
     placement = mapping.placement
 
-    def priority(dag, ready):
-        def separation(node):
-            gate = dag.gate(node)
-            return placement.slot_of(gate.control).manhattan_distance(
-                placement.slot_of(gate.target)
-            )
-
-        return sorted(ready, key=lambda node: (separation(node), node))
+    def priority(dag, node):
+        gate = dag.gate(node)
+        separation = placement.slot_of(gate.control).manhattan_distance(
+            placement.slot_of(gate.target)
+        )
+        return (separation, node)
 
     return LatticeSurgeryScheduler(circuit, mapping, priority=priority, method="edpci").run()
 

@@ -212,6 +212,27 @@ def test_malformed_inline_qasm_is_400_naming_the_qasm_field(daemon):
     assert "(line 2, column 8)" in err.payload["errors"][0]["message"]
 
 
+@pytest.mark.parametrize(
+    "options, field",
+    [
+        ({"seed": None}, "seed"),
+        ({"seed": "x"}, "seed"),
+        ({"adjust_bandwidth": "no"}, "adjust_bandwidth"),
+        ({"placement_attempts": True}, "placement_attempts"),
+        ({"priority": ["criticality"]}, "priority"),
+    ],
+)
+def test_mistyped_option_is_400_naming_options(daemon, options, field):
+    """A mistyped option must not crash mid-compile or silently run as another value."""
+    with pytest.raises(ServiceError) as excinfo:
+        daemon.compile(circuit="dnn_n8", method="ecmas_dd_min", options=options)
+    err = excinfo.value
+    assert err.status == 400
+    assert err.payload["error"] == "schema_error"
+    assert [e["field"] for e in err.payload["errors"]] == ["options"]
+    assert field in err.payload["errors"][0]["message"]
+
+
 def test_unparseable_body_and_unknown_paths(daemon):
     import urllib.error
     import urllib.request
