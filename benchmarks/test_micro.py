@@ -45,7 +45,8 @@ def test_single_path_routing_large_chip(benchmark):
     chip = Chip.with_tile_array(SurfaceCodeModel.DOUBLE_DEFECT, 3, 12, 12, bandwidth=2)
     graph = RoutingGraph(chip)
     # A fresh router per call: the cold query, landmark-table build included.
-    path = benchmark(lambda: FastRouter(graph).find(CapacityUsage(), tile_node(0, 0), tile_node(11, 11)))
+    source, target = graph.node_id[tile_node(0, 0)], graph.node_id[tile_node(11, 11)]
+    path = benchmark(lambda: FastRouter(graph).find(CapacityUsage(), source, target))
     assert path is not None
 
 

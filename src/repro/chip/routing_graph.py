@@ -129,6 +129,9 @@ class RoutingGraph:
     tile_access:
         Per node id, its *tile* neighbors as ``{tile id: (edge id,
         capacity)}``, probed for a search's target tile.
+    corridors:
+        The corridor of each edge id as :meth:`corridor_of` names it
+        (``None`` for tile access edges).
     junctions_passable:
         True when every junction can pass at least one path through it.  A
         defective chip may strand a junction with only tile-access edges
@@ -192,10 +195,10 @@ class RoutingGraph:
         self.through_capacity: list[int] = through
         self.junction_adjacency: list[list[tuple[int, int, int]]] = rows
         self.tile_access: list[dict[int, tuple[int, int]]] = access
+        self.corridors: tuple[Corridor | None, ...] = tuple(corridors)
         self.junctions_passable: bool = all(c >= 1 for c in through[:num_junctions])
         self._num_junctions = num_junctions
         self._capacity = capacities
-        self._corridor = corridors
 
     # ---------------------------------------------------------------- queries
     @property
@@ -214,6 +217,19 @@ class RoutingGraph:
             return self.edge_id[edge_key(a, b)]
         except KeyError as exc:
             raise RoutingError(f"no edge between {a} and {b}") from exc
+
+    def tile_id(self, node: Node) -> int:
+        """The node id of tile ``node``, the form the router takes endpoints in.
+
+        Raises :class:`RoutingError` naming ``node`` when it is not a tile
+        node or the graph lacks it (a dead or off-array tile).
+        """
+        if not self.is_tile(node):
+            raise RoutingError("paths are routed between tile nodes")
+        tile = self.node_id.get(node)
+        if tile is None:
+            raise RoutingError(f"tile {node} is not on the chip (dead or off the tile array)")
+        return tile
 
     def node_capacity(self, node: Node) -> int:
         """Number of distinct paths that may pass *through* ``node`` in one cycle.
@@ -277,7 +293,7 @@ class RoutingGraph:
         ``None`` for tile access edges.  Used by bandwidth adjusting to
         attribute path load to corridors.
         """
-        return self._corridor[self._edge(a, b)]
+        return self.corridors[self._edge(a, b)]
 
     def path_edges(self, path: Iterable[Node]) -> list[EdgeKey]:
         """Edge keys traversed by a node path, validating adjacency."""

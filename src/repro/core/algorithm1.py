@@ -48,13 +48,13 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.chip.geometry import SurfaceCodeModel
-from repro.chip.routing_graph import Node, tile_node_for
 from repro.core.incremental import IncrementalReadyQueue, WindowedDagFrontier
+from repro.core.mapping import qubit_tile_ids
 from repro.core.schedule import EncodedCircuit, OperationKind, ScheduledOperation
 from repro.errors import SchedulingError
 from repro.profiling.instrumentation import EngineCounters
 from repro.routing.fast_router import routing_for
-from repro.routing.paths import CapacityUsage, RoutedPath
+from repro.routing.paths import CapacityUsage, IdPath
 
 #: Hard safety bound: a valid schedule never needs more than the model's
 #: worst-case cycles per gate; eight times that indicates a scheduler bug.
@@ -128,11 +128,7 @@ class Algorithm1Scheduler:
         # standalone callers pay for one derivation here.
         self._dag = dag if dag is not None else circuit.dag()
         self._router = routing_for(mapping.chip)
-        #: Tile node per placed qubit, resolved once (placements are frozen).
-        self._tiles = {
-            qubit: tile_node_for(slot)
-            for qubit, slot in mapping.placement.qubit_to_slot.items()
-        }
+        self._graph = self._router.graph
         self.counters = EngineCounters()
 
     # ------------------------------------------------------------------ public
@@ -239,23 +235,19 @@ class Algorithm1Scheduler:
         self._scheduled: set[int] = set()
         self._queue = IncrementalReadyQueue(self._dag, self._priority, frontier.ready_nodes())
         self._cycle = 0
+        #: Tile id per qubit, resolved once (placements are frozen).
+        self._tile_ids = qubit_tile_ids(self._graph, self._mapping.placement, self._dag)
         return frontier
 
-    def _tile(self, qubit: int) -> Node:
-        tile = self._tiles.get(qubit)
-        if tile is None:
-            # Unplaced qubit: surface the mapping error, not a KeyError.
-            return tile_node_for(self._mapping.placement.slot_of(qubit))
-        return tile
-
-    def _route(self, usage: CapacityUsage, qubit_a: int, qubit_b: int) -> RoutedPath | None:
+    def _route(self, usage: CapacityUsage, qubit_a: int, qubit_b: int) -> IdPath | None:
         """Route one query between two qubits' tiles, accounting it in the counters."""
         self.counters.route_calls += 1
+        tile_ids = self._tile_ids
         return self._router.find(
-            usage, self._tile(qubit_a), self._tile(qubit_b), self._congestion_weight, self.counters
+            usage, tile_ids[qubit_a], tile_ids[qubit_b], self._congestion_weight, self.counters
         )
 
-    def _braid(self, node: int, qubit_a: int, qubit_b: int) -> RoutedPath | None:
+    def _braid(self, node: int, qubit_a: int, qubit_b: int) -> IdPath | None:
         """Route and book a one-cycle braid now; returns its path, or ``None`` to wait."""
         usage = self._usage_now
         path = self._route(usage, qubit_a, qubit_b)
@@ -269,11 +261,15 @@ class Algorithm1Scheduler:
         node: int,
         qubit_a: int,
         qubit_b: int,
-        path: RoutedPath,
+        path: IdPath,
         kind: OperationKind = OperationKind.CNOT_BRAID,
         duration: int = 1,
     ) -> None:
-        """Book one dispatched CNOT starting this cycle: operation, tile horizons, completion."""
+        """Book one dispatched CNOT starting this cycle: operation, tile horizons, completion.
+
+        The operation carries the tuple :class:`~repro.routing.paths.RoutedPath`
+        of ``path``, the one place the scheduler leaves integer ids.
+        """
         cycle = self._cycle
         end = cycle + duration
         self.counters.gates_scheduled += 1
@@ -284,7 +280,7 @@ class Algorithm1Scheduler:
                 duration=duration,
                 qubits=(qubit_a, qubit_b),
                 gate_node=node,
-                path=path,
+                path=path.routed(self._graph),
             )
         )
         self._busy_until[qubit_a] = end

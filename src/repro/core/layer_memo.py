@@ -17,7 +17,7 @@ Lattice surgery (:class:`LsLayerKey`)
     in priority order; two simultaneously-ready gates can never share a qubit
     (gates on a common qubit are chained in the DAG), so no mid-cycle state
     leaks between gates beyond the usage tracker itself.  The outcome is a
-    pure function of the **ordered operand-slot pairs**.
+    pure function of the **ordered operand tile-id pairs**.
 
 Double defect (:class:`DdLayerKey`)
     Richer reads: per-gate cut types and idle times (idle matters only capped
@@ -32,9 +32,14 @@ Double defect (:class:`DdLayerKey`)
     references** rather than concrete cut values; partners outside the order
     cannot flip mid-cycle and are encoded by their concrete cut type.
 
-Key builders precompute every static per-gate component (operand slots, the
-look-ahead partner structure) once per run, so the per-cycle fingerprint is
-a few list indexes per gate rather than DAG walks.
+Every key component is an integer or a small enum: operand tiles are
+:class:`~repro.chip.routing_graph.RoutingGraph` tile ids (one to one with
+tile slots, so id keys hit and miss exactly where slot keys did) and a
+residual-capacity signature is the sorted edge-id and junction-id counts of
+an id-keyed :class:`CapacityUsage`.  Key builders precompute every static
+per-gate component (operand tile pairs, the look-ahead partner structure)
+once per run, so the per-cycle fingerprint is a few list indexes per gate
+rather than DAG walks.
 
 Only the strategies in :data:`MEMO_SAFE_STRATEGIES` are memoized: their read
 sets are known.  A custom strategy silently disables memoization rather than
@@ -77,7 +82,12 @@ _NO_SIGNATURE = object()
 
 
 def usage_signature(usage: CapacityUsage | None):
-    """Hashable content signature of one cycle's reservations (None if empty)."""
+    """Hashable content signature of one cycle's reservations (None if empty).
+
+    The sorted ``(edge id, lanes)`` and ``(junction id, paths)`` items: two
+    usages on one graph share a signature exactly when they reserve the
+    same lanes.
+    """
     if usage is None or (not usage.used and not usage.node_used):
         return None
     return (
@@ -89,16 +99,17 @@ def usage_signature(usage: CapacityUsage | None):
 class LsLayerKey:
     """Per-run fingerprint builder for lattice-surgery cycles."""
 
-    def __init__(self, dag: GateDAG, slots):
-        #: (slot_a, slot_b) per DAG node, precomputed once.
-        self._pair_slots = [
-            (slots[control], slots[target]) for control, target in dag.operand_pairs
+    def __init__(self, dag: GateDAG, tiles):
+        #: (tile_a, tile_b) per DAG node, precomputed once from the
+        #: qubit-indexed ``tiles``.
+        self._pair_tiles = [
+            (tiles[control], tiles[target]) for control, target in dag.operand_pairs
         ]
 
     def key(self, order) -> tuple:
-        """Fingerprint of one cycle: the ordered operand slots."""
-        pair_slots = self._pair_slots
-        return tuple(pair_slots[node] for node in order)
+        """Fingerprint of one cycle: the ordered operand tile pairs."""
+        pair_tiles = self._pair_tiles
+        return tuple(pair_tiles[node] for node in order)
 
 
 class DdLayerKey:
@@ -110,11 +121,11 @@ class DdLayerKey:
     their signatures are part of the key.
     """
 
-    def __init__(self, dag: GateDAG, slots, span: int, lookahead: bool):
+    def __init__(self, dag: GateDAG, tiles, span: int, lookahead: bool):
         self._dag = dag
         self._operands = dag.operand_pairs
-        self._pair_slots = [
-            (slots[control], slots[target]) for control, target in dag.operand_pairs
+        self._pair_tiles = [
+            (tiles[control], tiles[target]) for control, target in dag.operand_pairs
         ]
         self._span = span
         # Per-node look-ahead partner tuples, computed lazily on first use
@@ -156,7 +167,7 @@ class DdLayerKey:
         capacity into that cycle (direct CNOTs reserve forward spans).
         """
         operands = self._operands
-        pair_slots = self._pair_slots
+        pair_tiles = self._pair_tiles
         lookahead = self._lookahead
         position_get = None
         if lookahead is not None:
@@ -176,7 +187,7 @@ class DdLayerKey:
             idle_a = cycle - busy_until[qubit_a]
             idle_b = cycle - busy_until[qubit_b]
             entry = (
-                pair_slots[node],
+                pair_tiles[node],
                 cut[qubit_a],
                 cut[qubit_b],
                 # Idle beyond MODIFICATION_CYCLES saturates both the overlap

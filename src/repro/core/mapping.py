@@ -20,9 +20,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.chip.chip import Chip, TileSlot
-from repro.chip.routing_graph import tile_node_for
+from repro.chip.routing_graph import RoutingGraph, tile_node_for
 from repro.circuits.circuit import Circuit
 from repro.circuits.comm_graph import CommunicationGraph
+from repro.circuits.dag import GateDAG
 from repro.core.cut_types import CutAssignment
 from repro.errors import ChipError, MappingError
 from repro.partition.placement import (
@@ -150,6 +151,22 @@ def establish_placement(
     return place(graph, domain, attempts, seed, placement_engine, counters)
 
 
+def qubit_tile_ids(graph: RoutingGraph, placement: Placement, dag: GateDAG) -> list[int]:
+    """The tile id of every operand qubit of ``dag``, indexed by qubit (``-1`` elsewhere).
+
+    A qubit without a slot raises the placement's
+    :class:`~repro.errors.MappingError`; one on a tile ``graph`` lacks (dead
+    or off the tile array) raises :class:`~repro.errors.RoutingError` naming
+    the tile.
+    """
+    tile_ids = [-1] * dag.num_qubits
+    for pair in dag.operand_pairs:
+        for qubit in pair:
+            if tile_ids[qubit] < 0:
+                tile_ids[qubit] = graph.tile_id(tile_node_for(placement.slot_of(qubit)))
+    return tile_ids
+
+
 def corridor_load(
     chip: Chip,
     placement: Placement,
@@ -172,16 +189,17 @@ def corridor_load(
     """
     router = routing_for(chip)
     routing_graph = router.graph
+    corridors = routing_graph.corridors
     load: dict[tuple[str, int], float] = {}
     empty = CapacityUsage()
     for a, b, weight in graph.edges():
-        source = tile_node_for(placement.slot_of(a))
-        target = tile_node_for(placement.slot_of(b))
+        source = routing_graph.tile_id(tile_node_for(placement.slot_of(a)))
+        target = routing_graph.tile_id(tile_node_for(placement.slot_of(b)))
         path = router.find(empty, source, target)
         if path is None:
             continue  # disconnected pair (defective chips); no load to record
-        for edge_a, edge_b in zip(path.nodes, path.nodes[1:]):
-            corridor = routing_graph.corridor_of(edge_a, edge_b)
+        for eid in path.edges:
+            corridor = corridors[eid]
             if corridor is not None:
                 load[corridor] = load.get(corridor, 0.0) + weight
     return load

@@ -21,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.chip.geometry import SurfaceCodeModel
-from repro.chip.routing_graph import tile_node_for
 from repro.circuits.circuit import Circuit
 from repro.circuits.comm_graph import two_colouring
 from repro.circuits.dag import GateDAG
 from repro.core.cut_types import CutAssignment, CutType, with_cnot_edges
-from repro.core.mapping import InitialMapping
+from repro.core.mapping import InitialMapping, qubit_tile_ids
 from repro.core.metrics import ExecutionScheme, para_finding
 from repro.core.schedule import EncodedCircuit, OperationKind, ScheduledOperation
 from repro.errors import SchedulingError
@@ -110,6 +109,7 @@ class _LayerRouter:
         self._operands = dag.operand_pairs
         self._mapping = mapping
         self._router = routing_for(mapping.chip)
+        self._tile_ids = qubit_tile_ids(self._router.graph, mapping.placement, dag)
         self.counters = counters if counters is not None else EngineCounters()
         self._congestion_weight = congestion_weight
 
@@ -129,19 +129,17 @@ class _LayerRouter:
         remaining = list(nodes)
         operations: list[ScheduledOperation] = []
         cycles_used = 0
-        operands, placement, counters = self._operands, self._mapping.placement, self.counters
+        operands, tile_ids, counters = self._operands, self._tile_ids, self.counters
+        router = self._router
+        graph = router.graph
         while remaining:
             usage = CapacityUsage()
             still_waiting: list[int] = []
             for node in remaining:
                 control, target = operands[node]
                 counters.route_calls += 1
-                path = self._router.find(
-                    usage,
-                    tile_node_for(placement.slot_of(control)),
-                    tile_node_for(placement.slot_of(target)),
-                    self._congestion_weight,
-                    counters,
+                path = router.find(
+                    usage, tile_ids[control], tile_ids[target], self._congestion_weight, counters
                 )
                 if path is None:
                     still_waiting.append(node)
@@ -155,7 +153,7 @@ class _LayerRouter:
                         duration=1,
                         qubits=(control, target),
                         gate_node=node,
-                        path=path,
+                        path=path.routed(graph),
                     )
                 )
             if len(still_waiting) == len(remaining):

@@ -46,7 +46,7 @@ from repro.core.priorities import PriorityKey, criticality_priority
 from repro.core.schedule import OperationKind, ScheduledOperation
 from repro.errors import SchedulingError
 from repro.routing.fast_router import DEFAULT_CONGESTION_WEIGHT
-from repro.routing.paths import CapacityUsage, RoutedPath
+from repro.routing.paths import CapacityUsage, IdPath
 
 
 class DoubleDefectScheduler(Algorithm1Scheduler):
@@ -99,7 +99,7 @@ class DoubleDefectScheduler(Algorithm1Scheduler):
         self._fingerprint = (
             DdLayerKey(
                 self._dag,
-                self._mapping.placement.qubit_to_slot,
+                self._tile_ids,
                 DIRECT_SAME_CUT_CYCLES,
                 self._cut_strategy in LOOKAHEAD_STRATEGIES,
             )
@@ -152,7 +152,7 @@ class DoubleDefectScheduler(Algorithm1Scheduler):
         self._book_direct(node, qubit_a, qubit_b, path)
         return ("direct", path)
 
-    def _book_direct(self, node: int, qubit_a: int, qubit_b: int, path: RoutedPath) -> None:
+    def _book_direct(self, node: int, qubit_a: int, qubit_b: int, path: IdPath) -> None:
         """Book a three-cycle same-cut CNOT, reserving its path for its whole span."""
         usage_by_cycle, signatures = self._usage_by_cycle, self._signatures
         for at in range(self._cycle, self._cycle + DIRECT_SAME_CUT_CYCLES):
@@ -190,11 +190,11 @@ class DoubleDefectScheduler(Algorithm1Scheduler):
         self._cut_flips[end].append(qubit)
         return False
 
-    def _direct_path(self, qubit_a: int, qubit_b: int) -> RoutedPath | None:
+    def _direct_path(self, qubit_a: int, qubit_b: int) -> IdPath | None:
         """Find a path free in every cycle a direct CNOT starting now occupies.
 
-        The search runs against a merged usage view holding, for every edge,
-        the maximum reservation over the involved cycles.
+        The search runs against a merged usage view holding, for every edge
+        id and junction id, the maximum reservation over the involved cycles.
         """
         involved = [
             cycle_usage
@@ -209,8 +209,8 @@ class DoubleDefectScheduler(Algorithm1Scheduler):
         else:
             merged = CapacityUsage()
             for cycle_usage in involved:
-                for key, used in cycle_usage.used.items():
-                    merged.used[key] = max(merged.used.get(key, 0), used)
+                for eid, used in cycle_usage.used.items():
+                    merged.used[eid] = max(merged.used.get(eid, 0), used)
                 for node, used in cycle_usage.node_used.items():
                     merged.node_used[node] = max(merged.node_used.get(node, 0), used)
         return self._route(merged, qubit_a, qubit_b)

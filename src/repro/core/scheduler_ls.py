@@ -13,7 +13,7 @@ trivial snake placement) is used as the EDPCI baseline.
 
 A lattice-surgery cycle starts from empty capacity usage, so its layer key
 (:class:`~repro.core.layer_memo.LsLayerKey`) is just its ordered operand
-slots; its records are ``("braid", path)`` or ``None``.
+tile ids; its records are ``("braid", path)`` (an id path) or ``None``.
 """
 
 from __future__ import annotations
@@ -60,9 +60,7 @@ class LatticeSurgeryScheduler(Algorithm1Scheduler):
 
     def _start(self, operations):
         frontier = super()._start(operations)
-        self._fingerprint = (
-            LsLayerKey(self._dag, self._mapping.placement.qubit_to_slot) if self._memoize else None
-        )
+        self._fingerprint = LsLayerKey(self._dag, self._tile_ids) if self._memoize else None
         return frontier
 
     def _layer_key(self, order, cycle: int) -> tuple:

@@ -24,14 +24,23 @@ fraction of the graph:
   edge costs at least one hop, so the hop distance is a consistent heuristic
   and the first pop of the target is optimal.
 
+The router speaks ids only.  :meth:`FastRouter.find` takes two tile ids
+(:meth:`RoutingGraph.tile_id`) and an id-keyed
+:class:`~repro.routing.paths.CapacityUsage`, whose edge-id and junction-id
+counts the search reads directly, and returns an
+:class:`~repro.routing.paths.IdPath`.  A path's edge ids come off the
+adjacency rows the search walks (junction rows, then the target's
+``tile_access`` entry); the static-path cache is keyed by the tile-id pair
+and its overlap check compares ints.  Callers build the tuple
+:class:`~repro.routing.paths.RoutedPath` only when they write an operation.
+
 Because node ids are assigned in sorted node-tuple order (see
 :mod:`repro.chip.routing_graph`), the lexicographic order of id sequences
 equals the lexicographic order of node-tuple sequences — heap entries
 ordered by ``(cost + h, cost, id-sequence)`` therefore reproduce the
-canonical tie-break bit-for-bit, and each path step's edge key is its two
-endpoints in id order.  ``tests/test_properties_routing.py`` and
+canonical tie-break bit-for-bit.  ``tests/test_properties_routing.py`` and
 ``tests/test_differential_engines.py`` enforce this against the reference
-Dijkstra.
+Dijkstra, which the test oracle puts behind the same id interface.
 
 Defective chips need no special handling here: the :class:`RoutingGraph`
 already excludes dead tiles and disabled segments and carries per-segment
@@ -45,21 +54,22 @@ Every scheduler obtains its router (and, as ``router.graph``, its graph)
 through :func:`routing_for`, which consults an installable provider.
 Long-lived processes — the compile daemon in :mod:`repro.service` — install
 a provider backed by an LRU of warm per-chip state, so repeated compiles
-against the same chip reuse the graph and the router's memoized landmark
-tables instead of rebuilding them from cold.  One-shot callers never
-notice: with no provider installed, :func:`routing_for` builds fresh state.
+against the same chip reuse the graph, the router's memoized landmark
+tables and its static id paths instead of rebuilding them from cold.
+One-shot callers never notice: with no provider installed,
+:func:`routing_for` builds fresh state.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 from repro.chip.chip import Chip
-from repro.chip.routing_graph import Node, RoutingGraph
+from repro.chip.routing_graph import RoutingGraph
 from repro.errors import RoutingError
-from repro.routing.paths import CapacityUsage, RoutedPath
+from repro.routing.paths import CapacityUsage, IdPath
 
 #: Distinguishes "no cache entry" from a cached ``None`` (unroutable pair).
 _UNCACHED = object()
@@ -69,29 +79,37 @@ _UNCACHED = object()
 DEFAULT_CONGESTION_WEIGHT = 0.25
 
 
-def check_route_endpoints(graph: RoutingGraph, source: Node, target: Node) -> None:
-    """Raise :class:`RoutingError` unless ``source``/``target`` are distinct tiles of ``graph``."""
+def check_route_endpoints(graph: RoutingGraph, source: int, target: int) -> None:
+    """Raise :class:`RoutingError` unless node ids ``source``/``target`` are distinct tiles.
+
+    Tile ids come from :meth:`RoutingGraph.tile_id`, which already names a
+    tile the graph lacks (dead or off the tile array).
+    """
     if source == target:
         raise RoutingError("source and target tiles must differ")
-    if not graph.is_tile(source) or not graph.is_tile(target):
+    nodes = graph.nodes
+    if nodes[source][0] != "t" or nodes[target][0] != "t":
         raise RoutingError("paths are routed between tile nodes")
-    for node in (source, target):
-        if node not in graph.node_id:
-            raise RoutingError(f"tile {node} is not on the chip (dead or off the tile array)")
 
 
-def _routed_path(nodes: tuple[Node, ...], ids: Sequence[int]) -> RoutedPath:
-    """The :class:`RoutedPath` through node ``ids``.
+def _id_path(graph: RoutingGraph, ids: tuple[int, ...]) -> IdPath:
+    """The :class:`IdPath` through node ``ids`` (tile, junctions..., tile).
 
-    Id order is node-tuple order, so each step's canonical edge key is its
-    two endpoints in id order.  The steps are adjacency entries by
-    construction, so the path needs no re-validation against the graph.
+    Each step's edge id is read off the adjacency row the search walked:
+    the junction row of the step's first node for the steps into junctions,
+    and the last junction's ``tile_access`` entry for the step onto the
+    target tile.  The steps are adjacency entries by construction, so the
+    path needs no re-validation against the graph.
     """
-    steps = zip(ids, ids[1:])
-    return RoutedPath(
-        tuple(nodes[i] for i in ids),
-        tuple((nodes[a], nodes[b]) if a < b else (nodes[b], nodes[a]) for a, b in steps),
-    )
+    junction_adjacency = graph.junction_adjacency
+    edges = []
+    for a, b in zip(ids, ids[1:-1]):
+        for neighbor, eid, _capacity in junction_adjacency[a]:
+            if neighbor == b:
+                edges.append(eid)
+                break
+    edges.append(graph.tile_access[ids[-2]][ids[-1]][0])
+    return IdPath(ids, tuple(edges))
 
 
 class FastRouter:
@@ -107,15 +125,12 @@ class FastRouter:
         self._graph = graph
         #: Node-id-indexed hop-distance lists, keyed by target node id.
         self._tables: dict[int, list[int]] = {}
-        #: Canonical paths on the *empty* usage state, keyed by (source,
-        #: target).  With no reservations every congestion penalty is zero,
-        #: so the canonical path depends only on the endpoints — schedulers
-        #: re-ask for the same unloaded pairs every cycle.  Entries store
-        #: ``(path, interior_nodes)`` (or ``None`` for disconnected pairs) so
-        #: the load-overlap check needs no per-call slicing.
-        self._static_paths: dict[
-            tuple[Node, Node], tuple[RoutedPath, tuple[Node, ...]] | None
-        ] = {}
+        #: Canonical paths on the *empty* usage state, keyed by the (source,
+        #: target) tile-id pair, ``None`` for disconnected pairs.  With no
+        #: reservations every congestion penalty is zero, so the canonical
+        #: path depends only on the endpoints — schedulers re-ask for the
+        #: same unloaded pairs every cycle.
+        self._static_paths: dict[tuple[int, int], IdPath | None] = {}
         #: Wall-clock seconds spent building landmark tables over this
         #: router's lifetime (warm routers carry time from earlier compiles).
         self.landmark_build_seconds = 0.0
@@ -153,12 +168,12 @@ class FastRouter:
     def find(
         self,
         usage: CapacityUsage,
-        source: Node,
-        target: Node,
+        source: int,
+        target: int,
         congestion_weight: float = 0.0,
         stats=None,
-    ) -> RoutedPath | None:
-        """The canonical path from ``source`` to ``target`` under ``usage``.
+    ) -> IdPath | None:
+        """The canonical path from tile id ``source`` to tile id ``target`` under ``usage``.
 
         Returns ``None`` when no path exists under the current usage.  With
         ``congestion_weight > 0`` the search prefers less-used edges, trading
@@ -168,7 +183,8 @@ class FastRouter:
         """
         key = (source, target)
         cached = self._static_paths.get(key, _UNCACHED)
-        empty = not usage.used and not usage.node_used
+        used, node_used = usage.used, usage.node_used
+        empty = not used and not node_used
         if cached is _UNCACHED:
             # Endpoints are validated once per pair: invalid pairs raise here
             # and are never cached, so repeat calls re-validate and re-raise.
@@ -176,15 +192,15 @@ class FastRouter:
             if self._graph.junctions_passable:
                 path = self._static_walk(source, target, stats)
             else:
-                path = self._search(CapacityUsage(), source, target, congestion_weight, stats)
-            cached = (path, path.nodes[1:-1]) if path is not None else None
-            self._static_paths[key] = cached
+                path = self._search({}, {}, source, target, congestion_weight, stats)
+            self._static_paths[key] = path
             if empty:
                 return path
+            cached = path
         elif empty:
             if stats is not None:
                 stats.static_path_hits += 1
-            return cached[0] if cached is not None else None
+            return cached
         # Loaded graph, known static answer.  If the pair is statically
         # disconnected, load cannot create a path.  If the canonical unloaded
         # path carries no load on any edge or interior node, it is still the
@@ -196,22 +212,19 @@ class FastRouter:
             if stats is not None:
                 stats.route_failures += 1
             return None
-        path, interior = cached
-        used = usage.used
         if used:
-            for edge in path.edges:
-                if edge in used:
-                    return self._search(usage, source, target, congestion_weight, stats)
-        node_used = usage.node_used
+            for eid in cached.edges:
+                if eid in used:
+                    return self._search(used, node_used, source, target, congestion_weight, stats)
         if node_used:
-            for node in interior:
+            for node in cached.interior:
                 if node in node_used:
-                    return self._search(usage, source, target, congestion_weight, stats)
+                    return self._search(used, node_used, source, target, congestion_weight, stats)
         if stats is not None:
             stats.static_path_hits += 1
-        return path
+        return cached
 
-    def _static_walk(self, source: Node, target: Node, stats) -> RoutedPath | None:
+    def _static_walk(self, source: int, target: int, stats) -> IdPath | None:
         """The canonical path on the *unloaded* graph, read off the table.
 
         With no reservations the cost of a path is exactly its hop count and
@@ -225,66 +238,54 @@ class FastRouter:
         that strand a junction fall back to the A* search instead.
         """
         graph = self._graph
-        source_id = graph.node_id[source]
-        target_id = graph.node_id[target]
-        remaining = self._table_for(target_id, stats)
+        remaining = self._table_for(target, stats)
         if stats is not None:
             stats.landmark_tables = len(self._tables)
-        d = remaining[source_id]
+        d = remaining[source]
         if d < 0:
             if stats is not None:
                 stats.route_failures += 1
             return None
         junction_adjacency = graph.junction_adjacency
-        ids = [source_id]
-        node = source_id
+        ids = [source]
+        edges = []
+        node = source
         while d > 1:
-            for neighbor, _eid, _capacity in junction_adjacency[node]:
+            for neighbor, eid, _capacity in junction_adjacency[node]:
                 if remaining[neighbor] == d - 1:
                     node = neighbor
                     ids.append(neighbor)
+                    edges.append(eid)
                     d -= 1
                     break
             else:  # pragma: no cover — BFS guarantees a closer junction
                 raise RoutingError(
                     f"landmark table inconsistent at node {graph.nodes[node]}"
                 )
-        if node != target_id:
-            ids.append(target_id)
-        return _routed_path(graph.nodes, ids)
+        # Tiles never neighbour tiles, so the walk ends on a corner junction
+        # of the target.
+        ids.append(target)
+        edges.append(graph.tile_access[node][target][0])
+        return IdPath(tuple(ids), tuple(edges))
 
     def _search(
         self,
-        usage: CapacityUsage,
-        source: Node,
-        target: Node,
+        edge_used: dict[int, int],
+        node_used: dict[int, int],
+        source: int,
+        target: int,
         congestion_weight: float,
         stats,
-    ) -> RoutedPath | None:
+    ) -> IdPath | None:
         graph = self._graph
-        source_id = graph.node_id[source]
-        target_id = graph.node_id[target]
-        remaining = self._table_for(target_id, stats)
+        remaining = self._table_for(target, stats)
         if stats is not None:
             stats.landmark_tables = len(self._tables)
-        heuristic = remaining[source_id]
+        heuristic = remaining[source]
         if heuristic < 0:
             if stats is not None:
                 stats.route_failures += 1
             return None  # statically disconnected — no residual path can exist
-        # Translate the tuple-keyed reservations into id-keyed dicts once per
-        # query: the per-cycle reservation sets are tiny compared to the
-        # search, and the inner loop then hashes ints instead of node tuples.
-        if usage.used:
-            edge_id = graph.edge_id
-            edge_used = {edge_id[key]: count for key, count in usage.used.items()}
-        else:
-            edge_used = {}
-        if usage.node_used:
-            node_id = graph.node_id
-            node_used = {node_id[node]: count for node, count in usage.node_used.items()}
-        else:
-            node_used = {}
         junction_adjacency = graph.junction_adjacency
         tile_access = graph.tile_access
         node_capacity = graph.through_capacity
@@ -309,22 +310,22 @@ class FastRouter:
         infinity = float("inf")
         best_cost = [infinity] * len(graph.nodes)
         best_seq: list[tuple[int, ...] | None] = [None] * len(graph.nodes)
-        start = (source_id,)
-        best_cost[source_id] = 0.0
-        best_seq[source_id] = start
+        start = (source,)
+        best_cost[source] = 0.0
+        best_seq[source] = start
         heap: list[tuple[float, float, tuple[int, ...]]] = [(float(heuristic), 0.0, start)]
         expanded = 0
         while heap:
             _f, cost, ids = heappop(heap)
             node = ids[-1]
-            if node == target_id:
+            if node == target:
                 if stats is not None:
                     stats.nodes_expanded += expanded
-                return _routed_path(graph.nodes, ids)
+                return _id_path(graph, ids)
             if best_seq[node] is not ids:
                 continue  # superseded after pushing
             expanded += 1
-            access = tile_access[node].get(target_id)
+            access = tile_access[node].get(target)
             if access is not None:
                 eid, capacity = access
                 load = edge_get(eid, 0)
@@ -332,18 +333,18 @@ class FastRouter:
                     new_cost = cost + 1.0
                     if congestion_weight and load:
                         new_cost += congestion_weight * load
-                    bc = best_cost[target_id]
+                    bc = best_cost[target]
                     if new_cost <= bc:
-                        candidate = ids + (target_id,)
-                        if new_cost < bc or candidate < best_seq[target_id]:
-                            best_cost[target_id] = new_cost
-                            best_seq[target_id] = candidate
+                        candidate = ids + (target,)
+                        if new_cost < bc or candidate < best_seq[target]:
+                            best_cost[target] = new_cost
+                            best_seq[target] = candidate
                             heappush(heap, (new_cost, new_cost, candidate))
             for neighbor, eid, capacity in junction_adjacency[node]:
                 load = edge_get(eid, 0)
                 if load >= capacity:
                     continue
-                if neighbor != target_id and node_get(neighbor, 0) >= node_capacity[neighbor]:
+                if neighbor != target and node_get(neighbor, 0) >= node_capacity[neighbor]:
                     continue  # the junction has no free lane to pass through
                 h = remaining[neighbor]
                 if h < 0:

@@ -3,13 +3,22 @@
 Routing happens one clock cycle at a time: the scheduler asks for a path
 between two tiles given what has already been reserved in that cycle, and the
 :class:`CapacityUsage` tracker guarantees no corridor edge is oversubscribed.
+
+The scheduling state lives on the integer ids of a
+:class:`~repro.chip.routing_graph.RoutingGraph`: the router returns an
+:class:`IdPath` (node ids, edge ids, interior junction ids) and
+:class:`CapacityUsage` counts reservations by edge id and junction id.  Node
+tuples appear at one boundary only — :meth:`IdPath.routed` builds the tuple
+:class:`RoutedPath` that a :class:`~repro.core.schedule.ScheduledOperation`
+carries, once per id path, when the operation is written.  The validator,
+serialisation and :meth:`RoutedPath.from_nodes` read tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.chip.routing_graph import EdgeKey, Node, RoutingGraph, edge_key
+from repro.chip.routing_graph import EdgeKey, Node, RoutingGraph
 from repro.errors import RoutingError
 
 
@@ -51,68 +60,53 @@ class RoutedPath:
         return cls(tuple(nodes), tuple(graph.path_edges(nodes)))
 
 
+class IdPath:
+    """A path on a :class:`RoutingGraph`'s integer ids, as the router returns it.
+
+    ``nodes`` are node ids from source tile to target tile, ``edges`` the edge
+    ids of its steps and ``interior`` the junction ids between the endpoints
+    (the nodes a reservation passes through).  The tuple
+    :class:`RoutedPath` is built on the first :meth:`routed` call and cached,
+    so a path replayed from the layer memo or served from the router's
+    static cache is converted once.
+    """
+
+    __slots__ = ("nodes", "edges", "interior", "_routed")
+
+    def __init__(self, nodes: tuple[int, ...], edges: tuple[int, ...]):
+        self.nodes = nodes
+        self.edges = edges
+        self.interior = nodes[1:-1]
+        self._routed: RoutedPath | None = None
+
+    def routed(self, graph: RoutingGraph) -> RoutedPath:
+        """The tuple :class:`RoutedPath` of this path on ``graph`` (built once)."""
+        routed = self._routed
+        if routed is None:
+            nodes, edges = graph.nodes, graph.edges
+            routed = self._routed = RoutedPath(
+                tuple(nodes[i] for i in self.nodes), tuple(edges[e] for e in self.edges)
+            )
+        return routed
+
+
 @dataclass(slots=True)
 class CapacityUsage:
-    """Per-cycle usage counters for routing-graph edges and junction nodes.
+    """Per-cycle usage counters by edge id and junction id.
 
     Edge counters enforce corridor bandwidth; node counters enforce the
     paper's non-intersection constraint at corridor crossings (two paths may
     only share a junction when its bandwidth provides separate lanes).
     """
 
-    used: dict[EdgeKey, int] = field(default_factory=dict)
-    node_used: dict[Node, int] = field(default_factory=dict)
+    used: dict[int, int] = field(default_factory=dict)
+    node_used: dict[int, int] = field(default_factory=dict)
 
-    def residual(self, graph: RoutingGraph, a: Node, b: Node) -> int:
-        """Remaining capacity on edge ``{a, b}``."""
-        return graph.capacity(a, b) - self.used.get(edge_key(a, b), 0)
-
-    def node_residual(self, graph: RoutingGraph, node: Node) -> int:
-        """Remaining through-capacity of ``node``."""
-        return graph.node_capacity(node) - self.node_used.get(node, 0)
-
-    def can_use(self, graph: RoutingGraph, a: Node, b: Node) -> bool:
-        """True when at least one lane is free on edge ``{a, b}``."""
-        return self.residual(graph, a, b) > 0
-
-    def can_pass_through(self, graph: RoutingGraph, node: Node) -> bool:
-        """True when another path may pass through ``node`` this cycle."""
-        return self.node_residual(graph, node) > 0
-
-    def add_path(self, path: RoutedPath) -> None:
-        """Reserve one lane on every edge and interior node of ``path``."""
-        for key in path.edges:
-            self.used[key] = self.used.get(key, 0) + 1
-        for node in path.nodes[1:-1]:
-            self.node_used[node] = self.node_used.get(node, 0) + 1
-
-    def remove_path(self, path: RoutedPath) -> None:
-        """Release a previous reservation (used by rip-up-and-reroute)."""
-        for key in path.edges:
-            remaining = self.used.get(key, 0) - 1
-            if remaining < 0:
-                raise RoutingError(f"negative usage on edge {key}")
-            if remaining == 0:
-                self.used.pop(key, None)
-            else:
-                self.used[key] = remaining
-        for node in path.nodes[1:-1]:
-            remaining = self.node_used.get(node, 0) - 1
-            if remaining < 0:
-                raise RoutingError(f"negative usage on node {node}")
-            if remaining == 0:
-                self.node_used.pop(node, None)
-            else:
-                self.node_used[node] = remaining
-
-    def copy(self) -> "CapacityUsage":
-        """Independent copy of the usage counters."""
-        return CapacityUsage(dict(self.used), dict(self.node_used))
-
-    def total_edge_load(self) -> int:
-        """Sum of reserved lanes over all edges (a congestion measure)."""
-        return sum(self.used.values())
-
-    def violates(self, graph: RoutingGraph) -> list[EdgeKey]:
-        """Edges whose usage exceeds capacity (should always be empty)."""
-        return [key for key, used in self.used.items() if used > graph.capacity(*key)]
+    def add_path(self, path: IdPath) -> None:
+        """Reserve one lane on every edge and interior junction of ``path``."""
+        used = self.used
+        for eid in path.edges:
+            used[eid] = used.get(eid, 0) + 1
+        node_used = self.node_used
+        for node in path.interior:
+            node_used[node] = node_used.get(node, 0) + 1

@@ -37,6 +37,11 @@ API_VERSION = 1
 #: Hard ceiling on synchronous ``wait`` requests, seconds.
 MAX_WAIT_SECONDS = 600.0
 
+#: Most placement attempts one request may ask for (16x the default of 4).
+#: The library's :class:`~repro.core.ecmas.EcmasOptions` stays unbounded;
+#: the daemon bounds the work one request can demand of its worker.
+MAX_PLACEMENT_ATTEMPTS = 64
+
 #: Values the retired ``engine`` request field still accepts (and ignores).
 ACCEPTED_ENGINE_VALUES = ("reference", "fast")
 
@@ -107,8 +112,8 @@ COMMON_REQUEST_FIELDS: tuple[FieldSpec, ...] = (
         "object",
         "Ecmas tuning knobs (`placement_strategy`, `cut_initialisation`, "
         "`cut_strategy`, `priority`, `adjust_bandwidth`, `placement_attempts`, "
-        "`seed`).  Unknown keys are rejected.  Omitted, the paper's defaults "
-        "apply.",
+        "`seed`).  Unknown keys are rejected; `placement_attempts` is capped "
+        f"at {MAX_PLACEMENT_ATTEMPTS}.  Omitted, the paper's defaults apply.",
         default=None,
     ),
     FieldSpec(
@@ -450,9 +455,18 @@ def _parse_common(payload: dict, errors: _Errors) -> dict:
             )
         else:
             try:
-                out["options"] = EcmasOptions(**options_payload)
+                options = EcmasOptions(**options_payload)
             except (ReproError, TypeError) as exc:
                 errors.add("options", str(exc))
+            else:
+                if options.placement_attempts > MAX_PLACEMENT_ATTEMPTS:
+                    errors.add(
+                        "options",
+                        f"placement_attempts is capped at {MAX_PLACEMENT_ATTEMPTS} per request,"
+                        f" got {options.placement_attempts}",
+                    )
+                else:
+                    out["options"] = options
 
     out["validate"] = _typed(payload, "validate", bool, False, errors, "a boolean")
     out["use_cache"] = _typed(payload, "use_cache", bool, True, errors, "a boolean")

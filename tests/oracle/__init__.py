@@ -1,6 +1,11 @@
 """Test oracles: the reference implementations the production code is held to.
 
-* :func:`find_path` — the canonical-path Dijkstra (:mod:`oracle.dijkstra`);
+* :func:`find_path` — the canonical-path Dijkstra (:mod:`oracle.dijkstra`),
+  on the tuple-keyed :class:`ReferenceUsage` (:mod:`oracle.usage`, with the
+  id ↔ tuple translations :func:`to_ids`, :func:`from_ids`, :func:`id_path`
+  and :func:`find_routed`);
+* :func:`route_edge_disjoint` — one cycle's edge-disjoint path packing with
+  rip-up-and-reroute (:mod:`oracle.edp`);
 * :func:`reference_engine` / :func:`reference_compile` — the reference
   scheduling engine (:mod:`oracle.engine`);
 * :func:`reference_kl` / :func:`reference_placement` — the all-pairs
@@ -19,16 +24,22 @@ pytest, and ``benchmarks/conftest.py`` adds it for the benchmark harness.
 
 from .dag import reference_comm_graph, reference_dag_fields
 from .dijkstra import OracleRouter, find_path
+from .edp import route_edge_disjoint
 from .engine import ReferenceReadyQueue, reference_compile, reference_engine
 from .kl import kernighan_lin_bisection as reference_kl
 from .kl import reference_placement
 from .qasm import reference_loads, reference_parse
 from .qasm import tokenize as reference_tokenize
+from .usage import ReferenceUsage, find_routed, from_ids, id_path, to_ids
 
 __all__ = [
     "OracleRouter",
     "ReferenceReadyQueue",
+    "ReferenceUsage",
     "find_path",
+    "find_routed",
+    "from_ids",
+    "id_path",
     "reference_comm_graph",
     "reference_compile",
     "reference_dag_fields",
@@ -38,4 +49,6 @@ __all__ = [
     "reference_parse",
     "reference_placement",
     "reference_tokenize",
+    "route_edge_disjoint",
+    "to_ids",
 ]

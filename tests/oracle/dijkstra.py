@@ -12,6 +12,11 @@ Carrying the node sequence in the heap keys costs a constant factor over a
 parent-pointer Dijkstra.  That is deliberate: this implementation optimises
 for being obviously correct, because the tests hold the production router to
 it.
+
+The search runs on the tuple view of the graph under the tuple-keyed
+:class:`~oracle.usage.ReferenceUsage`.  :class:`OracleRouter` puts it behind
+the production router's id interface, translating usage, endpoints and the
+answer between ids and tuples at its own boundary.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ import heapq
 
 from repro.chip.routing_graph import Node, RoutingGraph
 from repro.routing.fast_router import check_route_endpoints
-from repro.routing.paths import CapacityUsage, RoutedPath
+from repro.routing.paths import CapacityUsage, IdPath, RoutedPath
+
+from .usage import ReferenceUsage, from_ids, id_path
 
 #: Sentinel greater than every (cost, nodes) candidate.
 _INFINITY = (float("inf"), ())
@@ -28,7 +35,7 @@ _INFINITY = (float("inf"), ())
 
 def find_path(
     graph: RoutingGraph,
-    usage: CapacityUsage,
+    usage: ReferenceUsage,
     source: Node,
     target: Node,
     congestion_weight: float = 0.0,
@@ -43,7 +50,7 @@ def find_path(
     (see the module docstring).  ``stats`` may be an
     :class:`~repro.profiling.EngineCounters` to account search effort.
     """
-    check_route_endpoints(graph, source, target)
+    check_route_endpoints(graph, graph.tile_id(source), graph.tile_id(target))
     # Dijkstra over (cost, node-sequence): the lexicographic tie-break is part
     # of the heap key, so the first pop of the target is the canonical path.
     # Extending two equal-cost paths by the same suffix preserves their
@@ -93,10 +100,16 @@ class OracleRouter:
     def find(
         self,
         usage: CapacityUsage,
-        source: Node,
-        target: Node,
+        source: int,
+        target: int,
         congestion_weight: float = 0.0,
         stats=None,
-    ) -> RoutedPath | None:
-        """Answer one query with the reference Dijkstra."""
-        return find_path(self.graph, usage, source, target, congestion_weight, stats)
+    ) -> IdPath | None:
+        """Answer one id-level query with the reference Dijkstra on tuples."""
+        graph = self.graph
+        check_route_endpoints(graph, source, target)
+        nodes = graph.nodes
+        path = find_path(
+            graph, from_ids(graph, usage), nodes[source], nodes[target], congestion_weight, stats
+        )
+        return None if path is None else id_path(graph, path)

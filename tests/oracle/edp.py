@@ -9,14 +9,21 @@ The packing is a greedy shortest-first pass through
 :class:`~repro.routing.fast_router.FastRouter` followed by rip-up-and-reroute
 rounds (exact maximum EDP is NP-hard), which matches how the published EDPCI
 compiler (Beverland et al., "Surface code compilation via edge-disjoint
-paths") operates in practice.
+paths") operates in practice.  No scheduler packs a cycle this way — they
+route gate by gate and never release a reservation — so the packing lives
+with the test oracle, on the tuple-keyed :class:`~oracle.usage.ReferenceUsage`
+whose ``remove_path`` rip-up needs.  Under
+:func:`~oracle.engine.reference_engine` its router is the reference
+Dijkstra.
 """
 
 from __future__ import annotations
 
 from repro.chip.routing_graph import Node, RoutingGraph
 from repro.routing.fast_router import FastRouter
-from repro.routing.paths import CapacityUsage, RoutedPath
+from repro.routing.paths import RoutedPath
+
+from .usage import ReferenceUsage, find_routed
 
 #: Congestion penalty per used lane: spreads paths over free corridors.
 _CONGESTION_WEIGHT = 0.25
@@ -25,7 +32,7 @@ _CONGESTION_WEIGHT = 0.25
 def route_edge_disjoint(
     graph: RoutingGraph,
     pairs: list[tuple[Node, Node]],
-    usage: CapacityUsage | None = None,
+    usage: ReferenceUsage | None = None,
     rip_up_rounds: int = 2,
 ) -> tuple[dict[int, RoutedPath], list[int]]:
     """Route as many of ``pairs`` as possible with capacity-respecting paths.
@@ -38,11 +45,11 @@ def route_edge_disjoint(
     """
     router = FastRouter(graph)
     if usage is None:
-        usage = CapacityUsage()
+        usage = ReferenceUsage()
 
     def route(idx: int) -> RoutedPath | None:
         source, target = pairs[idx]
-        path = router.find(usage, source, target, _CONGESTION_WEIGHT)
+        path = find_routed(router, usage, source, target, _CONGESTION_WEIGHT)
         if path is not None:
             usage.add_path(path)
         return path

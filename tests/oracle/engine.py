@@ -10,7 +10,7 @@ swapped for its obviously-correct counterpart:
   exactly as the paper's Algorithm 1 states it;
 * :class:`~oracle.dijkstra.OracleRouter` answers every path query with the
   reference Dijkstra (ReSu, the mapping stage's pre-routing and
-  :func:`~repro.routing.edp.route_edge_disjoint` included);
+  :func:`~oracle.edp.route_edge_disjoint` included);
 * layer memoization is forced off.
 
 :func:`reference_engine` installs all three for the duration of a ``with``
@@ -25,8 +25,9 @@ from unittest import mock
 from repro.chip.routing_graph import RoutingGraph
 from repro.core import algorithm1
 from repro.pipeline.registry import run_pipeline_method
-from repro.routing import edp, fast_router
+from repro.routing import fast_router
 
+from . import edp
 from .dijkstra import OracleRouter
 
 

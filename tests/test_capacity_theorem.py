@@ -12,9 +12,9 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import route_edge_disjoint
 
 from repro.chip import Chip, RoutingGraph, SurfaceCodeModel, communication_capacity, tile_node
-from repro.routing import route_edge_disjoint
 
 DD = SurfaceCodeModel.DOUBLE_DEFECT
 

@@ -183,10 +183,11 @@ class TestDefectiveRoutingGraph:
         from repro.routing.paths import CapacityUsage
 
         chip = Chip.with_tile_array(DD, 3, 2, 2).with_defects(DefectSpec(dead_tiles=((1, 1),)))
-        router = FastRouter(RoutingGraph(chip))
+        graph = RoutingGraph(chip)
+        router = FastRouter(graph)
         for source, target in ((("t", 0, 0), missing), (missing, ("t", 0, 0))):
             with pytest.raises(RoutingError, match=rf"tile \('t', {missing[1]}, {missing[2]}\)"):
-                router.find(CapacityUsage(), source, target)
+                router.find(CapacityUsage(), graph.tile_id(source), graph.tile_id(target))
 
     def test_disabled_segment_removed(self):
         chip = _chip().with_defects(DefectSpec(disabled_segments=(("h", 2, 1),)))
@@ -240,9 +241,7 @@ class TestDefectiveRoutingGraph:
         # feasibility, including on heavily degraded chips (the historical
         # failure mode was a generated "routable" chip with an unroutable
         # tile pair, seen at rate 0.7 seed 7 on a 5x5 bandwidth-1 chip).
-        from oracle import find_path
-
-        from repro.routing.paths import CapacityUsage
+        from oracle import ReferenceUsage, find_path
 
         chip = _chip(rows=5, cols=5, bandwidth=1)
         for seed in (7, 45, 3):
@@ -251,7 +250,7 @@ class TestDefectiveRoutingGraph:
             graph = RoutingGraph(defective)
             tiles = graph.tile_nodes()
             pairwise = all(
-                find_path(graph, CapacityUsage(), a, b) is not None
+                find_path(graph, ReferenceUsage(), a, b) is not None
                 for a in tiles
                 for b in tiles
                 if a < b

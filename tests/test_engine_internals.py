@@ -122,22 +122,22 @@ def test_fast_router_validates_endpoints(dd_chip_small):
     graph = RoutingGraph(dd_chip_small)
     router = FastRouter(graph)
     with pytest.raises(RoutingError):
-        router.find(CapacityUsage(), tile_node(0, 0), tile_node(0, 0))
+        router.find(CapacityUsage(), graph.node_id[tile_node(0, 0)], graph.node_id[tile_node(0, 0)])
     with pytest.raises(RoutingError):
-        router.find(CapacityUsage(), ("j", 0, 0), tile_node(0, 0))
+        router.find(CapacityUsage(), graph.node_id[("j", 0, 0)], graph.node_id[tile_node(0, 0)])
 
 
 def test_fast_router_memoizes_landmark_tables(dd_chip_small):
     graph = RoutingGraph(dd_chip_small)
     router = FastRouter(graph)
     compact = router.graph
-    router.find(CapacityUsage(), tile_node(0, 1), tile_node(0, 0))
+    router.find(CapacityUsage(), compact.node_id[tile_node(0, 1)], compact.node_id[tile_node(0, 0)])
     assert router.landmark_table_count == 1
     target_id = compact.node_id[tile_node(0, 0)]
     table = router._table_for(target_id, None)
     assert table[target_id] == 0
     # A second query towards the same target reuses the table.
-    router.find(CapacityUsage(), tile_node(1, 1), tile_node(0, 0))
+    router.find(CapacityUsage(), compact.node_id[tile_node(1, 1)], compact.node_id[tile_node(0, 0)])
     assert router.landmark_table_count == 1
     assert router._table_for(target_id, None) is table
     # Every junction is reachable on a defect-free chip.

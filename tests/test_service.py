@@ -34,6 +34,7 @@ from repro.service import (
     parse_compile_request,
     schedule_payload,
 )
+from repro.service.schema import MAX_PLACEMENT_ATTEMPTS
 from repro.service.state import chip_state_key
 
 TINY_QASM = (
@@ -231,6 +232,22 @@ def test_mistyped_option_is_400_naming_options(daemon, options, field):
     assert err.payload["error"] == "schema_error"
     assert [e["field"] for e in err.payload["errors"]] == ["options"]
     assert field in err.payload["errors"][0]["message"]
+
+
+def test_placement_attempts_over_the_bound_is_400_naming_options(daemon):
+    """One request may not demand unbounded placement work of the daemon's worker."""
+    with pytest.raises(ServiceError) as excinfo:
+        daemon.compile(
+            circuit="dnn_n8", method="ecmas_dd_min", options={"placement_attempts": 10**9}
+        )
+    err = excinfo.value
+    assert err.status == 400
+    assert err.payload["error"] == "schema_error"
+    assert [e["field"] for e in err.payload["errors"]] == ["options"]
+    message = err.payload["errors"][0]["message"]
+    assert "placement_attempts" in message and str(MAX_PLACEMENT_ATTEMPTS) in message
+    at_bound = {"circuit": "dnn_n8", "options": {"placement_attempts": MAX_PLACEMENT_ATTEMPTS}}
+    assert parse_compile_request(at_bound).options.placement_attempts == MAX_PLACEMENT_ATTEMPTS
 
 
 def test_unparseable_body_and_unknown_paths(daemon):

@@ -31,11 +31,12 @@ def _blank_encoded(circuit, cuts=None):
 
 
 def _path_between(encoded, a, b):
-    return FastRouter(RoutingGraph(encoded.chip)).find(
+    graph = RoutingGraph(encoded.chip)
+    return FastRouter(graph).find(
         CapacityUsage(),
-        tile_node_for(encoded.placement.slot_of(a)),
-        tile_node_for(encoded.placement.slot_of(b)),
-    )
+        graph.node_id[tile_node_for(encoded.placement.slot_of(a))],
+        graph.node_id[tile_node_for(encoded.placement.slot_of(b))],
+    ).routed(graph)
 
 
 def test_valid_schedule_passes():
@@ -113,14 +114,15 @@ def test_capacity_violation_detected():
         placement=placement,
         initial_cut_types={q: (CutType.X if q < 8 else CutType.Z) for q in range(16)},
     )
-    router = FastRouter(RoutingGraph(chip))
+    graph = RoutingGraph(chip)
+    router = FastRouter(graph)
     operations = []
     for node, (a, b) in enumerate(pairs):
         path = router.find(
             CapacityUsage(),
-            tile_node_for(placement.slot_of(a)),
-            tile_node_for(placement.slot_of(b)),
-        )
+            graph.node_id[tile_node_for(placement.slot_of(a))],
+            graph.node_id[tile_node_for(placement.slot_of(b))],
+        ).routed(graph)
         operations.append(
             ScheduledOperation(OperationKind.CNOT_BRAID, 0, 1, (a, b), gate_node=node, path=path)
         )

@@ -14,13 +14,19 @@ A run that exits non-zero, including one whose result says ``"correct":
 false``, stops the script: a ledger only records runs whose every
 operation succeeded.
 
+Both sides run from fresh copies: by default the head side is ``git
+archive HEAD`` of this repository, extracted into a temporary directory
+that is removed afterwards, so build leftovers and untracked files in the
+working checkout cannot colour one side.  Commit the change first, or pass
+``--head`` a fresh copy of the tree to measure.
+
 Usage, from the root of the head checkout::
 
     git clone . ../parent && git -C ../parent checkout <parent-commit>
     python3 tools/bench_ledger.py --workload table1 --parent ../parent \\
         --pairs 10 --traced-pairs 5
 
-writes ``BENCH_table1.json`` at the root of the head checkout.
+writes ``BENCH_table1.json`` at the root of this checkout.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,11 +50,22 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--parent", type=Path, required=True, help="the parent commit's checkout")
-    parser.add_argument("--head", type=Path, default=ROOT, help="the change's checkout")
+    parser.add_argument(
+        "--head", type=Path, help="the change's checkout (default: a fresh copy of HEAD)"
+    )
     parser.add_argument("--pairs", type=int, default=1, help="untraced parent/head pairs")
     parser.add_argument("--traced-pairs", type=int, default=0, help="traced parent/head pairs")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<workload>.json in --head")
+    parser.add_argument(
+        "--out", type=Path, help="default: BENCH_<workload>.json at the root of this checkout"
+    )
     return parser.parse_args(argv)
+
+
+def fresh_copy(rev: str, into: Path) -> None:
+    """Extract commit ``rev`` of this repository into the new directory ``into``."""
+    into.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
 
 
 def run_perfbench(checkout: Path, args: argparse.Namespace, trace: int) -> dict:
@@ -119,6 +137,19 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="bench-ledger-") as scratch:
+        if args.head is None:
+            args.head = Path(scratch) / "head"
+            fresh_copy("HEAD", args.head)
+        ledger = record(args)
+    out = args.out or ROOT / f"BENCH_{args.workload}.json"
+    out.write_text(json.dumps(ledger, indent=1) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+def record(args: argparse.Namespace) -> dict:
+    """Run the requested pairs and return the ledger document."""
     spec = json.loads((args.head / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     ledger: dict = {
@@ -134,10 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         if pairs:
             runs = run_pairs(args, pairs, trace)
             ledger[key] = {"summary": summarize(runs, better), "runs": runs}
-    out = args.out or args.head / f"BENCH_{args.workload}.json"
-    out.write_text(json.dumps(ledger, indent=1) + "\n")
-    print(f"wrote {out}", file=sys.stderr)
-    return 0
+    return ledger
 
 
 if __name__ == "__main__":
