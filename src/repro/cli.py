@@ -46,30 +46,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from repro.chip.geometry import SurfaceCodeModel
-from repro.circuits import qasm
 from repro.circuits.circuit import Circuit
 from repro.circuits.generators import default_suite, get_benchmark
 from repro.core import circuit_parallelism_degree
 from repro.errors import ReproError
-from repro.eval import (
-    format_table,
-    table1_overview,
-    table2_location,
-    table3_cut_initialisation,
-    table4_gate_scheduling,
-    table5_cut_scheduling,
-)
-from repro.pipeline.batch import (
-    BatchProgress,
-    ResultCache,
-    build_batch_jobs,
-    run_batch,
-)
 from repro.pipeline.registry import run_pipeline_method, validate_methods
-from repro.verify import validate_encoded_circuit
-from repro import viz
+
+# The evaluation tables, the batch engine, the QASM front end, the validator
+# and the renderers are imported inside the handlers that use them, so a
+# command loads only what it runs.
+if TYPE_CHECKING:
+    from repro.pipeline.batch import BatchProgress, ResultCache
 
 _MODELS = {
     "dd": SurfaceCodeModel.DOUBLE_DEFECT,
@@ -78,18 +68,15 @@ _MODELS = {
     "lattice-surgery": SurfaceCodeModel.LATTICE_SURGERY,
 }
 
-_TABLES = {
-    "1": (table1_overview, "Table I — Overview of experiment results"),
-    "2": (table2_location, "Table II — Location initialisation"),
-    "3": (table3_cut_initialisation, "Table III — Cut-type initialisation"),
-    "4": (table4_gate_scheduling, "Table IV — Gate scheduling"),
-    "5": (table5_cut_scheduling, "Table V — Cut-type scheduling"),
-}
+#: The paper tables ``repro table`` regenerates (see :func:`_cmd_table`).
+_TABLE_NUMBERS = ("1", "2", "3", "4", "5")
 
 
 def _load_circuit(spec: str) -> Circuit:
     """Load a circuit from a QASM path or a built-in benchmark name."""
     if spec.endswith(".qasm"):
+        from repro.circuits import qasm
+
         return qasm.load(spec)
     return get_benchmark(spec).build()
 
@@ -110,6 +97,8 @@ def _make_cache(args: argparse.Namespace) -> ResultCache | None:
     ``--cache-dir`` defaults to ``None``, so :class:`ResultCache` resolves
     ``$REPRO_CACHE_DIR`` at construction time rather than at import time.
     """
+    from repro.pipeline.batch import ResultCache
+
     if getattr(args, "no_cache", False):
         return None
     return ResultCache(args.cache_dir)
@@ -197,6 +186,7 @@ def _dump_cprofile(circuit, method: str, code_distance: int, out_path: str) -> N
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     from repro.chip import Chip, builtin_tile_graph, load_chip_spec
+    from repro.verify import validate_encoded_circuit
 
     circuit = _load_circuit(args.circuit)
     model = _MODELS[args.model] if args.model is not None else SurfaceCodeModel.DOUBLE_DEFECT
@@ -251,6 +241,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             print(f"  error: {error}")
     if args.stages:
         _print_stages(result)
+    if args.show_placement or args.timeline or args.gantt:
+        from repro import viz
     if args.show_placement:
         print()
         print(viz.render_placement(encoded.chip, encoded.placement))
@@ -264,7 +256,22 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    builder, title = _TABLES[args.number]
+    from repro.eval import (
+        format_table,
+        table1_overview,
+        table2_location,
+        table3_cut_initialisation,
+        table4_gate_scheduling,
+        table5_cut_scheduling,
+    )
+
+    builder, title = {
+        "1": (table1_overview, "Table I — Overview of experiment results"),
+        "2": (table2_location, "Table II — Location initialisation"),
+        "3": (table3_cut_initialisation, "Table III — Cut-type initialisation"),
+        "4": (table4_gate_scheduling, "Table IV — Gate scheduling"),
+        "5": (table5_cut_scheduling, "Table V — Cut-type scheduling"),
+    }[args.number]
     cache = _make_cache(args)
     _check_jobs(args.jobs)
     reporter = _ProgressReporter(echo=args.progress)
@@ -287,6 +294,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from repro.eval import format_table
+    from repro.pipeline.batch import build_batch_jobs, run_batch
+
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ReproError("--methods needs at least one method name")
@@ -334,6 +344,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from repro.pipeline.batch import ResultCache
+
     cache = ResultCache(args.cache_dir)
     if args.cache_command == "stats":
         stats = cache.stats()
@@ -461,6 +473,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    from repro.eval import format_table
+
     rows = []
     for spec in default_suite(include_large=args.large):
         circuit = spec.build()
@@ -618,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_cmd.set_defaults(func=_cmd_compile)
 
     table = sub.add_parser("table", help="regenerate one of the paper's tables")
-    table.add_argument("number", choices=sorted(_TABLES), help="table number (1-5)")
+    table.add_argument("number", choices=_TABLE_NUMBERS, help="table number (1-5)")
     _add_batch_flags(table)
     table.set_defaults(func=_cmd_table)
 

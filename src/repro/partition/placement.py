@@ -34,9 +34,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from repro.chip.chip import Chip, TileSlot
 from repro.circuits.comm_graph import CommunicationGraph
@@ -44,6 +42,9 @@ from repro.errors import ChipError, MappingError
 from repro.partition.coarsen import multilevel_bisect
 from repro.partition.kl import WeightRows, check_weights, kl_bisect, weight_rows
 from repro.profiling import PlacementCounters
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Dead tile slots as ``(row, col)`` pairs; the empty set means a pristine chip.
 NO_DEAD_TILES: frozenset[tuple[int, int]] = frozenset()
@@ -417,7 +418,11 @@ def spectral_placement(graph: CommunicationGraph, domain: SlotDomain) -> Placeme
 
     A lightweight alternative to recursive bisection used in ablations; it
     tends to keep strongly connected qubits in adjacent fill positions.
+    numpy is imported here, on the first call, so the other placements and
+    ``import repro`` never load it.
     """
+    import numpy as np
+
     n = graph.num_qubits
     domain.check_fits(n)
     laplacian = np.zeros((n, n), dtype=float)

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import time
 import traceback
@@ -554,6 +553,9 @@ def run_batch(
 
     if pending:
         if workers > 1 and len(pending) > 1:
+            # Imported here, where a pool opens, so serial runs never load it.
+            import multiprocessing
+
             with multiprocessing.Pool(min(workers, len(pending))) as pool:
                 for index, record, failure in pool.imap_unordered(_execute_indexed, pending):
                     finish(index, record, failure)

@@ -194,7 +194,9 @@ class FastRouter:
             else:
                 path = self._search({}, {}, source, target, congestion_weight, stats)
             self._static_paths[key] = path
-            if empty:
+            # A statically disconnected pair was counted as a failure by the
+            # walk or search above; load cannot create a path.
+            if empty or path is None:
                 return path
             cached = path
         elif empty:

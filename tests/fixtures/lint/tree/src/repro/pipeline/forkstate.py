@@ -14,7 +14,7 @@ _guard = threading.Lock()  # expect: FRK001
 RETRY_LIMIT = 3
 _DEFAULTS = dict(workers=4)
 
-__all__ = ["bump", "fan_out", "fan_out_acquire", "ok_pool_outside"]
+__all__ = ["bump", "fan_out", "fan_out_acquire", "fan_out_local_import", "ok_pool_outside"]
 
 
 def bump(key):
@@ -35,6 +35,15 @@ def fan_out_acquire(work_lock, items):
     work_lock.acquire()
     pool = multiprocessing.Pool(2)  # expect: FRK002
     work_lock.release()
+    return pool.map(str, items)
+
+
+def fan_out_local_import(lock, items):
+    """FRK002: a function-local import of multiprocessing is still resolved."""
+    import multiprocessing as mp
+
+    with lock:
+        pool = mp.Pool(2)  # expect: FRK002
     return pool.map(str, items)
 
 

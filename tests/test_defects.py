@@ -189,6 +189,26 @@ class TestDefectiveRoutingGraph:
             with pytest.raises(RoutingError, match=rf"tile \('t', {missing[1]}, {missing[2]}\)"):
                 router.find(CapacityUsage(), graph.tile_id(source), graph.tile_id(target))
 
+    def test_disconnected_pair_counts_one_failure_per_query(self):
+        # Regression: the first loaded query of a statically disconnected
+        # pair counted its failure twice (the static answer, then the cached
+        # None); a repeat counted once.
+        from repro.profiling import EngineCounters
+        from repro.routing.fast_router import FastRouter
+        from repro.routing.paths import CapacityUsage
+
+        chip = _chip(LS, rows=3, cols=3)
+        segments = tuple(key for key, _ in chip.corridor_segments())
+        graph = RoutingGraph(chip.with_defects(DefectSpec(disabled_segments=segments)))
+        router = FastRouter(graph)
+        usage = CapacityUsage()
+        usage.used[0] = 1  # any reservation makes the query a loaded one
+        source, target = graph.tile_id(("t", 0, 0)), graph.tile_id(("t", 0, 2))
+        for _query in range(2):
+            stats = EngineCounters()
+            assert router.find(usage, source, target, stats=stats) is None
+            assert stats.route_failures == 1
+
     def test_disabled_segment_removed(self):
         chip = _chip().with_defects(DefectSpec(disabled_segments=(("h", 2, 1),)))
         graph = RoutingGraph(chip)

@@ -10,7 +10,10 @@ summarizes every metric as parent and head medians and quartiles, the
 median of the per-pair head/parent ratios, and the pairs the head won
 (by the ``better`` direction in ``BENCHMARK.json``; per-layer metrics of
 traced runs are raw seconds and counts, compare them only pair by pair).
-A run that exits non-zero, including one whose result says ``"correct":
+``--setup-pairs N`` adds N alternating pairs of ``perfbench/run.py
+--setup-only`` runs, each a fresh process that imports the compiler, builds
+the workload's inputs (and boots the daemon for ``service``) and prints its
+``setup_s``, as a ``setup`` section of the same shape.  A run that exits non-zero, including one whose result says ``"correct":
 false``, stops the script: a ledger only records runs whose every
 operation succeeded.
 
@@ -24,7 +27,7 @@ Usage, from the root of the head checkout::
 
     git clone . ../parent && git -C ../parent checkout <parent-commit>
     python3 tools/bench_ledger.py --workload table1 --parent ../parent \\
-        --pairs 10 --traced-pairs 5
+        --pairs 10 --traced-pairs 5 --setup-pairs 20
 
 writes ``BENCH_table1.json`` at the root of this checkout.
 """
@@ -56,6 +59,9 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--pairs", type=int, default=1, help="untraced parent/head pairs")
     parser.add_argument("--traced-pairs", type=int, default=0, help="traced parent/head pairs")
     parser.add_argument(
+        "--setup-pairs", type=int, default=0, help="parent/head pairs of --setup-only runs"
+    )
+    parser.add_argument(
         "--out", type=Path, help="default: BENCH_<workload>.json at the root of this checkout"
     )
     return parser.parse_args(argv)
@@ -68,11 +74,18 @@ def fresh_copy(rev: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
 
 
-def run_perfbench(checkout: Path, args: argparse.Namespace, trace: int) -> dict:
-    """One perfbench run: its environment block and its final result line."""
+def run_perfbench(checkout: Path, workload: str, trace: int | None) -> dict:
+    """One perfbench run: its environment block and its final result line.
+
+    ``trace=None`` is a ``--setup-only`` run; it prints no environment
+    block, and its ``setup_s`` is returned as a one-metric result.
+    """
+    if trace is None:
+        mode = ["--seconds", "0", "--setup-only"]
+    else:
+        mode = ["--seconds", str(SECONDS), "--trace", str(trace)]
     command = [
-        sys.executable, "perfbench/run.py", "--workload", args.workload,
-        "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace),
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED), *mode,
     ]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.splitlines()
@@ -80,23 +93,28 @@ def run_perfbench(checkout: Path, args: argparse.Namespace, trace: int) -> dict:
         (json.loads(line.split(" ", 1)[1]) for line in lines if line.startswith("environment ")),
         None,
     )
-    if done.returncode != 0 or not lines or environment is None:
+    if done.returncode != 0 or not lines or (environment is None and trace is not None):
         last = lines[-1] if lines else ""
         raise RuntimeError(
             f"perfbench exited {done.returncode} in {checkout}:\n{last}\n{done.stderr}"
         )
+    if trace is None:
+        setup_s = json.loads(lines[-1])["setup_s"]
+        return {"result": {"metrics": {"setup_s": {"value": setup_s, "unit": "s"}}}}
     return {"environment": environment, "result": json.loads(lines[-1])}
 
 
-def run_pairs(args: argparse.Namespace, pairs: int, trace: int) -> list[dict]:
+def run_pairs(args: argparse.Namespace, pairs: int, trace: int | None) -> list[dict]:
     """``pairs`` alternating parent/head runs, parent first in odd pairs."""
     runs = []
+    label = "setup-only" if trace is None else f"trace={trace}"
     for pair in range(1, pairs + 1):
         order = ("parent", "head") if pair % 2 else ("head", "parent")
         for side in order:
             checkout = args.parent if side == "parent" else args.head
-            print(f"{args.workload} trace={trace} pair {pair}: {side}", file=sys.stderr, flush=True)
-            runs.append({"pair": pair, "side": side, **run_perfbench(checkout, args, trace)})
+            print(f"{args.workload} {label} pair {pair}: {side}", file=sys.stderr, flush=True)
+            result = run_perfbench(checkout, args.workload, trace)
+            runs.append({"pair": pair, "side": side, **result})
     return runs
 
 
@@ -161,7 +179,17 @@ def record(args: argparse.Namespace) -> dict:
             f"--seconds {SECONDS} --trace <0|1>"
         ),
     }
-    for key, pairs, trace in (("untraced", args.pairs, 0), ("traced", args.traced_pairs, 1)):
+    if args.setup_pairs:
+        ledger["setup_command"] = (
+            f"python3 perfbench/run.py --workload {args.workload} --seed {SEED} "
+            "--seconds 0 --setup-only"
+        )
+    sections = (
+        ("untraced", args.pairs, 0),
+        ("traced", args.traced_pairs, 1),
+        ("setup", args.setup_pairs, None),
+    )
+    for key, pairs, trace in sections:
         if pairs:
             runs = run_pairs(args, pairs, trace)
             ledger[key] = {"summary": summarize(runs, better), "runs": runs}
