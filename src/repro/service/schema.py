@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 
 from repro.chip.chip import Chip
 from repro.chip.spec import chip_from_dict
+from repro.circuits import qasm
 from repro.circuits.circuit import Circuit
+from repro.circuits.generators import get_benchmark
 from repro.core.ecmas import EcmasOptions
 from repro.core.schedule import EncodedCircuit, ScheduledOperation
 from repro.errors import ReproError
@@ -480,8 +482,6 @@ def _parse_common(payload: dict, errors: _Errors) -> dict:
 
 
 def _load_named_circuit(name: str, field_name: str, errors: _Errors) -> Circuit | None:
-    from repro.circuits.generators import get_benchmark
-
     try:
         return get_benchmark(name).build()
     except ReproError as exc:
@@ -490,8 +490,6 @@ def _load_named_circuit(name: str, field_name: str, errors: _Errors) -> Circuit 
 
 
 def _load_qasm_circuit(source: str, field_name: str, errors: _Errors) -> Circuit | None:
-    from repro.circuits import qasm
-
     try:
         return qasm.loads(source)
     except ReproError as exc:

@@ -12,6 +12,12 @@ one produced by ``repro batch`` or the in-process
 
 The HTTP layer (:mod:`repro.service.server`) only translates between wire
 payloads and this class.
+
+The record builder (:mod:`repro.eval.runner`) and, through
+:mod:`repro.service.schema`, the QASM front end are imported with this
+module, so a daemon loads them when it starts and a compile or schedule
+request pays for no import (the validator still loads on the first
+``validate`` request).
 """
 
 from __future__ import annotations
@@ -19,7 +25,9 @@ from __future__ import annotations
 import time
 from dataclasses import asdict
 
+from repro.eval.runner import record_from_result
 from repro.pipeline.batch import ResultCache, resolve_workers, run_batch
+from repro.pipeline.registry import run_pipeline_method
 from repro.service.jobs import JobManager, ServiceJob
 from repro.service.schema import (
     API_VERSION,
@@ -91,9 +99,6 @@ class CompileService:
             # cache stores records, not operation lists) — through the warm
             # per-chip state, and still persisting the record for later
             # record-only requests.
-            from repro.eval.runner import record_from_result
-            from repro.pipeline.registry import run_pipeline_method
-
             result = run_pipeline_method(
                 request.circuit,
                 request.method,

@@ -4,8 +4,10 @@
 must leave numpy and :mod:`multiprocessing` unimported: numpy is used only
 by :func:`~repro.partition.placement.spectral_placement`, which imports it
 on its first call, and a pool is opened only by a batch run with more than
-one worker.  The test process has long since imported both, so every check
-runs in a fresh interpreter.  Nothing here is timed.
+one worker.  A daemon is the other way round: it loads at start what its
+requests run, so no request pays for an import.  The test process has long
+since imported everything, so every check runs in a fresh interpreter.
+Nothing here is timed.
 """
 
 from __future__ import annotations
@@ -63,6 +65,35 @@ print(json.dumps(seen))
     assert len(TABLE1_METHODS) == 7
     assert list(loaded) == ["import repro", *TABLE1_METHODS, "repro compile"]
     assert loaded == dict.fromkeys(loaded, [])
+
+
+def test_daemon_requests_import_nothing():
+    # A daemon loads at start what its requests run: an inline-QASM compile
+    # and a schedule request import no module, and numpy stays unloaded.
+    loaded = _run_cold(
+        f"""
+import json, sys
+from repro.service import CompileService
+from repro.service.schema import parse_compile_request
+service = CompileService(cache=None)
+before = set(sys.modules)
+source = 'OPENQASM 2.0;\\ninclude "qelib1.inc";\\nqreg q[3];\\ncx q[0],q[1];\\ncx q[1],q[2];\\n'
+statuses = []
+for payload in (
+    {{"qasm": source, "method": "ecmas_dd_min"}},
+    {{"circuit": "qft_n10", "method": "autobraid", "include_schedule": True}},
+):
+    job = service.jobs.submit("compile", parse_compile_request(payload))
+    statuses.append(service.jobs.wait(job.id, 120).status)
+service.close()
+print(json.dumps({{
+    "statuses": statuses,
+    "imported": sorted(set(sys.modules) - before),
+    "lazy": [m for m in {LAZY!r} if m in sys.modules],
+}}))
+"""
+    )
+    assert loaded == {"statuses": ["done", "done"], "imported": [], "lazy": []}
 
 
 def test_spectral_placement_imports_numpy_on_first_use_and_matches_warm_process():
