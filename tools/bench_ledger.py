@@ -13,9 +13,9 @@ traced runs are raw seconds and counts, compare them only pair by pair).
 ``--setup-pairs N`` adds N alternating pairs of ``perfbench/run.py
 --setup-only`` runs, each a fresh process that imports the compiler, builds
 the workload's inputs (and boots the daemon for ``service``) and prints its
-``setup_s``, as a ``setup`` section of the same shape.  A run that exits non-zero, including one whose result says ``"correct":
-false``, stops the script: a ledger only records runs whose every
-operation succeeded.
+``setup_s``, as a ``setup`` section of the same shape.  A run that exits
+non-zero, including one whose result says ``"correct": false``, stops the
+script: a ledger only records runs whose every operation succeeded.
 
 Both sides run from fresh copies: by default the head side is ``git
 archive HEAD`` of this repository, extracted into a temporary directory
