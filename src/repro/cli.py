@@ -426,7 +426,10 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         request["name"] = args.circuit
     else:
         request["circuit"] = args.circuit
-    job = client.compile(**request)
+    try:
+        job = client.compile(**request)
+    finally:
+        client.close()
     if job["status"] != "done":
         error = job.get("error") or {}
         raise ReproError(

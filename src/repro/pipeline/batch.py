@@ -254,9 +254,19 @@ class ResultCache:
 
     def get(self, job: BatchJob):
         """Return the cached record for ``job``, or ``None`` (counts hit/miss)."""
+        return self.get_by_key(
+            job.fingerprint(), job.circuit_name or job.circuit.name, job.paper_cycles
+        )
+
+    def get_by_key(self, key: str, circuit_name: str, paper_cycles: int | None = None):
+        """Return the record stored under fingerprint ``key``, or ``None`` (counts hit/miss).
+
+        ``circuit_name`` and ``paper_cycles`` are the job's presentation
+        metadata, which the fingerprint leaves out; the record is restamped
+        with them so a hit returns exactly what a fresh compile would.
+        """
         from repro.eval.runner import ExperimentRecord
 
-        key = job.fingerprint()
         record = None
         text = self._memory.get(key)
         if text is not None:
@@ -281,15 +291,16 @@ class ResultCache:
             self.misses += 1
             return None
         self.hits += 1
-        # Presentation metadata is not part of the fingerprint; restamp it so
-        # a hit returns exactly what a fresh compile of this job would.
-        record.circuit = job.circuit_name or job.circuit.name
-        record.paper_cycles = job.paper_cycles
+        record.circuit = circuit_name
+        record.paper_cycles = paper_cycles
         return record
 
     def put(self, job: BatchJob, record) -> None:
         """Persist ``record`` for ``job`` (atomically, concurrency-safe)."""
-        key = job.fingerprint()
+        self.put_by_key(job.fingerprint(), record)
+
+    def put_by_key(self, key: str, record) -> None:
+        """Persist ``record`` under fingerprint ``key`` (atomically, concurrency-safe)."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         text = json.dumps(record.to_dict(), sort_keys=True)

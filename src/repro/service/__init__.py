@@ -23,37 +23,41 @@ Start a daemon with ``python -m repro serve`` and talk to it with
 ``python -m repro submit`` or any HTTP client; see ``docs/http-api.md``.
 """
 
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import JobManager, ServiceJob
-from repro.service.schema import (
-    API_VERSION,
-    BatchRequest,
-    CompileRequest,
-    SchemaError,
-    parse_batch_request,
-    parse_compile_request,
-    schedule_payload,
-)
-from repro.service.server import ServiceServer, create_server
-from repro.service.service import CompileService
-from repro.service.state import WarmChipState, WarmStateCache, chip_state_key
+from __future__ import annotations
 
-__all__ = [
-    "API_VERSION",
-    "BatchRequest",
-    "CompileRequest",
-    "CompileService",
-    "JobManager",
-    "SchemaError",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceJob",
-    "ServiceServer",
-    "WarmChipState",
-    "WarmStateCache",
-    "chip_state_key",
-    "create_server",
-    "parse_batch_request",
-    "parse_compile_request",
-    "schedule_payload",
-]
+import importlib
+
+#: Public name → the submodule that defines it.  Names load on first access
+#: (PEP 562), so ``import repro.service.client`` (what ``repro submit`` runs)
+#: loads the client alone, not the daemon, the QASM front end or the batch
+#: engine's record builder.
+_EXPORTS = {
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "JobManager": "jobs",
+    "ServiceJob": "jobs",
+    "API_VERSION": "schema",
+    "BatchRequest": "schema",
+    "CompileRequest": "schema",
+    "SchemaError": "schema",
+    "parse_batch_request": "schema",
+    "parse_compile_request": "schema",
+    "schedule_payload": "schema",
+    "ServiceServer": "server",
+    "create_server": "server",
+    "CompileService": "service",
+    "WarmChipState": "state",
+    "WarmStateCache": "state",
+    "chip_state_key": "state",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -20,6 +20,7 @@ versions, never renamed or repurposed.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 from repro.chip.chip import Chip
@@ -384,6 +385,16 @@ class _Errors:
     def raise_if_any(self) -> None:
         if self.items:
             raise SchemaError(self.items)
+
+
+def decode_body(raw: bytes) -> object:
+    """Decode a request body's JSON, raising :class:`SchemaError` when it is empty or invalid."""
+    if not raw:
+        raise SchemaError([{"field": "", "message": "request body is empty"}])
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError([{"field": "", "message": f"request body is not valid JSON: {exc}"}])
 
 
 def _require_object(payload: object) -> dict:

@@ -2,12 +2,13 @@
 
 ``import repro``, one compile with each Table I method and ``repro compile``
 must leave numpy and :mod:`multiprocessing` unimported: numpy is used only
-by :func:`~repro.partition.placement.spectral_placement`, which imports it
-on its first call, and a pool is opened only by a batch run with more than
-one worker.  A daemon is the other way round: it loads at start what its
-requests run, so no request pays for an import.  The test process has long
-since imported everything, so every check runs in a fresh interpreter.
-Nothing here is timed.
+by :func:`~repro.partition.placement.spectral_placement`, and a pool is
+opened only by a batch run with more than one worker.  The spectral method
+imports numpy when its passes are built, so no stage clock counts the
+import.  A daemon loads at start what its requests run, so no request pays
+for an import, while its client (``repro submit``) loads nothing of the
+daemon.  The test process has long since imported everything, so every
+check runs in a fresh interpreter.  Nothing here is timed.
 """
 
 from __future__ import annotations
@@ -67,33 +68,102 @@ print(json.dumps(seen))
     assert loaded == dict.fromkeys(loaded, [])
 
 
+#: What the daemon's request path loads and its client must not.
+DAEMON_MODULES = (
+    "http.server",
+    "repro.circuits.qasm",
+    "repro.eval",
+    "repro.service.jobs",
+    "repro.service.schema",
+    "repro.service.server",
+    "repro.service.service",
+    "repro.service.state",
+)
+
+
 def test_daemon_requests_import_nothing():
-    # A daemon loads at start what its requests run: an inline-QASM compile
-    # and a schedule request import no module, and numpy stays unloaded.
+    # A daemon loads at start what its requests run: an inline-QASM compile,
+    # its direct-mode repeat, a schedule request and a rejected body import
+    # no module over HTTP, and numpy stays unloaded.
     loaded = _run_cold(
         f"""
-import json, sys
-from repro.service import CompileService
-from repro.service.schema import parse_compile_request
-service = CompileService(cache=None)
+import json, sys, tempfile, threading
+from repro.service import ServiceClient, ServiceError, create_server
+cache = tempfile.TemporaryDirectory()
+server = create_server(port=0, cache=cache.name, quiet=True)
+threading.Thread(target=server.serve_forever, daemon=True).start()
+client = ServiceClient(port=server.server_address[1])
+assert client.healthz()["status"] == "ok"
 before = set(sys.modules)
 source = 'OPENQASM 2.0;\\ninclude "qelib1.inc";\\nqreg q[3];\\ncx q[0],q[1];\\ncx q[1],q[2];\\n'
-statuses = []
+outcomes = []
 for payload in (
-    {{"qasm": source, "method": "ecmas_dd_min"}},
-    {{"circuit": "qft_n10", "method": "autobraid", "include_schedule": True}},
+    {{"qasm": source, "method": "ecmas_dd_min", "wait": True}},
+    {{"qasm": source, "method": "ecmas_dd_min", "wait": True}},
+    {{"circuit": "qft_n10", "method": "autobraid", "include_schedule": True, "wait": True}},
+    {{"circuit": "qft_n10", "method": "no_such_method", "wait": True}},
 ):
-    job = service.jobs.submit("compile", parse_compile_request(payload))
-    statuses.append(service.jobs.wait(job.id, 120).status)
-service.close()
+    try:
+        job = client.compile(**payload)
+        outcomes.append([job["status"], job["result"]["cached"]])
+    except ServiceError as exc:
+        outcomes.append(exc.status)
+client.close()
+server.shutdown()
+server.close()
+cache.cleanup()
 print(json.dumps({{
-    "statuses": statuses,
+    "outcomes": outcomes,
     "imported": sorted(set(sys.modules) - before),
     "lazy": [m for m in {LAZY!r} if m in sys.modules],
 }}))
 """
     )
-    assert loaded == {"statuses": ["done", "done"], "imported": [], "lazy": []}
+    assert loaded == {
+        "outcomes": [["done", False], ["done", True], ["done", False], 400],
+        "imported": [],
+        "lazy": [],
+    }
+
+
+def test_client_and_submit_load_nothing_of_the_daemon():
+    loaded = _run_cold(
+        f"""
+import json, sys
+seen = {{}}
+import repro.service.client
+seen["import repro.service.client"] = sorted(m for m in {DAEMON_MODULES!r} if m in sys.modules)
+from repro.cli import main
+assert main(["submit", "qft_n10", "--port", "1"]) == 2  # nothing listens there
+seen["repro submit"] = sorted(m for m in {DAEMON_MODULES!r} if m in sys.modules)
+print(json.dumps(seen))
+"""
+    )
+    assert loaded == {"import repro.service.client": [], "repro submit": []}
+
+
+def test_spectral_passes_import_numpy_before_the_stage_clock_starts():
+    loaded = _run_cold(
+        """
+import json, sys
+from repro.circuits.generators import standard
+from repro.pipeline.passes import InitialMappingPass
+from repro.pipeline.registry import run_pipeline_method
+seen = []
+run = InitialMappingPass.run
+
+def recording_run(self, ctx):
+    seen.append("numpy" in sys.modules)
+    return run(self, ctx)
+
+InitialMappingPass.run = recording_run
+circuit = standard.ising(9)
+run_pipeline_method(circuit, "ecmas_dd_min")
+run_pipeline_method(circuit, "location:spectral")
+print(json.dumps(seen))
+"""
+    )
+    assert loaded == [False, True]
 
 
 def test_spectral_placement_imports_numpy_on_first_use_and_matches_warm_process():

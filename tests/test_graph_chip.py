@@ -376,6 +376,7 @@ def test_service_compiles_inline_v2_chip_spec(tmp_path):
         assert job["status"] == "done"
         assert job["result"]["cycles"] >= 1
     finally:
+        client.close()
         server.shutdown()
         server.close()
         thread.join(timeout=5)

@@ -8,7 +8,12 @@ Covers the acceptance criteria of the service PR:
   ``/stats`` (result-cache hit + warm-chip hit);
 * the warm per-chip LRU evicts least-recently-used chips at capacity;
 * malformed requests answer 400 with a schema-error body naming every
-  offending field.
+  offending field;
+* a byte-identical repeat is served in direct mode (no parse, no gate-list
+  hash) with the parse path's payload and ``/stats`` counters, falls back
+  when its record left the cache, and never remembers a rejected body;
+* a client sends its requests over one kept-alive connection, reopens it
+  when the daemon closed it, and the daemon answers with Nagle off.
 """
 
 from __future__ import annotations
@@ -44,18 +49,25 @@ TINY_QASM = (
 
 
 @pytest.fixture()
-def daemon(tmp_path):
-    """A live daemon on an ephemeral port with a fresh result cache."""
+def live(tmp_path):
+    """A live daemon on an ephemeral port with a fresh result cache, and a client."""
     server = create_server(port=0, cache=str(tmp_path / "cache"), quiet=True)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     client = ServiceClient(port=server.server_address[1])
     try:
-        yield client
+        yield server, client
     finally:
+        client.close()
         server.shutdown()
         server.close()
         thread.join(timeout=5)
+
+
+@pytest.fixture()
+def daemon(live):
+    """The client of a live daemon."""
+    return live[1]
 
 
 # ---------------------------------------------------------------- round trip
@@ -420,3 +432,361 @@ def test_warm_state_provider_round_trip_schedules_identical():
         cache.uninstall()
     assert schedule_payload(cold) == schedule_payload(warm_first) == schedule_payload(warm_second)
     assert cache.hits >= 1
+
+
+# -------------------------------------------------------------- direct mode
+JOB_FIELDS = ("job_id", "submitted_at", "started_at", "finished_at")
+
+
+def _without_job_fields(payload: dict) -> dict:
+    return {key: value for key, value in payload.items() if key not in JOB_FIELDS}
+
+
+def _count_parses(monkeypatch) -> list[str]:
+    """Count QASM parses; the list grows by one per ``qasm.loads`` call."""
+    from repro.circuits import qasm
+
+    calls: list[str] = []
+    real = qasm.loads
+
+    def counting(source, *args, **kwargs):
+        calls.append(source)
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr(qasm, "loads", counting)
+    return calls
+
+
+def test_repeat_body_is_served_without_parsing(live, monkeypatch):
+    """A byte-identical repeat skips QASM parsing and gate-list hashing; its
+    payload equals the parse path's apart from the job id and timestamps."""
+    from repro.circuits import qasm
+    from repro.pipeline.batch import BatchJob
+
+    server, client = live
+    body = {"qasm": TINY_QASM, "name": "tiny", "method": "ecmas_dd_min", "wait": True}
+    first = client.compile(**body)
+    assert first["result"]["cached"] is False
+    # The same request with its keys in another order: different bytes, so
+    # it takes the parse path and reads the cache the way every read did.
+    parsed = client.compile(**dict(reversed(list(body.items()))))
+    assert parsed["result"]["cached"] is True
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a direct-mode repeat must not parse or hash")
+
+    monkeypatch.setattr(qasm, "loads", refuse)
+    monkeypatch.setattr(BatchJob, "fingerprint", refuse)
+    direct = client.compile(**body)
+    assert direct["status"] == "done", direct["error"]
+    assert direct["result"]["cached"] is True
+    assert _without_job_fields(direct) == _without_job_fields(parsed)
+    assert direct["job_id"] != parsed["job_id"]
+    assert server.service.stats_payload()["jobs"]["completed"] == 3
+
+
+def _serve_stream(client) -> list[dict]:
+    """A stream of reads, writes, schedule requests, uncached ones and a 400."""
+    payloads = []
+    requests = [
+        {"qasm": TINY_QASM, "name": "tiny", "method": "ecmas_dd_min", "wait": True},
+        {"circuit": "dnn_n8", "method": "autobraid", "wait": True},
+        {"qasm": TINY_QASM, "name": "tiny", "method": "ecmas_dd_min", "wait": True},
+        {"circuit": "dnn_n8", "method": "autobraid", "wait": True, "include_schedule": True},
+        {"circuit": "dnn_n8", "method": "autobraid", "wait": True},
+        {"circuit": "dnn_n8", "method": "autobraid", "wait": True, "use_cache": False},
+        {"circuit": "dnn_n8", "method": "no_such_method", "wait": True},
+        {"circuit": "dnn_n8", "method": "autobraid", "wait": True, "use_cache": False},
+        {"qasm": TINY_QASM, "name": "tiny", "method": "ecmas_dd_min", "wait": True},
+        {"qasm": TINY_QASM, "method": "ecmas_dd_min", "wait": True},
+    ]
+    for request in requests:
+        try:
+            payloads.append(client.compile(**request))
+        except ServiceError as exc:
+            payloads.append({"status": exc.status})
+    return payloads
+
+
+def test_direct_mode_keeps_stats_counters(live, tmp_path, monkeypatch):
+    """/stats counts the same result-cache hits and misses, and the same jobs,
+    over one stream as a daemon whose direct mode remembers nothing."""
+    from repro.service import service as service_module
+
+    server, client = live
+    direct = _serve_stream(client)
+    assert len(server.service._direct) == 3  # tiny (named, unnamed), dnn_n8
+
+    monkeypatch.setattr(service_module, "DIRECT_ENTRIES", 0)
+    plain_server = create_server(port=0, cache=str(tmp_path / "plain"), quiet=True)
+    thread = threading.Thread(target=plain_server.serve_forever, daemon=True)
+    thread.start()
+    plain_client = ServiceClient(port=plain_server.server_address[1])
+    try:
+        plain = _serve_stream(plain_client)
+        assert not plain_server.service._direct
+        stats = [c.stats() for c in (client, plain_client)]
+    finally:
+        plain_client.close()
+        plain_server.shutdown()
+        plain_server.close()
+        thread.join(timeout=5)
+
+    def outcomes(payloads):
+        return [
+            (p["status"], *(p["result"][k] for k in ("circuit", "cycles", "cached")))
+            if p.get("result") else p["status"]
+            for p in payloads
+        ]
+
+    assert outcomes(direct) == outcomes(plain)
+    for name in ("hits", "misses"):
+        assert stats[0]["result_cache"][name] == stats[1]["result_cache"][name]
+    assert stats[0]["result_cache"]["hits"] == 4
+    assert stats[0]["jobs"] == stats[1]["jobs"]
+    counters = [
+        {k: v for k, v in stat["engine_counters"].items() if not k.endswith("_seconds")}
+        for stat in stats
+    ]
+    assert counters[0] == counters[1]
+
+
+def test_cleared_cache_makes_a_repeat_compile_again(live, monkeypatch):
+    server, client = live
+    body = {"circuit": "dnn_n8", "method": "ecmas_dd_min", "wait": True}
+    assert client.compile(**body)["result"]["cached"] is False
+    assert client.compile(**body)["result"]["cached"] is True
+    assert server.service.cache.clear() == 1
+
+    again = client.compile(**body)
+    assert again["status"] == "done"
+    assert again["result"]["cached"] is False
+    # One miss per compile: the direct read's miss is not counted twice.
+    assert client.stats()["result_cache"] | {"directory": None} == {
+        "directory": None, "memory_entries": 1, "hits": 1, "misses": 2,
+    }
+    # The recompiled record is cached again, and the repeat is direct again.
+    calls = _count_parses(monkeypatch)
+    assert client.compile(qasm=TINY_QASM, wait=True)["result"]["cached"] is False
+    assert client.compile(qasm=TINY_QASM, wait=True)["result"]["cached"] is True
+    assert len(calls) == 1
+
+
+def test_rejected_bodies_never_enter_the_direct_map(live):
+    import http.client
+
+    server, client = live
+    bad_bodies = [
+        b"{not json",
+        b"",
+        json.dumps({"circuit": "dnn_n8", "method": "no_such_method"}).encode(),
+        json.dumps({"qasm": "OPENQASM 2.0;\nqreg q[", "wait": True}).encode(),
+    ]
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        for body in bad_bodies * 2:
+            connection.request("POST", "/compile", body=body)
+            response = connection.getresponse()
+            assert response.status == 400
+            assert json.loads(response.read())["error"] == "schema_error"
+    finally:
+        connection.close()
+    assert not server.service._direct
+    # A request that parsed but failed to compile produces no record either.
+    chip = Chip.with_tile_array(SurfaceCodeModel.DOUBLE_DEFECT, 3, 1, 1, bandwidth=1)
+    failed = client.compile(
+        circuit="dnn_n8", method="ecmas_dd_min", chip=chip_to_dict(chip), wait=True
+    )
+    assert failed["status"] == "failed"
+    assert not server.service._direct
+
+
+def test_direct_map_is_bounded(live, monkeypatch):
+    from repro.service import service as service_module
+
+    server, client = live
+    monkeypatch.setattr(service_module, "DIRECT_ENTRIES", 2)
+    calls = _count_parses(monkeypatch)
+    names = ["a", "b", "c"]
+    for name in names:
+        client.compile(qasm=TINY_QASM, name=name, method="ecmas_dd_min", wait=True)
+    assert len(server.service._direct) == 2
+    assert len(calls) == 3
+    # "b" and "c" are remembered; "a" was forgotten, so it parses again.
+    for name in ["c", "b", "a"]:
+        job = client.compile(qasm=TINY_QASM, name=name, method="ecmas_dd_min", wait=True)
+        assert job["result"]["cached"] is True and job["result"]["circuit"] == name
+    assert len(calls) == 4
+    assert len(server.service._direct) == 2
+
+
+def test_concurrent_clients_share_the_direct_map(live):
+    """Handler threads read the direct map while the worker writes it: four
+    clients repeat three bodies with a short switch interval, and every reply
+    carries its own body's name."""
+    import sys
+
+    server, _ = live
+    port = server.server_address[1]
+    bodies = [
+        {"qasm": TINY_QASM, "name": f"tiny{i}", "method": "ecmas_dd_min", "wait": True}
+        for i in range(3)
+    ]
+    rounds, clients = 10, 4
+    replies: list[tuple[str, dict]] = []
+    errors: list[BaseException] = []
+
+    def repeat(offset: int) -> None:
+        client = ServiceClient(port=port, timeout=30)
+        try:
+            for index in range(rounds):
+                body = bodies[(offset + index) % len(bodies)]
+                replies.append((body["name"], client.compile(**body)))
+        except BaseException as exc:  # reported by the assertion below
+            errors.append(exc)
+        finally:
+            client.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=repeat, args=(i,)) for i in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(replies) == rounds * clients
+    assert all(job["status"] == "done" for _, job in replies)
+    assert all(job["result"]["circuit"] == name for name, job in replies)
+    assert len({job["result"]["cycles"] for _, job in replies}) == 1
+    # The names share one fingerprint, and the single worker compiles it once.
+    counters = server.service.stats_payload()["result_cache"]
+    assert (counters["hits"], counters["misses"]) == (rounds * clients - 1, 1)
+    assert len(server.service._direct) == len(bodies)
+
+
+# --------------------------------------------------------------- keep-alive
+def _count_connections(server) -> list:
+    """Record every connection the server accepts from now on."""
+    accepted = []
+    accept = server.get_request
+
+    def counting():
+        connection = accept()
+        accepted.append(connection)
+        return connection
+
+    server.get_request = counting
+    return accepted
+
+
+def test_sequential_requests_share_one_connection(live):
+    server, client = live
+    accepted = _count_connections(server)
+    client.healthz()
+    for _ in range(3):
+        client.compile(circuit="dnn_n8", method="ecmas_dd_min", wait=True)
+    client.stats()
+    with pytest.raises(ServiceError):
+        client.job("no-such-job")  # a 404 keeps the connection open
+    client.healthz()
+    assert len(accepted) == 1
+
+
+def test_client_reconnects_after_the_server_closes(live, monkeypatch):
+    """An oversized body is refused with a 400 and the connection closed;
+    the client's next request opens a new one."""
+    from repro.service import server as server_module
+
+    server, client = live
+    accepted = _count_connections(server)
+    client.healthz()
+    monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 256)
+    with pytest.raises(ServiceError) as excinfo:
+        client.compile(qasm=TINY_QASM * 4, wait=True)
+    assert excinfo.value.status == 400
+    assert "exceeds 256 bytes" in str(excinfo.value)
+    assert client.healthz()["status"] == "ok"
+    assert len(accepted) == 2
+
+
+def test_client_retries_once_on_a_connection_closed_while_idle():
+    """A kept-alive connection the peer closed without saying so is reopened
+    once; a daemon that is gone is reported as unreachable."""
+    import socket
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+    accepted = []
+
+    def serve_twice() -> None:
+        # Each connection answers one request with a keep-alive response,
+        # then closes: the client's next request meets a dead socket.
+        for _ in range(2):
+            connection, _ = listener.accept()
+            accepted.append(connection)
+            with connection:
+                connection.recv(65536)
+                body = b'{"status": "ok"}'
+                connection.sendall(
+                    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                    b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+                )
+        listener.close()
+
+    thread = threading.Thread(target=serve_twice, daemon=True)
+    thread.start()
+    client = ServiceClient(port=port, timeout=10)
+    try:
+        assert client.healthz() == {"status": "ok"}
+        thread.join(timeout=0.5)  # let the first connection close
+        assert client.healthz() == {"status": "ok"}
+        thread.join(timeout=10)
+        assert len(accepted) == 2
+        with pytest.raises(ServiceError) as excinfo:
+            client.healthz()
+    finally:
+        client.close()
+    assert excinfo.value.status is None
+    assert str(excinfo.value).startswith(f"cannot reach compile daemon at http://127.0.0.1:{port}")
+
+
+def test_service_error_keeps_status_and_messages(daemon):
+    with pytest.raises(ServiceError) as excinfo:
+        daemon.compile(circuit="dnn_n8", method="no_such_method")
+    err = excinfo.value
+    assert err.status == 400
+    message = str(err)
+    assert message.startswith("POST /compile -> HTTP 400: ")
+    assert "\n  method: unknown evaluation method(s): no_such_method;" in message
+    with pytest.raises(ServiceError) as excinfo:
+        daemon.job("nope")
+    assert excinfo.value.status == 404
+    assert str(excinfo.value) == "GET /jobs/nope -> HTTP 404: no job 'nope'"
+    assert excinfo.value.payload["error"] == "not_found"
+
+
+def test_responses_leave_with_nagle_disabled(live, monkeypatch):
+    """Nagle's algorithm would hold a response body back until the client
+    acknowledged its head; every accepted connection must have it off."""
+    import socket
+
+    from repro.service.server import ServiceHandler
+
+    server, client = live
+    flags = []
+    setup = ServiceHandler.setup
+
+    def recording_setup(handler) -> None:
+        setup(handler)
+        flags.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+    monkeypatch.setattr(ServiceHandler, "setup", recording_setup)
+    client.close()
+    assert client.healthz()["status"] == "ok"
+    assert len(flags) == 1 and flags[0] != 0
