@@ -48,6 +48,7 @@ DEFAULT_ARTIFACT_FIELDS = (
     "congestion_weight",
     "method_label",
     "encoded",
+    "route_memo",
     "artifacts",
 )
 

@@ -180,24 +180,35 @@ def chip_is_routable(chip) -> bool:
     """
     from repro.chip.routing_graph import RoutingGraph
 
-    graph = RoutingGraph(chip)
+    return _tiles_connected(RoutingGraph(chip), frozenset())
+
+
+def _tiles_connected(graph, disabled: frozenset[int] | set[int]) -> bool:
+    """:func:`chip_is_routable` on ``graph`` with the corridor edges of ids ``disabled`` removed.
+
+    Removing a graph's edge is exactly what disabling its segment does to
+    the chip's graph: a junction stays usable while an enabled corridor edge
+    touches it, which is when its through-capacity is at least one.
+    """
     tiles = graph.tile_nodes()
     if len(tiles) <= 1:
         return True
     # Connected components of the usable-junction subgraph, over node ids:
     # junctions come first, and a junction's row holds only junctions.
     rows = graph.junction_adjacency
-    capacity = graph.through_capacity
     num_junctions = len(graph.nodes) - len(tiles)
+    usable = [
+        any(eid not in disabled for _neighbor, eid, _lanes in rows[j]) for j in range(num_junctions)
+    ]
     component = [-1] * num_junctions
     for start in range(num_junctions):
-        if capacity[start] < 1 or component[start] >= 0:
+        if not usable[start] or component[start] >= 0:
             continue
         component[start] = start
         stack = [start]
         while stack:
-            for neighbor, _eid, _lanes in rows[stack.pop()]:
-                if component[neighbor] < 0 and capacity[neighbor] >= 1:
+            for neighbor, eid, _lanes in rows[stack.pop()]:
+                if component[neighbor] < 0 and eid not in disabled:
                     component[neighbor] = start
                     stack.append(neighbor)
     # Each tile can start a path into any component its access junctions touch.
@@ -227,8 +238,13 @@ def random_defects(
     At least ``min_alive_tiles`` tile slots stay alive, and any disabled
     segment that would disconnect the alive tiles (including via a junction
     left with no enabled segment) is demoted to a one-lane override instead,
-    so a routable input chip always yields a routable result.
+    so a routable input chip always yields a routable result.  Lane counts
+    never decide routability, so every trial disable is checked on one
+    routing graph per sample — the chip with its dead tiles and declared
+    defects — with the trial's edges removed.
     """
+    from repro.chip.routing_graph import RoutingGraph, edge_key
+
     if not 0.0 <= rate <= 1.0:
         raise ChipError(f"defect rate must be in [0, 1], got {rate}")
     base: DefectSpec = chip.defects
@@ -245,18 +261,27 @@ def random_defects(
     num_degraded = int(rate * len(segments))
     degraded = rng.sample(segments, num_degraded) if num_degraded else []
 
+    graph = RoutingGraph(
+        chip.with_defects(
+            DefectSpec(
+                dead_tiles=dead,
+                disabled_segments=base.disabled_segments,
+                bandwidth_overrides=base.bandwidth_overrides,
+            )
+        )
+    )
     disabled: list[SegmentKey] = list(base.disabled_segments)
+    disabled_edges: set[int] = set()
     overrides: dict[SegmentKey, int] = base.override_map()
     for index, segment in enumerate(degraded):
         if index % 2 == 0:
             # Try to disable the segment; keep only if the chip stays routable.
-            trial = DefectSpec(
-                dead_tiles=dead,
-                disabled_segments=tuple(disabled) + (segment,),
-                bandwidth_overrides=tuple(overrides.items()),
-            )
-            if chip_is_routable(chip.with_defects(trial)):
+            a, b, _corridor, _lanes = chip.segment(segment)
+            eid = graph.edge_id.get(edge_key(a, b))  # None: already absent
+            trial = disabled_edges if eid is None else disabled_edges | {eid}
+            if _tiles_connected(graph, trial):
                 disabled.append(segment)
+                disabled_edges = trial
             else:
                 overrides[segment] = min(overrides.get(segment, 1), 1)
         else:
@@ -266,7 +291,7 @@ def random_defects(
         disabled_segments=tuple(disabled),
         bandwidth_overrides=tuple(overrides.items()),
     )
-    if not chip_is_routable(chip.with_defects(spec)):  # pragma: no cover - defensive
+    if not _tiles_connected(graph, disabled_edges):  # pragma: no cover - defensive
         spec = DefectSpec(
             dead_tiles=dead,
             disabled_segments=tuple(base.disabled_segments),

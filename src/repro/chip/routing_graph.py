@@ -137,6 +137,12 @@ class RoutingGraph:
         defective chip may strand a junction with only tile-access edges
         (through-capacity 0); the fast router's unloaded greedy walk is only
         canonical when no such junction exists.
+    topology:
+        ``(nodes, edges)``: which nodes and edges exist, in id order, and
+        nothing of their lane counts.  Two graphs with equal topologies have
+        equal ids, adjacency rows and ``junctions_passable`` and differ at
+        most in capacities, which is what lets routers share a
+        :class:`~repro.routing.fast_router.RouteMemo`.
     """
 
     def __init__(self, chip: Chip):
@@ -197,6 +203,7 @@ class RoutingGraph:
         self.tile_access: list[dict[int, tuple[int, int]]] = access
         self.corridors: tuple[Corridor | None, ...] = tuple(corridors)
         self.junctions_passable: bool = all(c >= 1 for c in through[:num_junctions])
+        self.topology: tuple[tuple[Node, ...], tuple[EdgeKey, ...]] = (nodes, self.edges)
         self._num_junctions = num_junctions
         self._capacity = capacities
 

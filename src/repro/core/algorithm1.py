@@ -112,7 +112,18 @@ class Algorithm1Scheduler:
     gate_cycles: int
 
     def __init__(
-        self, circuit, mapping, *, priority, congestion_weight, method, max_cycles, dag, window, memoize
+        self,
+        circuit,
+        mapping,
+        *,
+        priority,
+        congestion_weight,
+        method,
+        max_cycles,
+        dag,
+        window,
+        memoize,
+        route_memo=None,
     ):
         self._circuit = circuit
         self._mapping = mapping
@@ -127,7 +138,9 @@ class Algorithm1Scheduler:
         # A DAG precomputed by the pipeline's profile pass is reused as-is;
         # standalone callers pay for one derivation here.
         self._dag = dag if dag is not None else circuit.dag()
-        self._router = routing_for(mapping.chip)
+        # ``route_memo`` carries the landmark tables and unloaded paths an
+        # earlier router of the same compile filled (bandwidth adjusting's).
+        self._router = routing_for(mapping.chip, route_memo)
         self._graph = self._router.graph
         self.counters = EngineCounters()
 
@@ -206,6 +219,7 @@ class Algorithm1Scheduler:
             cycle += 1
 
         counters.cycles_simulated = cycle
+        counters.landmark_tables = self._router.landmark_table_count
         return result
 
     # ---------------------------------------------------------- model policy

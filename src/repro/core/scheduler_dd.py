@@ -19,6 +19,14 @@ optimisations are designed to relieve.
 The same scheduler, configured with uniform cut types and the ``never_modify``
 strategy, serves as the AutoBraid / Braidflash baseline scheduler.
 
+A direct CNOT needs a path free in each of the three cycles it occupies.
+Its searches run against the cycle's *span view*: for every edge id and
+junction id, the largest reservation over the current cycle and the next
+two.  The view is built on the cycle's first direct query and then raised in
+place whenever a braid or a direct CNOT reserves a path into any of those
+cycles, so every query sees exactly the maximum it would merge afresh; it is
+dropped when the next cycle begins, and a replayed cycle never builds one.
+
 The layer key (:class:`~repro.core.layer_memo.DdLayerKey`) covers cut types,
 capped idle times, the three-cycle residual-capacity signature and — for
 the adaptive strategy — the successor look-ahead, which together determine
@@ -45,7 +53,7 @@ from repro.core.mapping import InitialMapping
 from repro.core.priorities import PriorityKey, criticality_priority
 from repro.core.schedule import OperationKind, ScheduledOperation
 from repro.errors import SchedulingError
-from repro.routing.fast_router import DEFAULT_CONGESTION_WEIGHT
+from repro.routing.fast_router import DEFAULT_CONGESTION_WEIGHT, RouteMemo
 from repro.routing.paths import CapacityUsage, IdPath
 
 
@@ -69,6 +77,7 @@ class DoubleDefectScheduler(Algorithm1Scheduler):
         dag=None,
         window: int | None = None,
         memoize: bool = True,
+        route_memo: RouteMemo | None = None,
     ):
         if mapping.cut_types is None:
             raise SchedulingError("double defect scheduling needs an initial cut-type assignment")
@@ -85,6 +94,7 @@ class DoubleDefectScheduler(Algorithm1Scheduler):
             dag=dag,
             window=window,
             memoize=memoize and cut_strategy in MEMO_SAFE_STRATEGIES,
+            route_memo=route_memo,
         )
         self._cut_strategy = cut_strategy
 
@@ -96,6 +106,9 @@ class DoubleDefectScheduler(Algorithm1Scheduler):
         #: Residual-usage signatures by cycle, shared between the layer key
         #: and _book_direct (which evicts the cycles it reserves into).
         self._signatures: dict[int, object] = {}
+        #: The current cycle's span view (see the module docstring), or None
+        #: before its first direct query.
+        self._span: CapacityUsage | None = None
         self._fingerprint = (
             DdLayerKey(
                 self._dag,
@@ -109,6 +122,7 @@ class DoubleDefectScheduler(Algorithm1Scheduler):
         return frontier
 
     def _begin_cycle(self, cycle: int) -> None:
+        self._span = None
         cut = self._cut
         for qubit in self._cut_flips.pop(cycle, ()):
             cut[qubit] = cut[qubit].flipped()
@@ -152,11 +166,20 @@ class DoubleDefectScheduler(Algorithm1Scheduler):
         self._book_direct(node, qubit_a, qubit_b, path)
         return ("direct", path)
 
+    def _braid(self, node: int, qubit_a: int, qubit_b: int) -> IdPath | None:
+        path = super()._braid(node, qubit_a, qubit_b)
+        if path is not None and self._span is not None:
+            _raise_span(self._span, self._usage_now, path)
+        return path
+
     def _book_direct(self, node: int, qubit_a: int, qubit_b: int, path: IdPath) -> None:
         """Book a three-cycle same-cut CNOT, reserving its path for its whole span."""
-        usage_by_cycle, signatures = self._usage_by_cycle, self._signatures
+        usage_by_cycle, signatures, span = self._usage_by_cycle, self._signatures, self._span
         for at in range(self._cycle, self._cycle + DIRECT_SAME_CUT_CYCLES):
-            usage_by_cycle.setdefault(at, CapacityUsage()).add_path(path)
+            cycle_usage = usage_by_cycle.setdefault(at, CapacityUsage())
+            cycle_usage.add_path(path)
+            if span is not None:
+                _raise_span(span, cycle_usage, path)
             # Later layer keys read this cycle's signature; evict it.
             signatures.pop(at, None)
         self._book(node, qubit_a, qubit_b, path, OperationKind.CNOT_SAME_CUT, DIRECT_SAME_CUT_CYCLES)
@@ -193,24 +216,35 @@ class DoubleDefectScheduler(Algorithm1Scheduler):
     def _direct_path(self, qubit_a: int, qubit_b: int) -> IdPath | None:
         """Find a path free in every cycle a direct CNOT starting now occupies.
 
-        The search runs against a merged usage view holding, for every edge
-        id and junction id, the maximum reservation over the involved cycles.
+        The search runs against the cycle's span view, built here on the
+        cycle's first direct query.
         """
-        involved = [
-            cycle_usage
-            for at in range(self._cycle, self._cycle + DIRECT_SAME_CUT_CYCLES)
-            if (cycle_usage := self._usage_by_cycle.get(at)) is not None
-            and (cycle_usage.used or cycle_usage.node_used)
-        ]
-        if len(involved) == 1:
-            # Common case: only the current cycle carries reservations, so the
-            # merged view is that cycle's usage verbatim — search it directly.
-            merged = involved[0]
-        else:
-            merged = CapacityUsage()
-            for cycle_usage in involved:
-                for eid, used in cycle_usage.used.items():
-                    merged.used[eid] = max(merged.used.get(eid, 0), used)
-                for node, used in cycle_usage.node_used.items():
-                    merged.node_used[node] = max(merged.node_used.get(node, 0), used)
-        return self._route(merged, qubit_a, qubit_b)
+        span = self._span
+        if span is None:
+            span = self._span = CapacityUsage()
+            used, node_used = span.used, span.node_used
+            for at in range(self._cycle, self._cycle + DIRECT_SAME_CUT_CYCLES):
+                cycle_usage = self._usage_by_cycle.get(at)
+                if cycle_usage is None:
+                    continue
+                for eid, count in cycle_usage.used.items():
+                    if used.get(eid, 0) < count:
+                        used[eid] = count
+                for node, count in cycle_usage.node_used.items():
+                    if node_used.get(node, 0) < count:
+                        node_used[node] = count
+        return self._route(span, qubit_a, qubit_b)
+
+
+def _raise_span(span: CapacityUsage, cycle_usage: CapacityUsage, path: IdPath) -> None:
+    """Raise ``span`` to ``cycle_usage``'s counts on the steps of ``path``, just reserved there."""
+    used, cycle_used = span.used, cycle_usage.used
+    for eid in path.edges:
+        count = cycle_used[eid]
+        if used.get(eid, 0) < count:
+            used[eid] = count
+    node_used, cycle_node_used = span.node_used, cycle_usage.node_used
+    for node in path.interior:
+        count = cycle_node_used[node]
+        if node_used.get(node, 0) < count:
+            node_used[node] = count

@@ -21,8 +21,11 @@ class EngineCounters:
 
     ``nodes_expanded`` is the number of search-node expansions across every
     path query — the quantity the router's landmark heuristic shrinks.
-    ``landmark_tables`` and ``landmark_build_seconds`` describe the router's
-    memoized hop tables, ``layer_memo_*`` the scheduler's whole-cycle memo.
+    ``landmark_tables`` is the number of hop tables the router's memo holds
+    when the run ends (tables an earlier router of the compile or of a warm
+    chip of the same topology built included), ``landmark_build_seconds``
+    the time this run spent building them; ``layer_memo_*`` describe the
+    scheduler's whole-cycle memo.
     """
 
     route_calls: int = 0

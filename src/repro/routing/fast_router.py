@@ -19,10 +19,28 @@ fraction of the graph:
   then amortised across the whole schedule; the build cost is accounted
   separately (``landmark_build_seconds``) so shallow circuits on big chips
   can be diagnosed instead of guessed at.
+* **Boxed-in endpoints fail first.**  A search under load whose source or
+  target tile has no access edge with a free lane into a junction with a
+  free through-lane returns ``None`` before the heap is built: the search
+  could never leave or enter such a tile.
 * **Early-exit goal-directed search.**  The forward search is an A* over
   integer node ids whose heuristic is the memoized backward distance.  Every
   edge costs at least one hop, so the hop distance is a consistent heuristic
   and the first pop of the target is optimal.
+
+Route memo
+----------
+The landmark tables and the unloaded canonical paths live in a
+:class:`RouteMemo`, not in the router.  Both depend only on the graph's
+*topology* — which nodes and edges exist, :attr:`RoutingGraph.topology` —
+and not on lane counts: every edge the graph keeps has at least one lane, so
+an unloaded search never finds one full, and a junction can pass a path iff
+it has a corridor edge.  Routers over graphs of one topology may therefore
+share a memo.  A compile's bandwidth-adjusted chip keeps the topology of the
+chip it was adjusted from, so the pipeline hands the memo that
+``corridor_load`` filled to the scheduler (``PassContext.route_memo``), and
+the daemon hands a newly warmed chip the memo of a warm chip of the same
+topology.
 
 The router speaks ids only.  :meth:`FastRouter.find` takes two tile ids
 (:meth:`RoutingGraph.tile_id`) and an id-keyed
@@ -54,10 +72,10 @@ Every scheduler obtains its router (and, as ``router.graph``, its graph)
 through :func:`routing_for`, which consults an installable provider.
 Long-lived processes — the compile daemon in :mod:`repro.service` — install
 a provider backed by an LRU of warm per-chip state, so repeated compiles
-against the same chip reuse the graph, the router's memoized landmark
-tables and its static id paths instead of rebuilding them from cold.
-One-shot callers never notice: with no provider installed,
-:func:`routing_for` builds fresh state.
+against the same chip reuse the graph and its route memo instead of
+rebuilding them from cold.  One-shot callers never notice: with no provider
+installed, :func:`routing_for` builds a fresh router over the memo it is
+given, or over a fresh one.
 """
 
 from __future__ import annotations
@@ -112,27 +130,60 @@ def _id_path(graph: RoutingGraph, ids: tuple[int, ...]) -> IdPath:
     return IdPath(ids, tuple(edges))
 
 
+class RouteMemo:
+    """The routing answers that depend only on a graph's topology.
+
+    ``tables`` holds the node-id-indexed hop-distance lists, keyed by target
+    node id; ``static_paths`` the canonical paths on the *empty* usage state,
+    keyed by the (source, target) tile-id pair, ``None`` for disconnected
+    pairs.  With no reservations every congestion penalty is zero, so the
+    canonical path depends only on the endpoints — schedulers re-ask for the
+    same unloaded pairs every cycle.
+
+    A memo is bound to the :attr:`RoutingGraph.topology` of the first router
+    built over it; any router over a graph of that topology, whatever its
+    lane counts, may share it (see the module docstring).
+    """
+
+    __slots__ = ("topology", "tables", "static_paths")
+
+    def __init__(self) -> None:
+        self.topology: tuple | None = None
+        self.tables: dict[int, list[int]] = {}
+        self.static_paths: dict[tuple[int, int], IdPath | None] = {}
+
+    def bind(self, graph: RoutingGraph) -> None:
+        """Bind the memo to ``graph``'s topology, or check that it already is.
+
+        Raises :class:`RoutingError` when the memo holds answers for another
+        topology.
+        """
+        if self.topology is None:
+            self.topology = graph.topology
+        elif self.topology != graph.topology:
+            raise RoutingError("the route memo belongs to a chip of another topology")
+
+
 class FastRouter:
     """Capacity-aware router over a :class:`RoutingGraph` with landmark A* search.
 
-    One instance serves one graph; the landmark tables and the static-path
-    cache are shared across every :meth:`find` call, which is where the
-    reuse pays off (the daemon's :class:`~repro.service.state.WarmStateCache`
-    additionally shares whole routers across compiles).
+    One instance serves one graph.  Its :class:`RouteMemo` — the landmark
+    tables and the static-path cache — is shared across every :meth:`find`
+    call, which is where the reuse pays off, and may be shared with routers
+    over other graphs of the same topology (``memo``; a fresh memo when
+    omitted).
     """
 
-    def __init__(self, graph: RoutingGraph):
+    def __init__(self, graph: RoutingGraph, memo: RouteMemo | None = None):
+        if memo is None:
+            memo = RouteMemo()
+        memo.bind(graph)
         self._graph = graph
-        #: Node-id-indexed hop-distance lists, keyed by target node id.
-        self._tables: dict[int, list[int]] = {}
-        #: Canonical paths on the *empty* usage state, keyed by the (source,
-        #: target) tile-id pair, ``None`` for disconnected pairs.  With no
-        #: reservations every congestion penalty is zero, so the canonical
-        #: path depends only on the endpoints — schedulers re-ask for the
-        #: same unloaded pairs every cycle.
-        self._static_paths: dict[tuple[int, int], IdPath | None] = {}
-        #: Wall-clock seconds spent building landmark tables over this
-        #: router's lifetime (warm routers carry time from earlier compiles).
+        self._memo = memo
+        self._tables = memo.tables
+        self._static_paths = memo.static_paths
+        #: Wall-clock seconds this router spent building landmark tables
+        #: (warm routers carry time from earlier compiles).
         self.landmark_build_seconds = 0.0
 
     @property
@@ -141,13 +192,18 @@ class FastRouter:
         return self._graph
 
     @property
+    def memo(self) -> RouteMemo:
+        """The topology-keyed memo this router reads and fills."""
+        return self._memo
+
+    @property
     def landmark_table_count(self) -> int:
-        """How many per-target landmark tables have been memoized so far."""
+        """How many per-target landmark tables the memo holds."""
         return len(self._tables)
 
     @property
     def static_path_count(self) -> int:
-        """How many unloaded-graph canonical paths have been cached so far."""
+        """How many unloaded-graph canonical paths the memo holds."""
         return len(self._static_paths)
 
     # ------------------------------------------------------------- landmarks
@@ -241,8 +297,6 @@ class FastRouter:
         """
         graph = self._graph
         remaining = self._table_for(target, stats)
-        if stats is not None:
-            stats.landmark_tables = len(self._tables)
         d = remaining[source]
         if d < 0:
             if stats is not None:
@@ -281,8 +335,6 @@ class FastRouter:
     ) -> IdPath | None:
         graph = self._graph
         remaining = self._table_for(target, stats)
-        if stats is not None:
-            stats.landmark_tables = len(self._tables)
         heuristic = remaining[source]
         if heuristic < 0:
             if stats is not None:
@@ -293,6 +345,18 @@ class FastRouter:
         node_capacity = graph.through_capacity
         edge_get = edge_used.get
         node_get = node_used.get
+        # A path leaves the source and enters the target through one of the
+        # tile's access edges and the corner junction behind it, which it
+        # passes through.  When every such step is full at either end, no
+        # path exists, and the search below would only prove it.
+        for tile in (target, source):
+            for corner, eid, capacity in junction_adjacency[tile]:
+                if edge_get(eid, 0) < capacity and node_get(corner, 0) < node_capacity[corner]:
+                    break
+            else:
+                if stats is not None:
+                    stats.route_failures += 1
+                return None
         heappush = heapq.heappush
         heappop = heapq.heappop
         # A* over (cost + h, cost, id-sequence).  The hop distance h is
@@ -370,7 +434,7 @@ class FastRouter:
 
 
 #: A routing provider maps a chip to a router (its graph is ``router.graph``).
-#: Both are immutable-after-construction (the router only grows memo tables),
+#: Both are immutable-after-construction (the router only grows its memo),
 #: so a provider may hand the same router to any number of sequential
 #: compiles.
 RoutingProvider = Callable[[Chip], "FastRouter"]
@@ -390,14 +454,17 @@ def set_routing_provider(provider: RoutingProvider | None) -> RoutingProvider | 
     return previous
 
 
-def routing_for(chip: Chip) -> FastRouter:
+def routing_for(chip: Chip, memo: RouteMemo | None = None) -> FastRouter:
     """The router (and, as ``router.graph``, the graph) a scheduler should use for ``chip``.
 
     Delegates to the installed provider when there is one (warm-state reuse
-    in daemon processes) and otherwise builds fresh state.  The result is
-    always semantically identical either way: graphs are value-determined by
-    the chip, and router memo tables only cache derived data.
+    in daemon processes, which shares memos by topology itself) and
+    otherwise builds a fresh router over ``memo`` — the memo of an earlier
+    router of the same compile, on a chip of the same topology — or over a
+    fresh memo.  The result is always semantically identical either way:
+    graphs are value-determined by the chip, and memos only cache derived
+    data.
     """
     if _routing_provider is not None:
         return _routing_provider(chip)
-    return FastRouter(RoutingGraph(chip))
+    return FastRouter(RoutingGraph(chip), memo)

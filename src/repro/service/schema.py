@@ -273,8 +273,10 @@ STATS_RESPONSE_FIELDS: tuple[FieldSpec, ...] = (
         "warm_state",
         "object",
         "Warm per-chip state: `capacity`, `entries`, `hits`, `misses`, "
-        "`evictions`, and per-chip `chips` entries with their memoized "
-        "`landmark_tables` / `static_paths` counts.",
+        "`evictions`, `memo_shares` (chips warmed with the route memo of a "
+        "warm chip of the same routing topology), and per-chip `chips` "
+        "entries with their route memo's `landmark_tables` / `static_paths` "
+        "counts.",
     ),
     FieldSpec(
         "engine_counters",

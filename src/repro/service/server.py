@@ -24,7 +24,11 @@ enqueue, the service's single worker compiles, so a slow compile never blocks
 ``/healthz``.  Connections are HTTP/1.1 keep-alive, one handler thread each,
 with Nagle's algorithm off: a response leaves in two writes (head, then
 body), and with Nagle on, the body would wait for the client's delayed ACK
-of the head, tens of milliseconds per request.
+of the head, tens of milliseconds per request.  A connection that sends
+nothing for :data:`IDLE_TIMEOUT_SECONDS` is closed, so a client that never
+closes its own does not pin a handler thread until the daemon exits
+(:class:`~repro.service.client.ServiceClient` reopens a connection the
+daemon closed).
 """
 
 from __future__ import annotations
@@ -44,6 +48,10 @@ from repro.service.service import CompileService
 #: realistic inline QASM; a runaway body must not exhaust daemon memory).
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Seconds a kept-alive connection may sit idle (or stall mid-request)
+#: before the daemon closes it and frees its handler thread.
+IDLE_TIMEOUT_SECONDS = 60.0
+
 
 class ServiceHandler(BaseHTTPRequestHandler):
     """Routes HTTP requests to the :class:`CompileService` on the server."""
@@ -51,6 +59,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
     server: "ServiceServer"
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_SECONDS
 
     # ------------------------------------------------------------- plumbing
     def log_message(self, format: str, *args) -> None:

@@ -11,11 +11,19 @@ and installs itself as the process-wide routing provider
 (:func:`repro.routing.fast_router.set_routing_provider`) so the schedulers
 pick the warm state up without any signature changes.
 
+Chips that differ only in lane counts — a chip and its bandwidth-adjusted
+copy, or one chip under several lane vectors — share one routing topology
+(:attr:`~repro.chip.routing_graph.RoutingGraph.topology`), and their hop
+tables and unloaded paths are equal.  So a chip warmed cold adopts the
+:class:`~repro.routing.fast_router.RouteMemo` of any warm chip with its
+topology instead of starting an empty one.  A memo lives only as long as a
+warm chip's router holds it, so the LRU capacity stays the only bound.
+
 Sharing is safe because everything cached is immutable after construction:
-graphs never change, and the router only *grows* memo tables whose entries
-are value-determined by the static graph.  The cache is lock-protected, so
+graphs never change, and routers only *grow* memos whose entries are
+value-determined by the topology.  The cache is lock-protected, so
 concurrent readers are safe; the service nevertheless compiles on a single
-worker thread, keeping router memo growth single-writer.
+worker thread, keeping memo growth single-writer.
 """
 
 from __future__ import annotations
@@ -75,8 +83,9 @@ class WarmStateCache:
     """LRU of :class:`WarmChipState`, installable as the routing provider.
 
     ``capacity`` bounds the number of distinct chips kept warm; the least
-    recently used entry is evicted when a new chip arrives beyond it.  Every
-    method is thread-safe.
+    recently used entry is evicted when a new chip arrives beyond it.
+    ``memo_shares`` counts the chips warmed with another warm chip's route
+    memo.  Every method is thread-safe.
     """
 
     def __init__(self, capacity: int = DEFAULT_WARM_CHIPS):
@@ -88,6 +97,7 @@ class WarmStateCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.memo_shares = 0
         self._previous_provider = None
         self._installed = False
 
@@ -95,10 +105,11 @@ class WarmStateCache:
     def acquire(self, chip: Chip) -> FastRouter:
         """The routing-provider entry point: the warm router for ``chip``.
 
-        Cold construction of the graph and router happens *outside* the lock
-        so that a long build of a large chip never blocks concurrent readers
-        such as the daemon's ``/stats`` handler; a double-check on re-acquire
-        keeps racing builders consistent (last writer discards its duplicate).
+        Cold construction of the graph happens *outside* the lock so that a
+        long build of a large chip never blocks concurrent readers such as
+        the daemon's ``/stats`` handler; a double-check on re-acquire keeps
+        racing builders consistent (last writer discards its duplicate).  The
+        new router adopts the memo of a warm chip with the same topology.
         """
         key = chip_state_key(chip)
         with self._lock:
@@ -108,11 +119,21 @@ class WarmStateCache:
                 state.hits += 1
                 self._entries.move_to_end(key)
         if state is None:
-            router = FastRouter(RoutingGraph(chip))  # cold build, lock not held
+            graph = RoutingGraph(chip)  # cold build, lock not held
             with self._lock:
                 state = self._entries.get(key)
                 if state is None:
-                    state = WarmChipState(key=key, chip=chip, router=router)
+                    memo = next(
+                        (
+                            warm.router.memo
+                            for warm in self._entries.values()
+                            if warm.router.memo.topology == graph.topology
+                        ),
+                        None,
+                    )
+                    if memo is not None:
+                        self.memo_shares += 1
+                    state = WarmChipState(key=key, chip=chip, router=FastRouter(graph, memo))
                     self._entries[key] = state
                     self.misses += 1
                 else:
@@ -155,5 +176,6 @@ class WarmStateCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
+                "memo_shares": self.memo_shares,
                 "chips": [state.stats() for state in self._entries.values()],
             }

@@ -16,13 +16,17 @@
   (:mod:`oracle.dag`);
 * :func:`reference_tokenize` / :func:`reference_parse` /
   :func:`reference_loads` — the character-loop lexer, token-object parser
-  and AST walker of the OpenQASM front end (:mod:`oracle.qasm`).
+  and AST walker of the OpenQASM front end (:mod:`oracle.qasm`);
+* :func:`reference_random_defects` / :func:`reference_chip_is_routable` —
+  the defect sampler that builds one routing graph per trial
+  (:mod:`oracle.defects`).
 
 Import as ``from oracle import ...``; ``tests/`` is on ``sys.path`` under
 pytest, and ``benchmarks/conftest.py`` adds it for the benchmark harness.
 """
 
 from .dag import reference_comm_graph, reference_dag_fields
+from .defects import reference_chip_is_routable, reference_random_defects
 from .dijkstra import OracleRouter, find_path
 from .edp import route_edge_disjoint
 from .engine import ReferenceReadyQueue, reference_compile, reference_engine
@@ -40,6 +44,7 @@ __all__ = [
     "find_routed",
     "from_ids",
     "id_path",
+    "reference_chip_is_routable",
     "reference_comm_graph",
     "reference_compile",
     "reference_dag_fields",
@@ -48,6 +53,7 @@ __all__ = [
     "reference_loads",
     "reference_parse",
     "reference_placement",
+    "reference_random_defects",
     "reference_tokenize",
     "route_edge_disjoint",
     "to_ids",

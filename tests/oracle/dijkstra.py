@@ -94,6 +94,9 @@ def find_path(
 class OracleRouter:
     """A drop-in for :class:`~repro.routing.fast_router.FastRouter` backed by :func:`find_path`."""
 
+    #: The reference search memoizes no landmark tables.
+    landmark_table_count = 0
+
     def __init__(self, graph: RoutingGraph):
         self.graph = graph
 

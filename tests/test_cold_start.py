@@ -4,8 +4,8 @@
 must leave numpy and :mod:`multiprocessing` unimported: numpy is used only
 by :func:`~repro.partition.placement.spectral_placement`, and a pool is
 opened only by a batch run with more than one worker.  The spectral method
-imports numpy when its passes are built, so no stage clock counts the
-import.  A daemon loads at start what its requests run, so no request pays
+imports numpy when its passes are built, and spectral options when they are
+made, so no stage clock counts the import.  A daemon loads at start what its requests run, so no request pays
 for an import, while its client (``repro submit``) loads nothing of the
 daemon.  The test process has long since imported everything, so every
 check runs in a fresh interpreter.  Nothing here is timed.
@@ -164,6 +164,36 @@ print(json.dumps(seen))
 """
     )
     assert loaded == [False, True]
+
+
+def test_spectral_options_import_numpy_before_the_stage_clock_starts():
+    # Any method can place spectrally through its options; the options, not
+    # the first initial_mapping stage, import numpy.
+    loaded = _run_cold(
+        """
+import json, sys
+from repro.circuits.generators import standard
+from repro.core.ecmas import EcmasOptions
+from repro.pipeline.passes import InitialMappingPass
+from repro.pipeline.registry import run_pipeline_method
+seen = []
+run = InitialMappingPass.run
+
+def recording_run(self, ctx):
+    seen.append("numpy" in sys.modules)
+    return run(self, ctx)
+
+InitialMappingPass.run = recording_run
+circuit = standard.ising(9)
+run_pipeline_method(circuit, "ecmas_dd_min", options=EcmasOptions())
+options = EcmasOptions(placement_strategy="spectral")
+seen.append("numpy" in sys.modules)
+for method in ("ecmas_dd_min", "ecmas_ls_min"):
+    run_pipeline_method(circuit, method, options=options)
+print(json.dumps(seen))
+"""
+    )
+    assert loaded == [False, True, True, True]
 
 
 def test_spectral_placement_imports_numpy_on_first_use_and_matches_warm_process():

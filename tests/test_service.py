@@ -790,3 +790,31 @@ def test_responses_leave_with_nagle_disabled(live, monkeypatch):
     client.close()
     assert client.healthz()["status"] == "ok"
     assert len(flags) == 1 and flags[0] != 0
+
+
+def test_an_abandoned_connection_is_closed_after_the_idle_timeout(live, monkeypatch):
+    """A client that never closes its connection does not pin a handler
+    thread: the daemon closes the idle connection and the thread ends."""
+    import time
+
+    from repro.service.server import IDLE_TIMEOUT_SECONDS, ServiceHandler
+
+    assert IDLE_TIMEOUT_SECONDS >= 30 and ServiceHandler.timeout == IDLE_TIMEOUT_SECONDS
+    server, client = live
+    client.close()
+    monkeypatch.setattr(ServiceHandler, "timeout", 0.3)
+    before = threading.active_count()
+    abandoned = [ServiceClient(port=server.server_address[1]) for _ in range(3)]
+    for other in abandoned:
+        assert other.healthz()["status"] == "ok"
+    assert threading.active_count() == before + len(abandoned)
+    deadline = time.monotonic() + 10
+    while threading.active_count() > before and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert threading.active_count() == before
+    for other in abandoned:
+        assert other._connection.sock.recv(1) == b""  # the daemon closed it
+    # An abandoned client reopens its connection on the next request.
+    assert abandoned[0].healthz()["status"] == "ok"
+    for other in abandoned:
+        other.close()
