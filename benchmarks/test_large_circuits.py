@@ -106,10 +106,14 @@ def test_large_circuits(save_result):
                 f"{_MAX_MAPPING_S}s (override with ECMAS_BENCH_MAPPING_MAX_S)"
             )
         counters = result.counters or {}
+        # Bandwidth adjusting's pre-routing and the scheduler share one route
+        # memo, so this is every hop table the compile built.
         print(
             f"n={num_qubits}: wall {wall:.2f}s, mapping {mapping_s:.2f}s "
             f"(placement + bandwidth adjust), schedule "
-            f"{result.stage_seconds('schedule'):.2f}s, peak RSS {_peak_rss_mb():.1f} MB"
+            f"{result.stage_seconds('schedule'):.2f}s, "
+            f"{counters.get('landmark_tables', 0)} landmark tables, "
+            f"peak RSS {_peak_rss_mb():.1f} MB"
         )
         rows.append(
             {

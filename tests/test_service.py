@@ -13,7 +13,8 @@ Covers the acceptance criteria of the service PR:
   hash) with the parse path's payload and ``/stats`` counters, falls back
   when its record left the cache, and never remembers a rejected body;
 * a client sends its requests over one kept-alive connection, reopens it
-  when the daemon closed it, and the daemon answers with Nagle off.
+  when the daemon closed it, and the daemon answers with Nagle off and
+  closes a connection left idle.
 """
 
 from __future__ import annotations
@@ -802,7 +803,7 @@ def test_an_abandoned_connection_is_closed_after_the_idle_timeout(live, monkeypa
     assert IDLE_TIMEOUT_SECONDS >= 30 and ServiceHandler.timeout == IDLE_TIMEOUT_SECONDS
     server, client = live
     client.close()
-    monkeypatch.setattr(ServiceHandler, "timeout", 0.3)
+    monkeypatch.setattr(ServiceHandler, "timeout", 1.0)
     before = threading.active_count()
     abandoned = [ServiceClient(port=server.server_address[1]) for _ in range(3)]
     for other in abandoned:
