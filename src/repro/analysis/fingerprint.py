@@ -48,7 +48,6 @@ DEFAULT_ARTIFACT_FIELDS = (
     "congestion_weight",
     "method_label",
     "encoded",
-    "route_memo",
     "artifacts",
 )
 

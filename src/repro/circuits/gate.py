@@ -44,7 +44,7 @@ THREE_QUBIT_NAMES = frozenset({"ccx", "toffoli", "cswap", "fredkin"})
 CNOT_NAMES = ("cx", "cnot")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Gate:
     """A single gate instance in a :class:`~repro.circuits.circuit.Circuit`.
 
@@ -68,16 +68,30 @@ class Gate:
     params: tuple[float, ...] = field(default=())
     index: int = -1
 
-    def __post_init__(self) -> None:
-        qubits = self.qubits
-        if not qubits:
-            raise CircuitError(f"gate {self.name!r} must act on at least one qubit")
-        if len(set(qubits)) != len(qubits):
-            raise CircuitError(f"gate {self.name!r} has repeated qubit operands {qubits}")
-        if min(qubits) < 0:
-            raise CircuitError(f"gate {self.name!r} has a negative qubit index {qubits}")
-        if self.name in CNOT_NAMES and len(qubits) != 2:
-            raise CircuitError(f"CNOT gate {self.name!r} needs exactly two qubits, got {qubits}")
+    def __init__(
+        self, name: str, qubits: tuple[int, ...], params: tuple[float, ...] = (), index: int = -1
+    ) -> None:
+        # Circuits are built gate by gate, so the one- and two-qubit cases
+        # are checked inline rather than through set() and min().
+        arity = len(qubits)
+        if arity == 1:
+            if qubits[0] < 0:
+                raise CircuitError(f"gate {name!r} has a negative qubit index {qubits}")
+            if name in CNOT_NAMES:
+                raise CircuitError(f"CNOT gate {name!r} needs exactly two qubits, got {qubits}")
+        elif arity == 2:
+            first, second = qubits
+            if first == second:
+                raise CircuitError(f"gate {name!r} has repeated qubit operands {qubits}")
+            if first < 0 or second < 0:
+                raise CircuitError(f"gate {name!r} has a negative qubit index {qubits}")
+        else:
+            _check_operands(name, qubits)
+        setattr_ = object.__setattr__  # the dataclass is frozen
+        setattr_(self, "name", name)
+        setattr_(self, "qubits", qubits)
+        setattr_(self, "params", params)
+        setattr_(self, "index", index)
 
     @property
     def kind(self) -> GateKind:
@@ -130,6 +144,18 @@ class Gate:
             params = "(" + ", ".join(f"{p:g}" for p in self.params) + ")"
         qubits = ", ".join(f"q{q}" for q in self.qubits)
         return f"{self.name}{params} {qubits}"
+
+
+def _check_operands(name: str, qubits: tuple[int, ...]) -> None:
+    """The operand checks of a gate on no qubit or on three or more."""
+    if not qubits:
+        raise CircuitError(f"gate {name!r} must act on at least one qubit")
+    if len(set(qubits)) != len(qubits):
+        raise CircuitError(f"gate {name!r} has repeated qubit operands {qubits}")
+    if min(qubits) < 0:
+        raise CircuitError(f"gate {name!r} has a negative qubit index {qubits}")
+    if name in CNOT_NAMES:
+        raise CircuitError(f"CNOT gate {name!r} needs exactly two qubits, got {qubits}")
 
 
 def cnot(control: int, target: int) -> Gate:

@@ -123,7 +123,6 @@ class Algorithm1Scheduler:
         dag,
         window,
         memoize,
-        route_memo=None,
     ):
         self._circuit = circuit
         self._mapping = mapping
@@ -138,9 +137,7 @@ class Algorithm1Scheduler:
         # A DAG precomputed by the pipeline's profile pass is reused as-is;
         # standalone callers pay for one derivation here.
         self._dag = dag if dag is not None else circuit.dag()
-        # ``route_memo`` carries the landmark tables and unloaded paths an
-        # earlier router of the same compile filled (bandwidth adjusting's).
-        self._router = routing_for(mapping.chip, route_memo)
+        self._router = routing_for(mapping.chip)
         self._graph = self._router.graph
         self.counters = EngineCounters()
 

@@ -49,13 +49,14 @@ VALID_PRIORITIES = frozenset({"criticality", "circuit_order", "descendants"})
 VALID_CUT_STRATEGIES = frozenset(_CUT_STRATEGIES)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EcmasOptions:
     """Tuning knobs of the Ecmas pipeline (all default to the paper's choices).
 
     Every value is validated eagerly: an unknown ``priority`` or
     ``cut_strategy``, or a value of the wrong type, fails at construction
-    rather than mid-compile.
+    rather than mid-compile.  The options are frozen, so no assignment can
+    skip those checks; derive changed options with :func:`dataclasses.replace`.
     """
 
     placement_strategy: str = "ecmas"

@@ -38,7 +38,7 @@ from repro.partition.placement import (
     spectral_placement,
 )
 from repro.profiling import PlacementCounters
-from repro.routing.fast_router import RouteMemo, routing_for
+from repro.routing.fast_router import routing_for
 from repro.routing.paths import CapacityUsage
 
 
@@ -171,7 +171,6 @@ def corridor_load(
     chip: Chip,
     placement: Placement,
     graph: CommunicationGraph,
-    route_memo: RouteMemo | None = None,
 ) -> dict[tuple[str, int], float]:
     """Pre-route every CNOT (ignoring conflicts) and accumulate corridor load.
 
@@ -186,11 +185,11 @@ def corridor_load(
     seam, so daemon processes reuse their warm per-chip graphs here instead
     of rebuilding one per compile.  Each pair follows the canonical
     (lexicographically smallest shortest) path, which the router reads off
-    its cached BFS hop tables.  Those tables and paths land in
-    ``route_memo`` when one is given, for the scheduler to reuse on the
-    adjusted chip, whose topology is this chip's.
+    its cached BFS hop tables.  Those tables and paths land in the
+    process's memo of this chip's topology, which the adjusted chip keeps,
+    so the scheduler reuses them.
     """
-    router = routing_for(chip, route_memo)
+    router = routing_for(chip)
     routing_graph = router.graph
     corridors = routing_graph.corridors
     load: dict[tuple[str, int], float] = {}
@@ -212,7 +211,6 @@ def adjust_edge_bandwidth(
     chip: Chip,
     placement: Placement,
     graph: CommunicationGraph,
-    route_memo: RouteMemo | None = None,
 ) -> Chip:
     """Per-edge bandwidth adjusting for graph chips.
 
@@ -231,7 +229,7 @@ def adjust_edge_bandwidth(
         budgets[b] -= 1
     if all(b <= 0 for b in budgets):
         return chip  # no spare width anywhere; skip the pre-routing pass
-    corridors = corridor_load(chip, placement, graph, route_memo)
+    corridors = corridor_load(chip, placement, graph)
     load = [corridors.get(("e", index), 0.0) for index in range(tile_graph.num_edges)]
     order = sorted(range(tile_graph.num_edges), key=lambda e: (-load[e], e))
     granted = True
@@ -255,25 +253,24 @@ def adjust_bandwidth(
     chip: Chip,
     placement: Placement,
     graph: CommunicationGraph,
-    route_memo: RouteMemo | None = None,
 ) -> Chip:
     """Redistribute spare lanes towards the most loaded corridors.
 
     The chip's per-axis lane budget is respected; every corridor keeps at
     least one lane, so the adjusted chip keeps the routing topology and the
-    routing answers :func:`corridor_load` puts in ``route_memo``.  On the
+    routing answers :func:`corridor_load` leaves in its route memo.  On the
     minimum viable chip there is no spare budget and the chip is returned
     unchanged.  Graph chips redistribute per edge under per-node width
     budgets instead (:func:`adjust_edge_bandwidth`).
     """
     if chip.tile_graph is not None:
-        return adjust_edge_bandwidth(chip, placement, graph, route_memo)
+        return adjust_edge_bandwidth(chip, placement, graph)
     h_budget, v_budget = chip.lane_budget_per_axis()
     h_spare = h_budget - (chip.tile_rows + 1)
     v_spare = v_budget - (chip.tile_cols + 1)
     if h_spare <= 0 and v_spare <= 0:
         return chip
-    load = corridor_load(chip, placement, graph, route_memo)
+    load = corridor_load(chip, placement, graph)
     h_bandwidths = _distribute(load, "h", chip.tile_rows + 1, h_budget)
     v_bandwidths = _distribute(load, "v", chip.tile_cols + 1, v_budget)
     return chip.with_bandwidths(h_bandwidths, v_bandwidths)

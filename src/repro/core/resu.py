@@ -30,7 +30,7 @@ from repro.core.metrics import ExecutionScheme, para_finding
 from repro.core.schedule import EncodedCircuit, OperationKind, ScheduledOperation
 from repro.errors import SchedulingError
 from repro.profiling import EngineCounters
-from repro.routing.fast_router import DEFAULT_CONGESTION_WEIGHT, RouteMemo, routing_for
+from repro.routing.fast_router import DEFAULT_CONGESTION_WEIGHT, routing_for
 from repro.routing.paths import CapacityUsage
 
 #: Cycles spent remapping cut types between bipartite groups (Theorem 3 uses 3).
@@ -105,11 +105,10 @@ class _LayerRouter:
         mapping: InitialMapping,
         counters: EngineCounters | None,
         congestion_weight: float = DEFAULT_CONGESTION_WEIGHT,
-        route_memo: RouteMemo | None = None,
     ):
         self._operands = dag.operand_pairs
         self._mapping = mapping
-        self._router = routing_for(mapping.chip, route_memo)
+        self._router = routing_for(mapping.chip)
         self._tile_ids = qubit_tile_ids(self._router.graph, mapping.placement, dag)
         self.counters = counters if counters is not None else EngineCounters()
         self._congestion_weight = congestion_weight
@@ -183,15 +182,12 @@ def schedule_resu_double_defect(
     dag: GateDAG | None = None,
     scheme: ExecutionScheme | None = None,
     counters: EngineCounters | None = None,
-    route_memo: RouteMemo | None = None,
 ) -> EncodedCircuit:
     """Ecmas-ReSu for the double defect model (Algorithm 2).
 
     ``dag`` and ``scheme`` are the pipeline's DAG and Para-Finding scheme;
     standalone callers leave them out and pay for one derivation here.
-    ``counters``, when given, accumulates the routing work.  ``route_memo``
-    is the compile's :class:`~repro.routing.fast_router.RouteMemo` (see
-    :func:`~repro.routing.fast_router.routing_for`).
+    ``counters``, when given, accumulates the routing work.
     """
     dag = dag if dag is not None else circuit.dag()
     result = EncodedCircuit(
@@ -211,7 +207,7 @@ def schedule_resu_double_defect(
 
     scheme = scheme if scheme is not None else para_finding(dag)
     groups = split_into_bipartite_groups(dag, scheme, circuit.num_qubits)
-    router = _LayerRouter(dag, mapping, counters, route_memo=route_memo)
+    router = _LayerRouter(dag, mapping, counters)
     operations: list[ScheduledOperation] = []
     cycle = 0
     previous_cuts: CutAssignment | None = None
@@ -252,11 +248,10 @@ def schedule_resu_lattice_surgery(
     dag: GateDAG | None = None,
     scheme: ExecutionScheme | None = None,
     counters: EngineCounters | None = None,
-    route_memo: RouteMemo | None = None,
 ) -> EncodedCircuit:
     """Ecmas-ReSu for the lattice surgery model: one cycle per Para-Finding layer.
 
-    ``dag``, ``scheme``, ``counters`` and ``route_memo`` as for
+    ``dag``, ``scheme`` and ``counters`` as for
     :func:`schedule_resu_double_defect`.
     """
     dag = dag if dag is not None else circuit.dag()
@@ -272,7 +267,7 @@ def schedule_resu_lattice_surgery(
         # on the empty path exactly as on the non-empty one.
         return result
     scheme = scheme if scheme is not None else para_finding(dag)
-    router = _LayerRouter(dag, mapping, counters, route_memo=route_memo)
+    router = _LayerRouter(dag, mapping, counters)
     operations: list[ScheduledOperation] = []
     cycle = 0
     for layer in scheme.layers:

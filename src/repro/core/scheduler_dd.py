@@ -53,7 +53,7 @@ from repro.core.mapping import InitialMapping
 from repro.core.priorities import PriorityKey, criticality_priority
 from repro.core.schedule import OperationKind, ScheduledOperation
 from repro.errors import SchedulingError
-from repro.routing.fast_router import DEFAULT_CONGESTION_WEIGHT, RouteMemo
+from repro.routing.fast_router import DEFAULT_CONGESTION_WEIGHT
 from repro.routing.paths import CapacityUsage, IdPath
 
 
@@ -77,7 +77,6 @@ class DoubleDefectScheduler(Algorithm1Scheduler):
         dag=None,
         window: int | None = None,
         memoize: bool = True,
-        route_memo: RouteMemo | None = None,
     ):
         if mapping.cut_types is None:
             raise SchedulingError("double defect scheduling needs an initial cut-type assignment")
@@ -94,7 +93,6 @@ class DoubleDefectScheduler(Algorithm1Scheduler):
             dag=dag,
             window=window,
             memoize=memoize and cut_strategy in MEMO_SAFE_STRATEGIES,
-            route_memo=route_memo,
         )
         self._cut_strategy = cut_strategy
 

@@ -24,7 +24,7 @@ from repro.core.algorithm1 import Algorithm1Scheduler
 from repro.core.layer_memo import LsLayerKey
 from repro.core.mapping import InitialMapping
 from repro.core.priorities import PriorityKey, criticality_priority
-from repro.routing.fast_router import DEFAULT_CONGESTION_WEIGHT, RouteMemo
+from repro.routing.fast_router import DEFAULT_CONGESTION_WEIGHT
 
 
 class LatticeSurgeryScheduler(Algorithm1Scheduler):
@@ -45,7 +45,6 @@ class LatticeSurgeryScheduler(Algorithm1Scheduler):
         dag=None,
         window: int | None = None,
         memoize: bool = True,
-        route_memo: RouteMemo | None = None,
     ):
         super().__init__(
             circuit,
@@ -57,7 +56,6 @@ class LatticeSurgeryScheduler(Algorithm1Scheduler):
             dag=dag,
             window=window,
             memoize=memoize,
-            route_memo=route_memo,
         )
 
     def _start(self, operations):

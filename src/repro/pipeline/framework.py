@@ -32,7 +32,6 @@ from repro.core.mapping import InitialMapping
 from repro.core.metrics import ExecutionScheme
 from repro.core.schedule import EncodedCircuit
 from repro.errors import ReproError
-from repro.routing.fast_router import RouteMemo
 
 
 class PipelineError(ReproError):
@@ -97,10 +96,6 @@ class PassContext:
     congestion_weight: float | None = None
     method_label: str | None = None
     encoded: EncodedCircuit | None = None
-    #: The compile's landmark tables and unloaded paths: filled by bandwidth
-    #: adjusting's pre-routing, read by the scheduler on the adjusted chip
-    #: (same topology), and dropped once the schedule pass is done.
-    route_memo: RouteMemo | None = None
     artifacts: dict = field(default_factory=dict)
 
     def require_chip(self) -> Chip:

@@ -56,7 +56,7 @@ from repro.errors import SchedulingError
 from repro.partition.placement import check_placement_engine, communication_cost
 from repro.pipeline.framework import Pass, PassContext
 from repro.profiling import EngineCounters, PlacementCounters
-from repro.routing.fast_router import DEFAULT_CONGESTION_WEIGHT, RouteMemo
+from repro.routing.fast_router import DEFAULT_CONGESTION_WEIGHT
 
 PRIORITIES: dict[str, PriorityKey] = {
     "criticality": criticality_priority,
@@ -230,8 +230,7 @@ class BandwidthAdjustPass(Pass):
             raise SchedulingError("no placement in context — run InitialMapping first")
         enabled = self._enabled if self._enabled is not None else ctx.options.adjust_bandwidth
         if enabled:
-            ctx.route_memo = RouteMemo()
-            chip = adjust_bandwidth(chip, ctx.placement, ctx.require_comm_graph(), ctx.route_memo)
+            chip = adjust_bandwidth(chip, ctx.placement, ctx.require_comm_graph())
             ctx.chip = chip
         ctx.mapping = InitialMapping(
             chip=chip,
@@ -338,8 +337,6 @@ class SchedulePass(Pass):
         circuit, label = ctx.circuit, ctx.method_label
         labelled = {"method": label} if label else {}
         double_defect = ctx.model is SurfaceCodeModel.DOUBLE_DEFECT
-        # The compile's route memo ends with this pass.
-        route_memo, ctx.route_memo = ctx.route_memo, None
         if ctx.use_resu:
             # Ecmas-ReSu routes the pipeline's own DAG and Para-Finding scheme.
             counters = EngineCounters()
@@ -350,7 +347,6 @@ class SchedulePass(Pass):
                 dag=ctx.require_dag(),
                 scheme=ctx.ensure_scheme(),
                 counters=counters,
-                route_memo=route_memo,
                 **labelled,
             )
         else:
@@ -359,7 +355,6 @@ class SchedulePass(Pass):
                 congestion_weight=ctx.congestion_weight,
                 dag=ctx.dag,
                 window=ctx.window,
-                route_memo=route_memo,
                 **labelled,
             )
             scheduler: DoubleDefectScheduler | LatticeSurgeryScheduler

@@ -22,10 +22,14 @@ class EngineCounters:
     ``nodes_expanded`` is the number of search-node expansions across every
     path query — the quantity the router's landmark heuristic shrinks.
     ``landmark_tables`` is the number of hop tables the router's memo holds
-    when the run ends (tables an earlier router of the compile or of a warm
-    chip of the same topology built included), ``landmark_build_seconds``
-    the time this run spent building them; ``layer_memo_*`` describe the
-    scheduler's whole-cycle memo.
+    when the run ends, ``landmark_build_seconds`` the time this run spent
+    building them; ``static_path_hits`` counts the queries answered from the
+    memo's unloaded paths.  The memo is the process's memo of the chip's
+    topology (:data:`~repro.routing.fast_router.ROUTE_MEMOS`), so these two
+    counters depend on the store's state: tables and paths an earlier router
+    or compile of that topology left count here, and a compile after a warm
+    one reads more of both.  Every other counter is a function of the compile
+    alone.  ``layer_memo_*`` describe the scheduler's whole-cycle memo.
     """
 
     route_calls: int = 0

@@ -35,12 +35,19 @@ The landmark tables and the unloaded canonical paths live in a
 *topology* — which nodes and edges exist, :attr:`RoutingGraph.topology` —
 and not on lane counts: every edge the graph keeps has at least one lane, so
 an unloaded search never finds one full, and a junction can pass a path iff
-it has a corridor edge.  Routers over graphs of one topology may therefore
-share a memo.  A compile's bandwidth-adjusted chip keeps the topology of the
-chip it was adjusted from, so the pipeline hands the memo that
-``corridor_load`` filled to the scheduler (``PassContext.route_memo``), and
-the daemon hands a newly warmed chip the memo of a warm chip of the same
-topology.
+it has a corridor edge.  So one memo serves every graph of a topology: a
+chip and its bandwidth-adjusted copy, one chip under several lane vectors,
+and every later compile on a chip of that shape.
+
+The process keeps its memos in one :class:`RouteMemoStore`,
+:data:`ROUTE_MEMOS`, keyed by topology; every :class:`FastRouter` takes its
+memo from it.  The paper sizes chips from the qubit count and the
+communication capacity, so the compiles of one process land on few
+topologies, and each hop table is built once per process rather than once
+per compile.  The store is bounded by a constant count of held cells
+(:data:`ROUTE_MEMO_BUDGET_CELLS`: hop-table entries plus static-path nodes)
+and evicts whole memos, least recently used topology first.  Sharing
+changes no answer: every memo entry is determined by the topology alone.
 
 The router speaks ids only.  :meth:`FastRouter.find` takes two tile ids
 (:meth:`RoutingGraph.tile_id`) and an id-keyed
@@ -71,17 +78,20 @@ Routing seam
 Every scheduler obtains its router (and, as ``router.graph``, its graph)
 through :func:`routing_for`, which consults an installable provider.
 Long-lived processes — the compile daemon in :mod:`repro.service` — install
-a provider backed by an LRU of warm per-chip state, so repeated compiles
-against the same chip reuse the graph and its route memo instead of
-rebuilding them from cold.  One-shot callers never notice: with no provider
-installed, :func:`routing_for` builds a fresh router over the memo it is
-given, or over a fresh one.
+a provider backed by an LRU of warm per-chip graphs, so repeated compiles
+against the same chip skip rebuilding the graph.  With no provider installed,
+:func:`routing_for` builds a fresh graph.  Either way the router's memo
+comes from :data:`ROUTE_MEMOS`, so memos outlive the warm chips and the
+compiles that filled them.
 """
 
 from __future__ import annotations
 
 import heapq
+import os
+import threading
 import time
+from collections import OrderedDict
 from collections.abc import Callable
 
 from repro.chip.chip import Chip
@@ -95,6 +105,11 @@ _UNCACHED = object()
 #: Congestion weight of the schedulers' path queries (ReSu included); the
 #: Braidflash baseline routes with ``0.0``.
 DEFAULT_CONGESTION_WEIGHT = 0.25
+
+#: The most cells (hop-table entries plus static-path nodes) the process's
+#: route memos hold together.  The memo of the largest windowed row
+#: (``ising`` n=1000, 999 tables over 2,113 nodes) holds about 2.1M.
+ROUTE_MEMO_BUDGET_CELLS = 4_000_000
 
 
 def check_route_endpoints(graph: RoutingGraph, source: int, target: int) -> None:
@@ -138,19 +153,24 @@ class RouteMemo:
     keyed by the (source, target) tile-id pair, ``None`` for disconnected
     pairs.  With no reservations every congestion penalty is zero, so the
     canonical path depends only on the endpoints — schedulers re-ask for the
-    same unloaded pairs every cycle.
+    same unloaded pairs every cycle.  ``cells`` counts what the memo holds:
+    one per hop-table entry and per static-path node (one per ``None``).
 
-    A memo is bound to the :attr:`RoutingGraph.topology` of the first router
-    built over it; any router over a graph of that topology, whatever its
-    lane counts, may share it (see the module docstring).
+    A memo is bound to one :attr:`RoutingGraph.topology`; any router over a
+    graph of that topology, whatever its lane counts, may share it (see the
+    module docstring).  The memos of :data:`ROUTE_MEMOS` are bound when the
+    store makes them and report their growth to it; a memo made directly
+    binds to the first graph a router is built over and belongs to no store.
     """
 
-    __slots__ = ("topology", "tables", "static_paths")
+    __slots__ = ("topology", "tables", "static_paths", "cells", "_store")
 
-    def __init__(self) -> None:
-        self.topology: tuple | None = None
+    def __init__(self, topology: tuple | None = None, store: RouteMemoStore | None = None):
+        self.topology = topology
         self.tables: dict[int, list[int]] = {}
         self.static_paths: dict[tuple[int, int], IdPath | None] = {}
+        self.cells = 0
+        self._store = store
 
     def bind(self, graph: RoutingGraph) -> None:
         """Bind the memo to ``graph``'s topology, or check that it already is.
@@ -163,28 +183,133 @@ class RouteMemo:
         elif self.topology != graph.topology:
             raise RoutingError("the route memo belongs to a chip of another topology")
 
+    def add_table(self, target_id: int, table: list[int]) -> None:
+        """Keep the hop table towards ``target_id``."""
+        self.tables[target_id] = table
+        self._grow(len(table))
+
+    def add_path(self, key: tuple[int, int], path: IdPath | None) -> None:
+        """Keep the unloaded canonical path of the tile pair ``key``."""
+        self.static_paths[key] = path
+        self._grow(1 if path is None else len(path.nodes))
+
+    def _grow(self, cells: int) -> None:
+        store = self._store
+        if store is None:
+            self.cells += cells
+        else:
+            store._grew(self, cells)
+
+
+class RouteMemoStore:
+    """The process's route memos, one per topology, within a cell budget.
+
+    :meth:`memo_for` hands out the memo of a graph's topology, making an
+    empty one on first sight.  The memos hold at most ``budget`` cells
+    together (:data:`ROUTE_MEMO_BUDGET_CELLS`); when one grows past it, whole
+    memos are dropped, least recently handed out first.  A router keeps
+    using a dropped memo until it is done; the next router of that topology
+    starts an empty one.  Every method is thread-safe.  :data:`ROUTE_MEMOS`
+    renews its lock in a forked child, which starts with a copy of the
+    parent's memos.
+    """
+
+    budget = ROUTE_MEMO_BUDGET_CELLS
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._memos: OrderedDict[tuple, RouteMemo] = OrderedDict()
+        self.held_cells = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def memo_for(self, graph: RoutingGraph) -> RouteMemo:
+        """The memo of ``graph``'s topology (counted as a hit or a miss)."""
+        topology = graph.topology
+        with self._lock:
+            memo = self._memos.get(topology)
+            if memo is None:
+                self.misses += 1
+                memo = self._memos[topology] = RouteMemo(topology, self)
+            else:
+                self.hits += 1
+                self._memos.move_to_end(topology)
+        return memo
+
+    def _grew(self, memo: RouteMemo, cells: int) -> None:
+        """Account ``cells`` new cells of ``memo``; evict down to the budget."""
+        with self._lock:
+            memo.cells += cells
+            if memo._store is not self:
+                return  # dropped while a router still filled it
+            self.held_cells += cells
+            while self.held_cells > self.budget:
+                _topology, dropped = self._memos.popitem(last=False)
+                dropped._store = None
+                self.held_cells -= dropped.cells
+                self.evictions += 1
+
+    def clear(self) -> None:
+        """Drop every memo (the hit, miss and eviction counts stay)."""
+        with self._lock:
+            for memo in self._memos.values():
+                memo._store = None
+            self._memos.clear()
+            self.held_cells = 0
+
+    def topologies(self) -> list[tuple]:
+        """The topologies held, least recently handed out first."""
+        with self._lock:
+            return list(self._memos)
+
+    def peek(self, topology: tuple) -> RouteMemo | None:
+        """The memo held for ``topology``, if any, without counting or touching it."""
+        with self._lock:
+            return self._memos.get(topology)
+
+    def stats(self) -> dict:
+        """Counters for ``/stats``: held topologies and cells, hits, misses, evictions."""
+        with self._lock:
+            return {
+                "topologies": len(self._memos),
+                "held_cells": self.held_cells,
+                "budget_cells": self.budget,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+            }
+
+    def _after_fork(self) -> None:
+        # A fork copies the lock in whatever state another thread left it.
+        self._lock = threading.Lock()
+
+
+#: The process's one route-memo store; every :class:`FastRouter` not handed
+#: a memo takes its memo from here.
+ROUTE_MEMOS = RouteMemoStore()
+os.register_at_fork(after_in_child=ROUTE_MEMOS._after_fork)
+
 
 class FastRouter:
     """Capacity-aware router over a :class:`RoutingGraph` with landmark A* search.
 
     One instance serves one graph.  Its :class:`RouteMemo` — the landmark
     tables and the static-path cache — is shared across every :meth:`find`
-    call, which is where the reuse pays off, and may be shared with routers
-    over other graphs of the same topology (``memo``; a fresh memo when
-    omitted).
+    call and with every router over a graph of the same topology: by default
+    the router takes it from :data:`ROUTE_MEMOS`.  A ``memo`` passed in is
+    bound to the graph's topology instead and kept private to its routers.
     """
 
     def __init__(self, graph: RoutingGraph, memo: RouteMemo | None = None):
         if memo is None:
-            memo = RouteMemo()
-        memo.bind(graph)
+            memo = ROUTE_MEMOS.memo_for(graph)
+        else:
+            memo.bind(graph)
         self._graph = graph
         self._memo = memo
         self._tables = memo.tables
         self._static_paths = memo.static_paths
-        #: Wall-clock seconds this router spent building landmark tables
-        #: (warm routers carry time from earlier compiles).
-        self.landmark_build_seconds = 0.0
 
     @property
     def graph(self) -> RoutingGraph:
@@ -201,11 +326,6 @@ class FastRouter:
         """How many per-target landmark tables the memo holds."""
         return len(self._tables)
 
-    @property
-    def static_path_count(self) -> int:
-        """How many unloaded-graph canonical paths the memo holds."""
-        return len(self._static_paths)
-
     # ------------------------------------------------------------- landmarks
     def _table_for(self, target_id: int, stats) -> list[int]:
         """The id-indexed hop-distance list towards ``target_id`` (lazy build)."""
@@ -213,11 +333,9 @@ class FastRouter:
         if table is None:
             started = time.perf_counter()
             table = self._graph.hop_distances_from(target_id)
-            elapsed = time.perf_counter() - started
-            self.landmark_build_seconds += elapsed
             if stats is not None:
-                stats.landmark_build_seconds += elapsed
-            self._tables[target_id] = table
+                stats.landmark_build_seconds += time.perf_counter() - started
+            self._memo.add_table(target_id, table)
         return table
 
     # ----------------------------------------------------------------- search
@@ -249,7 +367,7 @@ class FastRouter:
                 path = self._static_walk(source, target, stats)
             else:
                 path = self._search({}, {}, source, target, congestion_weight, stats)
-            self._static_paths[key] = path
+            self._memo.add_path(key, path)
             # A statically disconnected pair was counted as a failure by the
             # walk or search above; load cannot create a path.
             if empty or path is None:
@@ -454,17 +572,15 @@ def set_routing_provider(provider: RoutingProvider | None) -> RoutingProvider | 
     return previous
 
 
-def routing_for(chip: Chip, memo: RouteMemo | None = None) -> FastRouter:
+def routing_for(chip: Chip) -> FastRouter:
     """The router (and, as ``router.graph``, the graph) a scheduler should use for ``chip``.
 
-    Delegates to the installed provider when there is one (warm-state reuse
-    in daemon processes, which shares memos by topology itself) and
-    otherwise builds a fresh router over ``memo`` — the memo of an earlier
-    router of the same compile, on a chip of the same topology — or over a
-    fresh memo.  The result is always semantically identical either way:
-    graphs are value-determined by the chip, and memos only cache derived
-    data.
+    Delegates to the installed provider when there is one (warm graphs in
+    daemon processes) and otherwise builds a router over a fresh graph.  The
+    memo comes from :data:`ROUTE_MEMOS` either way.  The result is
+    semantically identical in every case: graphs are value-determined by the
+    chip, and memos only cache answers determined by the topology.
     """
     if _routing_provider is not None:
         return _routing_provider(chip)
-    return FastRouter(RoutingGraph(chip), memo)
+    return FastRouter(RoutingGraph(chip))

@@ -273,10 +273,11 @@ STATS_RESPONSE_FIELDS: tuple[FieldSpec, ...] = (
         "warm_state",
         "object",
         "Warm per-chip state: `capacity`, `entries`, `hits`, `misses`, "
-        "`evictions`, `memo_shares` (chips warmed with the route memo of a "
-        "warm chip of the same routing topology), and per-chip `chips` "
-        "entries with their route memo's `landmark_tables` / `static_paths` "
-        "counts.",
+        "`evictions`; `route_memos`, the process's route-memo store (one memo "
+        "of hop tables and unloaded paths per routing topology): "
+        "`topologies`, `held_cells`, `budget_cells`, `hits`, `misses`, "
+        "`evictions`; and per-chip `chips` entries with the `landmark_tables` "
+        "/ `static_paths` counts of their topology's memo.",
     ),
     FieldSpec(
         "engine_counters",

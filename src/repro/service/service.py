@@ -237,11 +237,11 @@ class CompileService:
         cache = self.cache if request.use_cache else None
         if self.workers > 1:
             # Forking a pool from a threaded daemon inherits whatever locks
-            # are held at fork time.  The only lock a child compile would
-            # ever take is the warm-state cache's (via the installed routing
-            # provider), so clear the provider for the duration: children
-            # build routing state cold — which they must anyway, since warm
-            # objects cannot cross the process boundary.
+            # are held at fork time.  A child compile would take the
+            # warm-state cache's lock (via the installed routing provider),
+            # so clear the provider for the duration: children build their
+            # graphs cold.  The route-memo store renews its own lock in a
+            # forked child, which keeps a copy of the daemon's memos.
             from repro.routing.fast_router import set_routing_provider
 
             previous = set_routing_provider(None)

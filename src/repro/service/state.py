@@ -1,29 +1,26 @@
 """Warm per-chip compile state for the long-lived service process.
 
-A one-shot CLI compile pays two cold-start costs for every invocation: the
-integer-indexed :class:`~repro.chip.routing_graph.RoutingGraph` is rebuilt
-from the chip, and every landmark table of its
-:class:`~repro.routing.fast_router.FastRouter` is re-run from scratch.  The
-daemon amortises both: a :class:`WarmStateCache` keeps an LRU of
-:class:`WarmChipState` entries keyed by chip *content* (the same
+A one-shot CLI compile rebuilds the integer-indexed
+:class:`~repro.chip.routing_graph.RoutingGraph` of its chip on every
+invocation.  The daemon keeps it warm: a :class:`WarmStateCache` keeps an
+LRU of :class:`WarmChipState` entries keyed by chip *content* (the same
 :func:`~repro.pipeline.batch.chip_key` the result cache fingerprints with),
 and installs itself as the process-wide routing provider
 (:func:`repro.routing.fast_router.set_routing_provider`) so the schedulers
-pick the warm state up without any signature changes.
+pick the warm graphs up without any signature changes.
 
-Chips that differ only in lane counts — a chip and its bandwidth-adjusted
-copy, or one chip under several lane vectors — share one routing topology
-(:attr:`~repro.chip.routing_graph.RoutingGraph.topology`), and their hop
-tables and unloaded paths are equal.  So a chip warmed cold adopts the
-:class:`~repro.routing.fast_router.RouteMemo` of any warm chip with its
-topology instead of starting an empty one.  A memo lives only as long as a
-warm chip's router holds it, so the LRU capacity stays the only bound.
+The landmark tables and unloaded paths are not warm-chip state: they live
+in the process's route-memo store
+(:data:`~repro.routing.fast_router.ROUTE_MEMOS`), keyed by routing topology,
+which every router draws from.  Chips that differ only in lane counts share
+one memo there, and a memo outlives the eviction of every warm chip of its
+topology; the store's own cell budget bounds it.
 
 Sharing is safe because everything cached is immutable after construction:
 graphs never change, and routers only *grow* memos whose entries are
 value-determined by the topology.  The cache is lock-protected, so
 concurrent readers are safe; the service nevertheless compiles on a single
-worker thread, keeping memo growth single-writer.
+worker thread.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from dataclasses import dataclass, field
 from repro.chip.chip import Chip
 from repro.chip.routing_graph import RoutingGraph
 from repro.pipeline.batch import chip_key
-from repro.routing.fast_router import FastRouter, set_routing_provider
+from repro.routing.fast_router import ROUTE_MEMOS, FastRouter, set_routing_provider
 
 #: Default number of distinct chips kept warm.
 DEFAULT_WARM_CHIPS = 8
@@ -54,28 +51,29 @@ def chip_state_key(chip: Chip) -> str:
 
 @dataclass
 class WarmChipState:
-    """Everything worth keeping hot for one chip.
+    """Everything worth keeping hot for one chip: its routing graph.
 
-    The router (and its graph, ``router.graph``) is built on the first
-    compile against this chip and then shared by all subsequent ones, which
-    is what makes its landmark tables pay off across requests.
+    The graph is built on the first compile against this chip and shared by
+    all subsequent ones; each compile's router over it takes the topology's
+    memo from the process's store.
     """
 
     key: str
     chip: Chip
-    router: FastRouter
+    graph: RoutingGraph
     hits: int = 0
     built_at: float = field(default_factory=time.time)
 
     def stats(self) -> dict:
-        """Per-chip counters surfaced under ``/stats``."""
+        """Per-chip counters surfaced under ``/stats`` (the memo is the topology's)."""
+        memo = ROUTE_MEMOS.peek(self.graph.topology)
         return {
             "chip": self.chip.describe(),
             "hits": self.hits,
             # lint: disable=DET004 — warm-state age for monitoring only
             "age_seconds": time.time() - self.built_at,
-            "landmark_tables": self.router.landmark_table_count,
-            "static_paths": self.router.static_path_count,
+            "landmark_tables": 0 if memo is None else len(memo.tables),
+            "static_paths": 0 if memo is None else len(memo.static_paths),
         }
 
 
@@ -83,9 +81,8 @@ class WarmStateCache:
     """LRU of :class:`WarmChipState`, installable as the routing provider.
 
     ``capacity`` bounds the number of distinct chips kept warm; the least
-    recently used entry is evicted when a new chip arrives beyond it.
-    ``memo_shares`` counts the chips warmed with another warm chip's route
-    memo.  Every method is thread-safe.
+    recently used entry is evicted when a new chip arrives beyond it.  Every
+    method is thread-safe.
     """
 
     def __init__(self, capacity: int = DEFAULT_WARM_CHIPS):
@@ -97,19 +94,17 @@ class WarmStateCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.memo_shares = 0
         self._previous_provider = None
         self._installed = False
 
     # ------------------------------------------------------------- provider
     def acquire(self, chip: Chip) -> FastRouter:
-        """The routing-provider entry point: the warm router for ``chip``.
+        """The routing-provider entry point: a router over ``chip``'s warm graph.
 
         Cold construction of the graph happens *outside* the lock so that a
         long build of a large chip never blocks concurrent readers such as
         the daemon's ``/stats`` handler; a double-check on re-acquire keeps
-        racing builders consistent (last writer discards its duplicate).  The
-        new router adopts the memo of a warm chip with the same topology.
+        racing builders consistent (last writer discards its duplicate).
         """
         key = chip_state_key(chip)
         with self._lock:
@@ -123,17 +118,7 @@ class WarmStateCache:
             with self._lock:
                 state = self._entries.get(key)
                 if state is None:
-                    memo = next(
-                        (
-                            warm.router.memo
-                            for warm in self._entries.values()
-                            if warm.router.memo.topology == graph.topology
-                        ),
-                        None,
-                    )
-                    if memo is not None:
-                        self.memo_shares += 1
-                    state = WarmChipState(key=key, chip=chip, router=FastRouter(graph, memo))
+                    state = WarmChipState(key=key, chip=chip, graph=graph)
                     self._entries[key] = state
                     self.misses += 1
                 else:
@@ -143,7 +128,7 @@ class WarmStateCache:
                 while len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
                     self.evictions += 1
-        return state.router
+        return FastRouter(state.graph)
 
     def install(self) -> None:
         """Make this cache the process-wide routing provider."""
@@ -168,7 +153,11 @@ class WarmStateCache:
             return list(self._entries)
 
     def stats(self) -> dict:
-        """Counters for ``/stats``: capacity, occupancy, hit/evict totals, per-chip detail."""
+        """Counters for ``/stats``: capacity, occupancy, hit/evict totals, per-chip detail.
+
+        ``route_memos`` holds the process store's counts
+        (:meth:`~repro.routing.fast_router.RouteMemoStore.stats`).
+        """
         with self._lock:
             return {
                 "capacity": self.capacity,
@@ -176,6 +165,6 @@ class WarmStateCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "memo_shares": self.memo_shares,
+                "route_memos": ROUTE_MEMOS.stats(),
                 "chips": [state.stats() for state in self._entries.values()],
             }

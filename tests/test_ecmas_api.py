@@ -1,5 +1,7 @@
 """Tests for the top-level compile_circuit API."""
 
+import dataclasses
+
 import pytest
 
 from repro import (
@@ -79,6 +81,20 @@ def test_unknown_option_values_raise(ghz8):
         compile_circuit(ghz8, model=DD, options=EcmasOptions(priority="bogus"))
     with pytest.raises(SchedulingError):
         compile_circuit(ghz8, model=DD, options=EcmasOptions(cut_initialisation="bogus"))
+
+
+@pytest.mark.parametrize("field, value", [("seed", True), ("placement_strategy", "spectral")])
+def test_options_refuse_assignment_after_construction(field, value):
+    options = EcmasOptions()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(options, field, value)
+    # The checked way to change a field runs the checks again.
+    if field == "seed":
+        with pytest.raises(SchedulingError, match="seed must be an integer"):
+            dataclasses.replace(options, seed=value)
+    else:
+        assert dataclasses.replace(options, placement_strategy=value).placement_strategy == value
+    assert options == EcmasOptions()
 
 
 def test_code_distance_does_not_change_cycle_count(ghz8):

@@ -15,7 +15,7 @@ from repro.core.scheduler_dd import DoubleDefectScheduler
 from repro.core.scheduler_ls import LatticeSurgeryScheduler
 from repro.errors import RoutingError, SchedulingError
 from repro.profiling import EngineCounters
-from repro.routing.fast_router import FastRouter
+from repro.routing.fast_router import FastRouter, RouteMemo
 from repro.routing.paths import CapacityUsage
 
 DD = SurfaceCodeModel.DOUBLE_DEFECT
@@ -129,7 +129,7 @@ def test_fast_router_validates_endpoints(dd_chip_small):
 
 def test_fast_router_memoizes_landmark_tables(dd_chip_small):
     graph = RoutingGraph(dd_chip_small)
-    router = FastRouter(graph)
+    router = FastRouter(graph, RouteMemo())
     compact = router.graph
     router.find(CapacityUsage(), compact.node_id[tile_node(0, 1)], compact.node_id[tile_node(0, 0)])
     assert router.landmark_table_count == 1

@@ -7,15 +7,24 @@ fail-fast for boxed-in endpoints.
   expansion, in either endpoint order, as the reference Dijkstra does.
 * Hop tables and unloaded paths depend only on a graph's topology: a
   :class:`~repro.routing.fast_router.RouteMemo` binds to one topology and
-  refuses another; chips that differ only in lanes share one memo in the
-  daemon's warm state, and compiles through a shared memo equal cold ones.
+  refuses another; the process's store
+  (:data:`~repro.routing.fast_router.ROUTE_MEMOS`) keeps one memo per
+  topology, which outlives the daemon's warm chips, and compiles through a
+  shared memo equal cold ones.
+* The store stays within its cell budget by dropping the least recently
+  used topology, and forked batch workers inherit it harmlessly.
 * A bandwidth-adjusted compile builds each landmark table once: the
-  scheduler reuses what the pre-routing of bandwidth adjusting built.
+  scheduler reuses what the pre-routing of bandwidth adjusting built, and a
+  repeat compile builds none.
 """
 
 from __future__ import annotations
 
+import json
+import sys
+import threading
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 from oracle import OracleRouter
@@ -28,9 +37,10 @@ from repro.chip.routing_graph import RoutingGraph, tile_node
 from repro.circuits.generators import get_benchmark
 from repro.errors import RoutingError
 from repro.pipeline import passes
+from repro.pipeline.batch import BatchJob, run_batch
 from repro.pipeline.registry import run_pipeline_method
 from repro.profiling import EngineCounters
-from repro.routing.fast_router import FastRouter, RouteMemo
+from repro.routing.fast_router import ROUTE_MEMOS, FastRouter, RouteMemo, RouteMemoStore
 from repro.routing.paths import CapacityUsage
 from repro.service import WarmStateCache, schedule_payload
 
@@ -103,6 +113,30 @@ def test_a_memo_refuses_a_graph_of_another_topology():
         FastRouter(RoutingGraph(_square(3, 4)), memo)
 
 
+@pytest.fixture
+def hop_table_builds(monkeypatch) -> Counter:
+    """Count hop-table builds per (topology, target id)."""
+    builds: Counter = Counter()
+    hop_distances_from = RoutingGraph.hop_distances_from
+
+    def counting(graph, target_id):
+        builds[graph.topology, target_id] += 1
+        return hop_distances_from(graph, target_id)
+
+    monkeypatch.setattr(RoutingGraph, "hop_distances_from", counting)
+    return builds
+
+
+def _all_pairs(router: FastRouter) -> None:
+    """Ask ``router`` for the unloaded path of every ordered tile pair."""
+    graph = router.graph
+    tiles = [graph.tile_id(node) for node in graph.nodes if node[0] == "t"]
+    for source in tiles:
+        for target in tiles:
+            if source != target:
+                router.find(CapacityUsage(), source, target)
+
+
 def test_warm_chips_of_one_topology_share_one_memo():
     cache = WarmStateCache(capacity=4)
     narrow = cache.acquire(_square(3, 3))
@@ -112,28 +146,97 @@ def test_warm_chips_of_one_topology_share_one_memo():
     assert wide.memo is narrow.memo
     assert other.memo is not narrow.memo
     stats = cache.stats()
-    assert (stats["misses"], stats["hits"], stats["memo_shares"]) == (3, 0, 1)
+    assert (stats["misses"], stats["hits"]) == (3, 0)
 
 
-def test_a_memo_lives_only_while_a_warm_chip_holds_it():
+def test_a_memo_outlives_every_warm_chip_of_its_topology(hop_table_builds):
+    ROUTE_MEMOS.clear()
     cache = WarmStateCache(capacity=1)
-    first = cache.acquire(_square(3, 3))
-    cache.acquire(_square(3, 4))  # evicts the only 3x3 chip
-    again = cache.acquire(_square(3, 3, bandwidth=2))
-    assert again.memo is not first.memo
-    assert cache.memo_shares == 0
+    chips = [_square(3, 3), _square(3, 3, bandwidth=2)]
+    memos = set()
+    for chip in chips * 3:  # each acquire evicts the other chip
+        router = cache.acquire(chip)
+        memos.add(id(router.memo))
+        _all_pairs(router)
+    assert (cache.misses, cache.evictions) == (6, 5)
+    assert len(memos) == 1
+    assert hop_table_builds and max(hop_table_builds.values()) == 1
+    assert len(hop_table_builds) == 9  # one per tile of the 3x3 array
+
+
+def test_the_store_keeps_its_budget_by_dropping_the_least_recent_topology():
+    graphs = [RoutingGraph(_square(rows, cols)) for rows, cols in ((3, 3), (3, 4), (4, 3))]
+    sizes = []
+    for graph in graphs:
+        private = RouteMemo()
+        _all_pairs(FastRouter(graph, private))
+        sizes.append(private.cells)
+    store = RouteMemoStore()
+    store.budget = sum(sizes) - 1  # room for any two filled memos, not three
+    held = []
+    for graph in graphs:
+        router = FastRouter(graph, store.memo_for(graph))
+        tiles = [graph.tile_id(node) for node in graph.nodes if node[0] == "t"]
+        for source in tiles:
+            for target in tiles:
+                if source != target:
+                    router.find(CapacityUsage(), source, target)
+                    held.append(store.held_cells)
+    assert max(held) <= store.budget
+    assert store.evictions == 1
+    # The 3x3 memo, handed out first, went first.
+    assert store.topologies() == [graphs[1].topology, graphs[2].topology]
+    assert store.held_cells == sizes[1] + sizes[2]
+    stats = store.stats()
+    assert (stats["topologies"], stats["misses"], stats["hits"]) == (2, 3, 0)
+    # The next router of a dropped topology starts an empty memo.
+    assert store.memo_for(graphs[0]).cells == 0
+
+
+def test_the_store_keeps_its_count_under_concurrent_routers():
+    """Threads filling memos of three topologies lose no cell of the count."""
+    graphs = [RoutingGraph(_square(rows, cols)) for rows, cols in ((3, 3), (3, 4), (4, 3))]
+    store = RouteMemoStore()
+    store.budget = 600  # small enough that the threads keep evicting
+    errors = []
+
+    def work(offset: int) -> None:
+        try:
+            for round_ in range(6):
+                graph = graphs[(offset + round_) % len(graphs)]
+                _all_pairs(FastRouter(graph, store.memo_for(graph)))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert store.hits + store.misses == 36
+    assert store.evictions > 0
+    held = [store.peek(topology) for topology in store.topologies()]
+    assert store.held_cells == sum(memo.cells for memo in held) <= store.budget
 
 
 def test_compiles_through_a_shared_memo_equal_cold_compiles():
     circuit = get_benchmark("qft_n10").build()
     chips = [Chip.for_bandwidth(DD, circuit.num_qubits, 3, b) for b in (1, 2, 3)]
     assert len({RoutingGraph(chip).topology for chip in chips}) == 1
-    cold = [
-        schedule_payload(compile_circuit(circuit, chip=chip, scheduler="limited"))
-        for chip in chips
-    ]
+    cold = []
+    for chip in chips:
+        ROUTE_MEMOS.clear()
+        cold.append(schedule_payload(compile_circuit(circuit, chip=chip, scheduler="limited")))
     cache = WarmStateCache(capacity=len(chips))
     cache.install()
+    hits = ROUTE_MEMOS.hits
     try:
         warm = [
             schedule_payload(compile_circuit(circuit, chip=chip, scheduler="limited"))
@@ -142,8 +245,33 @@ def test_compiles_through_a_shared_memo_equal_cold_compiles():
     finally:
         cache.uninstall()
     assert warm == cold
-    assert cache.memo_shares >= len(chips) - 1
+    assert ROUTE_MEMOS.hits - hits >= len(chips) - 1
     assert len({id(router.memo) for router in map(cache.acquire, chips)}) == 1
+
+
+def _record_key(record) -> str:
+    payload = asdict(record)
+    payload.pop("compile_seconds")
+    payload["extra"].pop("stages")
+    payload["extra"]["counters"].pop("landmark_build_seconds")
+    return json.dumps(payload, sort_keys=True, default=str)
+
+
+def test_forked_workers_after_the_parent_filled_the_store_equal_the_serial_run():
+    circuit = get_benchmark("dnn_n8").build()
+    jobs = [
+        BatchJob(circuit=circuit, method=method)
+        for method in ("autobraid", "ecmas_dd_min", "ecmas_ls_4x", "ecmas_dd_resu")
+    ]
+    ROUTE_MEMOS.clear()
+    run_batch(jobs)  # the parent fills the store
+    held = ROUTE_MEMOS.held_cells
+    assert held > 0
+    serial = run_batch(jobs)
+    forked = run_batch(jobs, workers=2)
+    assert forked.failures == [] and serial.failures == []
+    assert [_record_key(r) for r in forked.records] == [_record_key(r) for r in serial.records]
+    assert ROUTE_MEMOS.held_cells == held  # nothing new to learn after the first run
 
 
 # ------------------------------------------------------ one compile, one memo
@@ -166,8 +294,18 @@ def test_an_adjusted_compile_builds_each_table_once(method, monkeypatch):
 
     monkeypatch.setattr(RoutingGraph, "hop_distances_from", counting)
     monkeypatch.setattr(passes, "adjust_bandwidth", recording)
+    ROUTE_MEMOS.clear()
     result = run_pipeline_method(get_benchmark("multiplier_n15").build(), method)
     assert adjusted == [True]
     assert builds and max(builds.values()) == 1
     assert result.counters["landmark_tables"] == len(builds)
-    assert result.context.route_memo is None  # the memo ends with the compile
+
+
+@pytest.mark.parametrize("method", ["ecmas_dd_min", "ecmas_dd_4x", "ecmas_ls_4x", "ecmas_dd_resu"])
+def test_a_repeat_compile_builds_no_table(method, hop_table_builds):
+    circuit = get_benchmark("multiplier_n15").build()
+    first = run_pipeline_method(circuit, method)
+    built = sum(hop_table_builds.values())
+    second = run_pipeline_method(circuit, method)
+    assert sum(hop_table_builds.values()) == built
+    assert schedule_payload(second.encoded) == schedule_payload(first.encoded)

@@ -10,6 +10,11 @@ summarizes every metric as parent and head medians and quartiles, the
 median of the per-pair head/parent ratios, and the pairs the head won
 (by the ``better`` direction in ``BENCHMARK.json``; per-layer metrics of
 traced runs are raw seconds and counts, compare them only pair by pair).
+``--control LAYER`` names a traced layer the change leaves alone: each
+traced metric then also gets ``median_ratio_vs_control``, the median over
+pairs of its head/parent ratio divided by the control layer's ratio in the
+same pair, which cancels the host's speed drift between the two runs of a
+pair; the traced ratios are also printed as a table.
 ``--setup-pairs N`` adds N alternating pairs of ``perfbench/run.py
 --setup-only`` runs, each a fresh process that imports the compiler, builds
 the workload's inputs (and boots the daemon for ``service``) and prints its
@@ -27,7 +32,8 @@ Usage, from the root of the head checkout::
 
     git clone . ../parent && git -C ../parent checkout <parent-commit>
     python3 tools/bench_ledger.py --workload table1 --parent ../parent \\
-        --pairs 10 --traced-pairs 5 --setup-pairs 20
+        --pairs 10 --traced-pairs 5 --setup-pairs 20 \\
+        --control partition.placement.busy_s
 
 writes ``BENCH_table1.json`` at the root of this checkout.
 """
@@ -60,6 +66,11 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--traced-pairs", type=int, default=0, help="traced parent/head pairs")
     parser.add_argument(
         "--setup-pairs", type=int, default=0, help="parent/head pairs of --setup-only runs"
+    )
+    parser.add_argument(
+        "--control",
+        metavar="LAYER",
+        help="a traced layer the change leaves alone; traced ratios are also given against it",
     )
     parser.add_argument(
         "--out", type=Path, help="default: BENCH_<workload>.json at the root of this checkout"
@@ -126,8 +137,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: parent and head quartiles, pair ratios and head wins."""
+def summarize(runs: list[dict], better: dict[str, str], control: str | None = None) -> dict:
+    """Per metric: parent and head quartiles, pair ratios and head wins.
+
+    With a ``control`` metric, each metric also gets the median over pairs
+    of its head/parent ratio divided by the control's ratio in that pair.
+    """
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
@@ -141,7 +156,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         p_q1, p_med, p_q3 = quartiles([p for p, _ in pairs])
         h_q1, h_med, h_q3 = quartiles([h for _, h in pairs])
         ratios = [h / p for p, h in pairs if p]
-        summary[name] = {
+        entry = summary[name] = {
             "parent_median": p_med,
             "parent_iqr": [p_q1, p_q3],
             "head_median": h_med,
@@ -150,7 +165,28 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "head_wins": sum(1 for p, h in pairs if (h < p if lower else h > p)),
             "pairs": len(pairs),
         }
+        if control is not None:
+            controlled = [
+                (sides["head"][name]["value"] / sides["parent"][name]["value"])
+                / (sides["head"][control]["value"] / sides["parent"][control]["value"])
+                for sides in by_pair.values()
+                if sides["parent"][name]["value"]
+                and sides["parent"][control]["value"]
+                and sides["head"][control]["value"]
+            ]
+            entry["median_ratio_vs_control"] = (
+                statistics.median(controlled) if controlled else None
+            )
     return summary
+
+
+def print_ratios(summary: dict, control: str) -> None:
+    """The traced metrics' median pair ratios, raw and against ``control``."""
+    print(f"{'traced metric':<40} {'ratio':>8} {'vs ' + control:>34}", file=sys.stderr)
+    for name, entry in summary.items():
+        ratio, controlled = entry["median_ratio"], entry["median_ratio_vs_control"]
+        cells = [f"{value:.3f}" if value is not None else "-" for value in (ratio, controlled)]
+        print(f"{name:<40} {cells[0]:>8} {cells[1]:>34}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -170,6 +206,8 @@ def record(args: argparse.Namespace) -> dict:
     """Run the requested pairs and return the ledger document."""
     spec = json.loads((args.head / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    if args.control and args.control not in {m["name"] for m in spec["per_layer"]}:
+        raise SystemExit(f"--control {args.control!r} is no per-layer metric of BENCHMARK.json")
     ledger: dict = {
         "workload": args.workload,
         "seed": SEED,
@@ -179,6 +217,8 @@ def record(args: argparse.Namespace) -> dict:
             f"--seconds {SECONDS} --trace <0|1>"
         ),
     }
+    if args.control:
+        ledger["control"] = args.control
     if args.setup_pairs:
         ledger["setup_command"] = (
             f"python3 perfbench/run.py --workload {args.workload} --seed {SEED} "
@@ -192,7 +232,11 @@ def record(args: argparse.Namespace) -> dict:
     for key, pairs, trace in sections:
         if pairs:
             runs = run_pairs(args, pairs, trace)
-            ledger[key] = {"summary": summarize(runs, better), "runs": runs}
+            control = args.control if key == "traced" else None
+            summary = summarize(runs, better, control)
+            ledger[key] = {"summary": summary, "runs": runs}
+            if control is not None:
+                print_ratios(summary, control)
     return ledger
 
 
