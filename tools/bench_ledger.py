@@ -170,7 +170,9 @@ def summarize(runs: list[dict], better: dict[str, str], control: str | None = No
                 (sides["head"][name]["value"] / sides["parent"][name]["value"])
                 / (sides["head"][control]["value"] / sides["parent"][control]["value"])
                 for sides in by_pair.values()
-                if sides["parent"][name]["value"]
+                if control in sides["parent"]
+                and control in sides["head"]
+                and sides["parent"][name]["value"]
                 and sides["parent"][control]["value"]
                 and sides["head"][control]["value"]
             ]
