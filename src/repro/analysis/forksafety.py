@@ -7,9 +7,9 @@ mid-update, along with any held locks) into every forked worker, and read
 concurrently by every handler thread.  PR 5's inherited-lock deadlock was
 exactly this class of bug.  The sanctioned patterns are:
 
-* state behind an explicit seam with a locked owner object — the routing
-  provider (:func:`repro.routing.fast_router.set_routing_provider` backed by the
-  ``WarmStateCache`` and its instance lock);
+* state behind a locked owner object that renews its lock in a forked
+  child — the routing-graph store
+  (:data:`repro.chip.routing_graph.ROUTING_GRAPHS`);
 * genuinely constant module attributes, spelled ``ALL_CAPS`` (leading
   underscores ignored), which the rules treat as frozen by convention;
 * everything else pragma'd with an explicit justification.
@@ -92,8 +92,8 @@ class ModuleStateRule(Rule):
         "and held locks included) and daemon handler threads read them "
         "concurrently; a mutable module attribute is therefore silently "
         "process- and thread-unsafe.  Route mutable state through an owner "
-        "object behind a seam (see routing/fast_router.set_routing_provider + "
-        "WarmStateCache), spell genuine constants ALL_CAPS, or pragma the "
+        "object that renews its lock after a fork (see "
+        "chip/routing_graph.ROUTING_GRAPHS), spell genuine constants ALL_CAPS, or pragma the "
         "line with the reason it is safe."
     )
 

@@ -445,16 +445,34 @@ class Chip:
         """Placement distance between two tile slots.
 
         Square chips use Manhattan distance (the paper's metric, unchanged).
-        Graph chips use the BFS hop distance between the slots' tiles over
-        the defect-adjusted routing graph, precomputed once per chip by one
-        BFS per slot (:func:`_graph_hop_distances`); unreachable or dead slots
-        report a large finite sentinel so placement costs stay comparable.
+        Graph chips use the BFS hop distance between the slots' access
+        junctions over the defect-adjusted routing graph (there a slot's
+        junction hop distance is exactly the tile-graph hop distance), read
+        off the hop tables of :attr:`_slot_tables`; unreachable or dead slots
+        report :data:`UNREACHABLE_DISTANCE` so placement costs stay
+        comparable.
         """
         if self.tile_graph is None:
             return a.manhattan_distance(b)
         if a.row == b.row and a.col == b.col:
             return 0
-        return _graph_hop_distances(self)[a.row][b.row]
+        distance = self._slot_tables[b.row][a.row]
+        return distance if distance >= 0 else UNREACHABLE_DISTANCE
+
+    @functools.cached_property
+    def _slot_tables(self) -> list[list[int]]:
+        """Per graph-chip slot, the hop table towards its junction, indexed by node id.
+
+        The tables are those of the routing graph's topology memo, from the
+        process's store (:data:`~repro.chip.routing_graph.ROUTING_GRAPHS`),
+        so chips of one shape share them with each other and with the
+        router.  A graph chip's junction ``("j", i, 0)`` has node id ``i``.
+        """
+        from repro.chip.routing_graph import ROUTING_GRAPHS
+
+        topology = ROUTING_GRAPHS.graph_for(self).topology
+        node_id = topology.node_id
+        return [topology.table_to(node_id[("j", slot, 0)]) for slot in range(self.tile_rows)]
 
     def describe(self) -> str:
         """One-line human-readable description used by reports."""
@@ -478,26 +496,3 @@ class Chip:
 #: Finite "effectively unreachable" distance for graph chips: larger than any
 #: real hop distance yet safe to sum in placement costs.
 UNREACHABLE_DISTANCE = 1 << 20
-
-
-@functools.lru_cache(maxsize=8)
-def _graph_hop_distances(chip: Chip) -> tuple[tuple[int, ...], ...]:
-    """All-pairs tile hop distances for a graph chip (cached per chip value).
-
-    Runs one BFS per tile slot over the defect-adjusted routing graph using
-    :meth:`~repro.chip.routing_graph.RoutingGraph.hop_distances_from`
-    seeded at the slot's access junction (:meth:`Chip.tile_access`, one per
-    tile on graph chips) — there a slot's junction hop distance is exactly
-    the tile-graph hop distance.  Unreachable slots report
-    :data:`UNREACHABLE_DISTANCE`.
-    """
-    from repro.chip.routing_graph import RoutingGraph
-
-    graph = RoutingGraph(chip)
-    slots = range(chip.tile_rows)
-    ids = [graph.node_id[access] for slot in slots for access in chip.tile_access(slot, 0)]
-    rows: list[tuple[int, ...]] = []
-    for source_id in ids:
-        table = graph.hop_distances_from(source_id)
-        rows.append(tuple(table[t] if table[t] >= 0 else UNREACHABLE_DISTANCE for t in ids))
-    return tuple(rows)

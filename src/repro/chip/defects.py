@@ -177,10 +177,12 @@ def chip_is_routable(chip) -> bool:
     (:meth:`~repro.chip.chip.Chip.tile_access`), which is
     exactly the feasibility condition of
     :meth:`repro.routing.fast_router.FastRouter.find` on an empty usage state.
+    The graph comes from the process's store
+    (:data:`~repro.chip.routing_graph.ROUTING_GRAPHS`).
     """
-    from repro.chip.routing_graph import RoutingGraph
+    from repro.chip.routing_graph import ROUTING_GRAPHS
 
-    return _tiles_connected(RoutingGraph(chip), frozenset())
+    return _tiles_connected(ROUTING_GRAPHS.graph_for(chip), frozenset())
 
 
 def _tiles_connected(graph, disabled: frozenset[int] | set[int]) -> bool:
@@ -198,7 +200,7 @@ def _tiles_connected(graph, disabled: frozenset[int] | set[int]) -> bool:
     rows = graph.junction_adjacency
     num_junctions = len(graph.nodes) - len(tiles)
     usable = [
-        any(eid not in disabled for _neighbor, eid, _lanes in rows[j]) for j in range(num_junctions)
+        any(eid not in disabled for _neighbor, eid in rows[j]) for j in range(num_junctions)
     ]
     component = [-1] * num_junctions
     for start in range(num_junctions):
@@ -207,13 +209,13 @@ def _tiles_connected(graph, disabled: frozenset[int] | set[int]) -> bool:
         component[start] = start
         stack = [start]
         while stack:
-            for neighbor, eid, _lanes in rows[stack.pop()]:
+            for neighbor, eid in rows[stack.pop()]:
                 if component[neighbor] < 0 and eid not in disabled:
                     component[neighbor] = start
                     stack.append(neighbor)
     # Each tile can start a path into any component its access junctions touch.
     reach = [
-        {component[j] for j, _eid, _lanes in rows[tile] if component[j] >= 0}
+        {component[j] for j, _eid in rows[tile] if component[j] >= 0}
         for tile in range(num_junctions, len(graph.nodes))
     ]
     if any(not r for r in reach):
@@ -241,9 +243,9 @@ def random_defects(
     so a routable input chip always yields a routable result.  Lane counts
     never decide routability, so every trial disable is checked on one
     routing graph per sample — the chip with its dead tiles and declared
-    defects — with the trial's edges removed.
+    defects, from the process's store — with the trial's edges removed.
     """
-    from repro.chip.routing_graph import RoutingGraph, edge_key
+    from repro.chip.routing_graph import ROUTING_GRAPHS, edge_key
 
     if not 0.0 <= rate <= 1.0:
         raise ChipError(f"defect rate must be in [0, 1], got {rate}")
@@ -261,7 +263,7 @@ def random_defects(
     num_degraded = int(rate * len(segments))
     degraded = rng.sample(segments, num_degraded) if num_degraded else []
 
-    graph = RoutingGraph(
+    graph = ROUTING_GRAPHS.graph_for(
         chip.with_defects(
             DefectSpec(
                 dead_tiles=dead,

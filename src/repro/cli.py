@@ -381,18 +381,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             cache=cache,
             workers=args.jobs,
-            warm_chips=args.warm_chips,
             quiet=args.quiet,
         )
     except OSError as exc:
         raise ReproError(f"cannot bind {args.host}:{args.port}: {exc}") from None
-    except ValueError as exc:  # e.g. --warm-chips 0
-        raise ReproError(str(exc)) from None
     host, port = server.server_address[:2]
     print(f"repro compile daemon listening on http://{host}:{port}", file=sys.stderr)
     print(
         f"cache: {cache.directory if cache is not None else 'disabled'}; "
-        f"warm chips: {args.warm_chips}; batch workers: {server.service.workers}",
+        f"batch workers: {server.service.workers}",
         file=sys.stderr,
     )
     try:
@@ -686,14 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes for /batch fan-out (1 keeps every compile in the "
         "daemon process where the warm chip state lives; 0 = one per CPU)",
-    )
-    serve.add_argument(
-        "--warm-chips",
-        type=int,
-        default=8,
-        metavar="N",
-        help="how many distinct chips to keep warm (routing graph + landmark "
-        "tables) in the LRU (default 8)",
     )
     serve.add_argument(
         "--no-cache", action="store_true", help="serve without the on-disk result cache"

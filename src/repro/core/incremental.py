@@ -38,6 +38,8 @@ class IncrementalReadyQueue:
         self._key = priority
         #: Sorted (key, node, control, target) entries.
         self._entries: list[tuple] = []
+        #: Each queued node's key, as :meth:`add` computed it.
+        self._keys: dict[int, tuple] = {}
         self.add(initial_ready)
 
     def __len__(self) -> int:
@@ -45,17 +47,21 @@ class IncrementalReadyQueue:
 
     def add(self, nodes) -> None:
         """Insert newly ready nodes (from gate retirement)."""
-        dag, key = self._dag, self._key
+        dag, key, keys = self._dag, self._key, self._keys
         operands = dag.operand_pairs
         for node in nodes:
             control, target = operands[node]
-            insort(self._entries, (key(dag, node), node, control, target))
+            node_key = keys[node] = key(dag, node)
+            insort(self._entries, (node_key, node, control, target))
 
     def discard(self, node: int) -> None:
         """Remove a dispatched node from the ready view."""
+        node_key = self._keys.pop(node, None)
+        if node_key is None:
+            return
         # A (key, node) 2-tuple sorts immediately before the 4-tuple entry it
         # prefixes, so bisect_left lands exactly on the node's entry.
-        index = bisect_left(self._entries, (self._key(self._dag, node), node))
+        index = bisect_left(self._entries, (node_key, node))
         if index < len(self._entries) and self._entries[index][1] == node:
             del self._entries[index]
 

@@ -182,12 +182,12 @@ def corridor_load(
     corridors no path crosses are absent.
 
     Routing state comes from the :func:`repro.routing.fast_router.routing_for`
-    seam, so daemon processes reuse their warm per-chip graphs here instead
-    of rebuilding one per compile.  Each pair follows the canonical
+    seam, so the chip's graph comes from the process's store instead of
+    being rebuilt per compile.  Each pair follows the canonical
     (lexicographically smallest shortest) path, which the router reads off
-    its cached BFS hop tables.  Those tables and paths land in the
-    process's memo of this chip's topology, which the adjusted chip keeps,
-    so the scheduler reuses them.
+    its cached BFS hop tables.  Those tables and paths land in the memo of
+    this chip's topology, which the adjusted chip shares, so the scheduler
+    reuses them.
     """
     router = routing_for(chip)
     routing_graph = router.graph

@@ -24,11 +24,13 @@ class EngineCounters:
     ``landmark_tables`` is the number of hop tables the router's memo holds
     when the run ends, ``landmark_build_seconds`` the time this run spent
     building them; ``static_path_hits`` counts the queries answered from the
-    memo's unloaded paths.  The memo is the process's memo of the chip's
-    topology (:data:`~repro.routing.fast_router.ROUTE_MEMOS`), so these two
+    memo's unloaded paths.  The memo is that of the chip's topology in the
+    process's routing-graph store
+    (:data:`~repro.chip.routing_graph.ROUTING_GRAPHS`), so these two
     counters depend on the store's state: tables and paths an earlier router
-    or compile of that topology left count here, and a compile after a warm
-    one reads more of both.  Every other counter is a function of the compile
+    or compile of that topology left count here (on graph chips, the
+    junction tables of the placement's slot distances too), and a compile
+    after a warm one reads more of both.  Every other counter is a function of the compile
     alone.  ``layer_memo_*`` describe the scheduler's whole-cycle memo.
     """
 

@@ -14,11 +14,11 @@ fraction of the graph:
 
 * **Landmark tables.**  For every target actually queried the router runs
   one backward breadth-first sweep over the graph's junction rows
-  (:meth:`RoutingGraph.hop_distances_from`) and keeps the result as a
-  node-id-indexed distance list.  Tables are built lazily per target and
-  then amortised across the whole schedule; the build cost is accounted
-  separately (``landmark_build_seconds``) so shallow circuits on big chips
-  can be diagnosed instead of guessed at.
+  (:meth:`~repro.chip.routing_graph.Topology.hop_distances_from`) and keeps
+  the result as a node-id-indexed distance list.  Tables are built lazily
+  per target and then amortised across the whole schedule; the build cost
+  is accounted separately (``landmark_build_seconds``) so shallow circuits
+  on big chips can be diagnosed instead of guessed at.
 * **Boxed-in endpoints fail first.**  A search under load whose source or
   target tile has no access edge with a free lane into a junction with a
   free through-lane returns ``None`` before the heap is built: the search
@@ -30,24 +30,17 @@ fraction of the graph:
 
 Route memo
 ----------
-The landmark tables and the unloaded canonical paths live in a
-:class:`RouteMemo`, not in the router.  Both depend only on the graph's
-*topology* — which nodes and edges exist, :attr:`RoutingGraph.topology` —
-and not on lane counts: every edge the graph keeps has at least one lane, so
-an unloaded search never finds one full, and a junction can pass a path iff
-it has a corridor edge.  So one memo serves every graph of a topology: a
-chip and its bandwidth-adjusted copy, one chip under several lane vectors,
-and every later compile on a chip of that shape.
-
-The process keeps its memos in one :class:`RouteMemoStore`,
-:data:`ROUTE_MEMOS`, keyed by topology; every :class:`FastRouter` takes its
-memo from it.  The paper sizes chips from the qubit count and the
-communication capacity, so the compiles of one process land on few
-topologies, and each hop table is built once per process rather than once
-per compile.  The store is bounded by a constant count of held cells
-(:data:`ROUTE_MEMO_BUDGET_CELLS`: hop-table entries plus static-path nodes)
-and evicts whole memos, least recently used topology first.  Sharing
-changes no answer: every memo entry is determined by the topology alone.
+The landmark tables and the unloaded canonical paths live in the
+:class:`~repro.chip.routing_graph.RouteMemo` of the graph's
+:class:`~repro.chip.routing_graph.Topology`, not in the router.  Both depend
+only on which nodes and edges exist, not on lane counts, so every router over
+a graph of that topology shares them: a chip and its bandwidth-adjusted
+copy, one chip under several lane vectors, and every later compile on a chip
+of that shape.  The router takes the memo straight from
+``graph.topology.memo``.  Graphs come from the process's store
+(:data:`~repro.chip.routing_graph.ROUTING_GRAPHS`), which shares one
+topology among the chips of a shape, so each hop table is built once per
+process rather than once per compile.
 
 The router speaks ids only.  :meth:`FastRouter.find` takes two tile ids
 (:meth:`RoutingGraph.tile_id`) and an id-keyed
@@ -76,26 +69,19 @@ capacity overrides.  Parity on defective chips is enforced by
 Routing seam
 ------------
 Every scheduler obtains its router (and, as ``router.graph``, its graph)
-through :func:`routing_for`, which consults an installable provider.
-Long-lived processes — the compile daemon in :mod:`repro.service` — install
-a provider backed by an LRU of warm per-chip graphs, so repeated compiles
-against the same chip skip rebuilding the graph.  With no provider installed,
-:func:`routing_for` builds a fresh graph.  Either way the router's memo
-comes from :data:`ROUTE_MEMOS`, so memos outlive the warm chips and the
-compiles that filled them.
+through :func:`routing_for`, which takes the chip's graph from
+:data:`~repro.chip.routing_graph.ROUTING_GRAPHS`.  A provider installed with
+:func:`set_routing_provider` replaces that lookup; the test oracle installs
+one to route every scheduler through the reference Dijkstra.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-import threading
-import time
-from collections import OrderedDict
 from collections.abc import Callable
 
 from repro.chip.chip import Chip
-from repro.chip.routing_graph import RoutingGraph
+from repro.chip.routing_graph import ROUTING_GRAPHS, RouteMemo, RoutingGraph
 from repro.errors import RoutingError
 from repro.routing.paths import CapacityUsage, IdPath
 
@@ -105,11 +91,6 @@ _UNCACHED = object()
 #: Congestion weight of the schedulers' path queries (ReSu included); the
 #: Braidflash baseline routes with ``0.0``.
 DEFAULT_CONGESTION_WEIGHT = 0.25
-
-#: The most cells (hop-table entries plus static-path nodes) the process's
-#: route memos hold together.  The memo of the largest windowed row
-#: (``ising`` n=1000, 999 tables over 2,113 nodes) holds about 2.1M.
-ROUTE_MEMO_BUDGET_CELLS = 4_000_000
 
 
 def check_route_endpoints(graph: RoutingGraph, source: int, target: int) -> None:
@@ -137,179 +118,30 @@ def _id_path(graph: RoutingGraph, ids: tuple[int, ...]) -> IdPath:
     junction_adjacency = graph.junction_adjacency
     edges = []
     for a, b in zip(ids, ids[1:-1]):
-        for neighbor, eid, _capacity in junction_adjacency[a]:
+        for neighbor, eid in junction_adjacency[a]:
             if neighbor == b:
                 edges.append(eid)
                 break
-    edges.append(graph.tile_access[ids[-2]][ids[-1]][0])
+    edges.append(graph.tile_access[ids[-2]][ids[-1]])
     return IdPath(ids, tuple(edges))
-
-
-class RouteMemo:
-    """The routing answers that depend only on a graph's topology.
-
-    ``tables`` holds the node-id-indexed hop-distance lists, keyed by target
-    node id; ``static_paths`` the canonical paths on the *empty* usage state,
-    keyed by the (source, target) tile-id pair, ``None`` for disconnected
-    pairs.  With no reservations every congestion penalty is zero, so the
-    canonical path depends only on the endpoints — schedulers re-ask for the
-    same unloaded pairs every cycle.  ``cells`` counts what the memo holds:
-    one per hop-table entry and per static-path node (one per ``None``).
-
-    A memo is bound to one :attr:`RoutingGraph.topology`; any router over a
-    graph of that topology, whatever its lane counts, may share it (see the
-    module docstring).  The memos of :data:`ROUTE_MEMOS` are bound when the
-    store makes them and report their growth to it; a memo made directly
-    binds to the first graph a router is built over and belongs to no store.
-    """
-
-    __slots__ = ("topology", "tables", "static_paths", "cells", "_store")
-
-    def __init__(self, topology: tuple | None = None, store: RouteMemoStore | None = None):
-        self.topology = topology
-        self.tables: dict[int, list[int]] = {}
-        self.static_paths: dict[tuple[int, int], IdPath | None] = {}
-        self.cells = 0
-        self._store = store
-
-    def bind(self, graph: RoutingGraph) -> None:
-        """Bind the memo to ``graph``'s topology, or check that it already is.
-
-        Raises :class:`RoutingError` when the memo holds answers for another
-        topology.
-        """
-        if self.topology is None:
-            self.topology = graph.topology
-        elif self.topology != graph.topology:
-            raise RoutingError("the route memo belongs to a chip of another topology")
-
-    def add_table(self, target_id: int, table: list[int]) -> None:
-        """Keep the hop table towards ``target_id``."""
-        self.tables[target_id] = table
-        self._grow(len(table))
-
-    def add_path(self, key: tuple[int, int], path: IdPath | None) -> None:
-        """Keep the unloaded canonical path of the tile pair ``key``."""
-        self.static_paths[key] = path
-        self._grow(1 if path is None else len(path.nodes))
-
-    def _grow(self, cells: int) -> None:
-        store = self._store
-        if store is None:
-            self.cells += cells
-        else:
-            store._grew(self, cells)
-
-
-class RouteMemoStore:
-    """The process's route memos, one per topology, within a cell budget.
-
-    :meth:`memo_for` hands out the memo of a graph's topology, making an
-    empty one on first sight.  The memos hold at most ``budget`` cells
-    together (:data:`ROUTE_MEMO_BUDGET_CELLS`); when one grows past it, whole
-    memos are dropped, least recently handed out first.  A router keeps
-    using a dropped memo until it is done; the next router of that topology
-    starts an empty one.  Every method is thread-safe.  :data:`ROUTE_MEMOS`
-    renews its lock in a forked child, which starts with a copy of the
-    parent's memos.
-    """
-
-    budget = ROUTE_MEMO_BUDGET_CELLS
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._memos: OrderedDict[tuple, RouteMemo] = OrderedDict()
-        self.held_cells = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def memo_for(self, graph: RoutingGraph) -> RouteMemo:
-        """The memo of ``graph``'s topology (counted as a hit or a miss)."""
-        topology = graph.topology
-        with self._lock:
-            memo = self._memos.get(topology)
-            if memo is None:
-                self.misses += 1
-                memo = self._memos[topology] = RouteMemo(topology, self)
-            else:
-                self.hits += 1
-                self._memos.move_to_end(topology)
-        return memo
-
-    def _grew(self, memo: RouteMemo, cells: int) -> None:
-        """Account ``cells`` new cells of ``memo``; evict down to the budget."""
-        with self._lock:
-            memo.cells += cells
-            if memo._store is not self:
-                return  # dropped while a router still filled it
-            self.held_cells += cells
-            while self.held_cells > self.budget:
-                _topology, dropped = self._memos.popitem(last=False)
-                dropped._store = None
-                self.held_cells -= dropped.cells
-                self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every memo (the hit, miss and eviction counts stay)."""
-        with self._lock:
-            for memo in self._memos.values():
-                memo._store = None
-            self._memos.clear()
-            self.held_cells = 0
-
-    def topologies(self) -> list[tuple]:
-        """The topologies held, least recently handed out first."""
-        with self._lock:
-            return list(self._memos)
-
-    def peek(self, topology: tuple) -> RouteMemo | None:
-        """The memo held for ``topology``, if any, without counting or touching it."""
-        with self._lock:
-            return self._memos.get(topology)
-
-    def stats(self) -> dict:
-        """Counters for ``/stats``: held topologies and cells, hits, misses, evictions."""
-        with self._lock:
-            return {
-                "topologies": len(self._memos),
-                "held_cells": self.held_cells,
-                "budget_cells": self.budget,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-    def _after_fork(self) -> None:
-        # A fork copies the lock in whatever state another thread left it.
-        self._lock = threading.Lock()
-
-
-#: The process's one route-memo store; every :class:`FastRouter` not handed
-#: a memo takes its memo from here.
-ROUTE_MEMOS = RouteMemoStore()
-os.register_at_fork(after_in_child=ROUTE_MEMOS._after_fork)
 
 
 class FastRouter:
     """Capacity-aware router over a :class:`RoutingGraph` with landmark A* search.
 
     One instance serves one graph.  Its :class:`RouteMemo` — the landmark
-    tables and the static-path cache — is shared across every :meth:`find`
-    call and with every router over a graph of the same topology: by default
-    the router takes it from :data:`ROUTE_MEMOS`.  A ``memo`` passed in is
-    bound to the graph's topology instead and kept private to its routers.
+    tables and the static-path cache — is the graph topology's, shared
+    across every :meth:`find` call and with every router over a graph of the
+    same topology.
     """
 
-    def __init__(self, graph: RoutingGraph, memo: RouteMemo | None = None):
-        if memo is None:
-            memo = ROUTE_MEMOS.memo_for(graph)
-        else:
-            memo.bind(graph)
+    def __init__(self, graph: RoutingGraph):
+        topology = graph.topology
         self._graph = graph
-        self._memo = memo
-        self._tables = memo.tables
-        self._static_paths = memo.static_paths
+        self._topology = topology
+        self._memo = topology.memo
+        self._tables = topology.memo.tables
+        self._static_paths = topology.memo.static_paths
 
     @property
     def graph(self) -> RoutingGraph:
@@ -329,14 +161,7 @@ class FastRouter:
     # ------------------------------------------------------------- landmarks
     def _table_for(self, target_id: int, stats) -> list[int]:
         """The id-indexed hop-distance list towards ``target_id`` (lazy build)."""
-        table = self._tables.get(target_id)
-        if table is None:
-            started = time.perf_counter()
-            table = self._graph.hop_distances_from(target_id)
-            if stats is not None:
-                stats.landmark_build_seconds += time.perf_counter() - started
-            self._memo.add_table(target_id, table)
-        return table
+        return self._tables.get(target_id) or self._topology.table_to(target_id, stats)
 
     # ----------------------------------------------------------------- search
     def find(
@@ -425,7 +250,7 @@ class FastRouter:
         edges = []
         node = source
         while d > 1:
-            for neighbor, eid, _capacity in junction_adjacency[node]:
+            for neighbor, eid in junction_adjacency[node]:
                 if remaining[neighbor] == d - 1:
                     node = neighbor
                     ids.append(neighbor)
@@ -439,7 +264,7 @@ class FastRouter:
         # Tiles never neighbour tiles, so the walk ends on a corner junction
         # of the target.
         ids.append(target)
-        edges.append(graph.tile_access[node][target][0])
+        edges.append(graph.tile_access[node][target])
         return IdPath(tuple(ids), tuple(edges))
 
     def _search(
@@ -460,6 +285,7 @@ class FastRouter:
             return None  # statically disconnected — no residual path can exist
         junction_adjacency = graph.junction_adjacency
         tile_access = graph.tile_access
+        lanes = graph.lanes
         node_capacity = graph.through_capacity
         edge_get = edge_used.get
         node_get = node_used.get
@@ -468,8 +294,8 @@ class FastRouter:
         # passes through.  When every such step is full at either end, no
         # path exists, and the search below would only prove it.
         for tile in (target, source):
-            for corner, eid, capacity in junction_adjacency[tile]:
-                if edge_get(eid, 0) < capacity and node_get(corner, 0) < node_capacity[corner]:
+            for corner, eid in junction_adjacency[tile]:
+                if edge_get(eid, 0) < lanes[eid] and node_get(corner, 0) < node_capacity[corner]:
                     break
             else:
                 if stats is not None:
@@ -509,11 +335,10 @@ class FastRouter:
             if best_seq[node] is not ids:
                 continue  # superseded after pushing
             expanded += 1
-            access = tile_access[node].get(target)
-            if access is not None:
-                eid, capacity = access
+            eid = tile_access[node].get(target)
+            if eid is not None:
                 load = edge_get(eid, 0)
-                if load < capacity:
+                if load < lanes[eid]:
                     new_cost = cost + 1.0
                     if congestion_weight and load:
                         new_cost += congestion_weight * load
@@ -524,9 +349,9 @@ class FastRouter:
                             best_cost[target] = new_cost
                             best_seq[target] = candidate
                             heappush(heap, (new_cost, new_cost, candidate))
-            for neighbor, eid, capacity in junction_adjacency[node]:
+            for neighbor, eid in junction_adjacency[node]:
                 load = edge_get(eid, 0)
-                if load >= capacity:
+                if load >= lanes[eid]:
                     continue
                 if neighbor != target and node_get(neighbor, 0) >= node_capacity[neighbor]:
                     continue  # the junction has no free lane to pass through
@@ -552,9 +377,6 @@ class FastRouter:
 
 
 #: A routing provider maps a chip to a router (its graph is ``router.graph``).
-#: Both are immutable-after-construction (the router only grows its memo),
-#: so a provider may hand the same router to any number of sequential
-#: compiles.
 RoutingProvider = Callable[[Chip], "FastRouter"]
 
 _routing_provider: RoutingProvider | None = None
@@ -563,8 +385,9 @@ _routing_provider: RoutingProvider | None = None
 def set_routing_provider(provider: RoutingProvider | None) -> RoutingProvider | None:
     """Install (or with ``None`` clear) the process-wide routing provider.
 
-    Returns the previous provider so callers can restore it; see
-    :class:`repro.service.state.WarmStateCache` for the canonical user.
+    Returns the previous provider so callers can restore it.  The test
+    oracle is the one user: it routes every scheduler through the reference
+    Dijkstra.
     """
     global _routing_provider  # lint: disable=FRK001 — this IS the sanctioned seam
     previous = _routing_provider
@@ -575,12 +398,11 @@ def set_routing_provider(provider: RoutingProvider | None) -> RoutingProvider | 
 def routing_for(chip: Chip) -> FastRouter:
     """The router (and, as ``router.graph``, the graph) a scheduler should use for ``chip``.
 
-    Delegates to the installed provider when there is one (warm graphs in
-    daemon processes) and otherwise builds a router over a fresh graph.  The
-    memo comes from :data:`ROUTE_MEMOS` either way.  The result is
-    semantically identical in every case: graphs are value-determined by the
-    chip, and memos only cache answers determined by the topology.
+    The graph comes from :data:`~repro.chip.routing_graph.ROUTING_GRAPHS`
+    unless a provider is installed.  The result is semantically identical
+    either way: graphs are value-determined by the chip, and memos only
+    cache answers determined by the topology.
     """
     if _routing_provider is not None:
         return _routing_provider(chip)
-    return FastRouter(RoutingGraph(chip))
+    return FastRouter(ROUTING_GRAPHS.graph_for(chip))

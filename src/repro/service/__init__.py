@@ -9,8 +9,8 @@ cold on every invocation.
 * :mod:`repro.service.schema` — the frozen, versioned wire format
   (:data:`~repro.service.schema.API_VERSION`), request validation and result
   serialisation; the docs site's API reference is generated from it.
-* :mod:`repro.service.state` — the warm per-chip LRU installed as the
-  process-wide routing provider.
+* :mod:`repro.service.state` — what stays warm: the process's
+  routing-graph store, reported under ``/stats``.
 * :mod:`repro.service.jobs` — the job queue (``queued → running →
   done | failed``) behind ``/jobs/<id>``.
 * :mod:`repro.service.service` — :class:`CompileService`, binding schema to
@@ -46,9 +46,6 @@ _EXPORTS = {
     "ServiceServer": "server",
     "create_server": "server",
     "CompileService": "service",
-    "WarmChipState": "state",
-    "WarmStateCache": "state",
-    "chip_state_key": "state",
 }
 
 __all__ = sorted(_EXPORTS)

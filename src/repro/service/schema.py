@@ -272,12 +272,11 @@ STATS_RESPONSE_FIELDS: tuple[FieldSpec, ...] = (
     FieldSpec(
         "warm_state",
         "object",
-        "Warm per-chip state: `capacity`, `entries`, `hits`, `misses`, "
-        "`evictions`; `route_memos`, the process's route-memo store (one memo "
-        "of hop tables and unloaded paths per routing topology): "
-        "`topologies`, `held_cells`, `budget_cells`, `hits`, `misses`, "
-        "`evictions`; and per-chip `chips` entries with the `landmark_tables` "
-        "/ `static_paths` counts of their topology's memo.",
+        "The process's routing-graph store, which keeps every chip's routing "
+        "graph and one topology (with its memo of hop tables and unloaded "
+        "paths) per chip shape: held `chips`, `topologies`, `landmark_tables` "
+        "and `static_paths`; `held_cells` against `budget_cells`; and `hits`, "
+        "`misses` and `evictions`, counted per chip.",
     ),
     FieldSpec(
         "engine_counters",

@@ -199,7 +199,6 @@ def create_server(
     *,
     cache: object = None,
     workers: int = 1,
-    warm_chips: int | None = None,
     quiet: bool = False,
 ) -> ServiceServer:
     """Build a ready-to-serve daemon (``port=0`` picks an ephemeral port).
@@ -207,13 +206,7 @@ def create_server(
     The caller drives the accept loop (``serve_forever()``), so tests can run
     it on a thread and the CLI can run it in the foreground.
     """
-    from repro.service.state import DEFAULT_WARM_CHIPS
-
-    service = CompileService(
-        cache=cache,
-        workers=workers,
-        warm_chips=warm_chips if warm_chips is not None else DEFAULT_WARM_CHIPS,
-    )
+    service = CompileService(cache=cache, workers=workers)
     try:
         return ServiceServer((host, port), service, quiet=quiet)
     except OSError:

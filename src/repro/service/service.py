@@ -1,8 +1,7 @@
 """The compile service core: requests in, records out, everything warm.
 
 :class:`CompileService` is the daemon's brain, independent of HTTP: it owns
-the warm per-chip state (:class:`~repro.service.state.WarmStateCache`), the
-streaming result cache (:class:`~repro.pipeline.batch.ResultCache`), and the
+the streaming result cache (:class:`~repro.pipeline.batch.ResultCache`), and the
 single-worker :class:`~repro.service.jobs.JobManager`, and it executes parsed
 :class:`~repro.service.schema.CompileRequest` /
 :class:`~repro.service.schema.BatchRequest` objects through the exact same
@@ -49,7 +48,7 @@ from repro.service.schema import (
     parse_compile_request,
     schedule_payload,
 )
-from repro.service.state import DEFAULT_WARM_CHIPS, WarmStateCache
+from repro.service.state import warm_state_stats
 
 #: How many ``/compile`` bodies direct mode remembers, least recently used
 #: forgotten first.  An entry is a digest, a fingerprint and four scalars.
@@ -102,21 +101,19 @@ class CompileService:
         Process-pool size for ``/batch`` fan-out (``1`` compiles in the
         daemon process and is what keeps warm state effective; batches with
         more workers trade warm reuse for parallelism).
-    warm_chips:
-        LRU capacity of the warm per-chip state.
+
+    Warm routing state is the process's routing-graph store (see
+    :mod:`repro.service.state`).
     """
 
     def __init__(
         self,
         cache: ResultCache | str | None = None,
         workers: int = 1,
-        warm_chips: int = DEFAULT_WARM_CHIPS,
         max_jobs_kept: int = 256,
     ):
         self.cache = ResultCache(cache) if isinstance(cache, str) else cache
         self.workers = resolve_workers(workers)
-        self.warm = WarmStateCache(capacity=warm_chips)
-        self.warm.install()
         # Service bookkeeping (uptime base), not a compilation input.
         # lint: disable=DET004
         self.started_at = time.time()
@@ -127,9 +124,8 @@ class CompileService:
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
-        """Stop the worker thread and uninstall the warm routing provider."""
+        """Stop the worker thread."""
         self.jobs.stop()
-        self.warm.uninstall()
 
     # ------------------------------------------------------------ submission
     def submit_compile(self, body: bytes) -> tuple[ServiceJob, CompileRequest | DirectEntry]:
@@ -235,22 +231,9 @@ class CompileService:
     def _execute_batch(self, request: BatchRequest) -> dict:
         jobs = request.to_jobs()
         cache = self.cache if request.use_cache else None
-        if self.workers > 1:
-            # Forking a pool from a threaded daemon inherits whatever locks
-            # are held at fork time.  A child compile would take the
-            # warm-state cache's lock (via the installed routing provider),
-            # so clear the provider for the duration: children build their
-            # graphs cold.  The route-memo store renews its own lock in a
-            # forked child, which keeps a copy of the daemon's memos.
-            from repro.routing.fast_router import set_routing_provider
-
-            previous = set_routing_provider(None)
-            try:
-                outcome = run_batch(jobs, workers=self.workers, cache=cache)
-            finally:
-                set_routing_provider(previous)
-        else:
-            outcome = run_batch(jobs, workers=self.workers, cache=cache)
+        # A forked worker renews the routing-graph store's lock and starts
+        # with a copy of the daemon's graphs.
+        outcome = run_batch(jobs, workers=self.workers, cache=cache)
         if self.workers == 1 and outcome.cache_hits == 0:
             # Best-effort accounting: counters are only attributable when the
             # batch compiled in-process (multi-process children's counters do
@@ -299,7 +282,7 @@ class CompileService:
             "uptime_seconds": time.time() - self.started_at,
             "jobs": self.jobs.stats(),
             "result_cache": result_cache,
-            "warm_state": self.warm.stats(),
+            "warm_state": warm_state_stats(),
             "engine_counters": dict(self.engine_counters),
             "methods": method_catalog(),
         }

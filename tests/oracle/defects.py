@@ -49,13 +49,13 @@ def reference_chip_is_routable(chip) -> bool:
         component[start] = start
         stack = [start]
         while stack:
-            for neighbor, _eid, _lanes in rows[stack.pop()]:
+            for neighbor, _eid in rows[stack.pop()]:
                 if component[neighbor] < 0 and capacity[neighbor] >= 1:
                     component[neighbor] = start
                     stack.append(neighbor)
     # Each tile can start a path into any component its access junctions touch.
     reach = [
-        {component[j] for j, _eid, _lanes in rows[tile] if component[j] >= 0}
+        {component[j] for j, _eid in rows[tile] if component[j] >= 0}
         for tile in range(num_junctions, len(graph.nodes))
     ]
     if any(not r for r in reach):

@@ -10,7 +10,7 @@ fast-path regions, FM passes, coarsening levels) are compared with
 shows it as an exact diff with no timing noise, and a change that moves a
 counter it did not mean to move fails here.
 
-The golden is cold: the process's route-memo store is emptied before each
+The golden is cold: the process's routing-graph store is emptied before each
 compile, because ``landmark_tables`` and ``static_path_hits`` read the
 store's memo of the chip's topology.  One test compiles everything twice in
 one process, without emptying the store, and holds the schedules and every
@@ -31,7 +31,7 @@ import pytest
 
 from repro.circuits.generators import default_suite
 from repro.pipeline.registry import registered_methods, run_pipeline_method
-from repro.routing.fast_router import ROUTE_MEMOS
+from repro.chip.routing_graph import ROUTING_GRAPHS
 from repro.service.schema import schedule_payload
 
 FIXTURE = Path(__file__).parent / "fixtures" / "counter_golden.json"
@@ -54,7 +54,7 @@ def _counters(result) -> dict[str, int]:
 
 def compile_counters(name: str, method: str) -> dict[str, int]:
     """The integer engine and placement counters of one cold compile."""
-    ROUTE_MEMOS.clear()
+    ROUTING_GRAPHS.clear()
     return _counters(run_pipeline_method(CIRCUITS[name].build(), method))
 
 
@@ -87,7 +87,7 @@ def test_counters_match_golden(golden, method):
     assert not changed, f"counters changed (golden, actual) for {method}: {changed}"
 
 
-#: The counters that read the route-memo store's state (see EngineCounters).
+#: The counters that read the routing-graph store's state (see EngineCounters).
 STORE_COUNTERS = {"engine.landmark_tables", "engine.static_path_hits"}
 
 
@@ -98,7 +98,7 @@ def test_warm_compiles_differ_from_cold_only_in_store_counters(golden):
     counters equal the cold golden except the two that read the store.
     """
     jobs = [(name, method) for name in CIRCUITS for method in METHODS]
-    ROUTE_MEMOS.clear()
+    ROUTING_GRAPHS.clear()
     schedules = {}
     moved = {}
     for job in jobs + jobs[::-1]:

@@ -16,6 +16,7 @@ from oracle import reference_chip_is_routable, reference_random_defects
 
 from repro.chip import Chip, DefectSpec, RoutingGraph, SurfaceCodeModel, chip_is_routable
 from repro.chip.defects import random_defects
+from repro.chip.routing_graph import ROUTING_GRAPHS
 from repro.chip.tile_graph import heavy_hex, degree3_sparse
 
 DD = SurfaceCodeModel.DOUBLE_DEFECT
@@ -76,11 +77,12 @@ def test_one_graph_is_built_per_sample(monkeypatch):
     builds = []
     init = RoutingGraph.__init__
 
-    def counting(self, chip):
+    def counting(self, chip, *args):
         builds.append(chip)
-        init(self, chip)
+        init(self, chip, *args)
 
     monkeypatch.setattr(RoutingGraph, "__init__", counting)
+    ROUTING_GRAPHS.clear()
     spec = random_defects(CHIPS["square"], 0.5, seed=1, min_alive_tiles=4)
     assert len(spec.disabled_segments) > 1
     assert len(builds) == 1

@@ -15,7 +15,7 @@ from repro.core.scheduler_dd import DoubleDefectScheduler
 from repro.core.scheduler_ls import LatticeSurgeryScheduler
 from repro.errors import RoutingError, SchedulingError
 from repro.profiling import EngineCounters
-from repro.routing.fast_router import FastRouter, RouteMemo
+from repro.routing.fast_router import FastRouter
 from repro.routing.paths import CapacityUsage
 
 DD = SurfaceCodeModel.DOUBLE_DEFECT
@@ -117,6 +117,23 @@ def test_queue_add_discard_and_busy_filter():
     assert queue.available(busy, 5) == _by_priority(dag, [1, 2])
 
 
+def test_queue_computes_each_key_once():
+    """A node's key is computed when it is added; discarding it bisects on the kept key."""
+    dag = _diamond_dag()
+    calls = []
+
+    def counting(dag, node):
+        calls.append(node)
+        return criticality_priority(dag, node)
+
+    queue = IncrementalReadyQueue(dag, counting, range(len(dag)))
+    for node in (2, 0, 3, 1):
+        queue.discard(node)
+    queue.discard(2)  # discarding an absent node is a no-op
+    assert len(queue) == 0
+    assert sorted(calls) == list(range(len(dag)))
+
+
 # --------------------------------------------------------------- fast router
 def test_fast_router_validates_endpoints(dd_chip_small):
     graph = RoutingGraph(dd_chip_small)
@@ -129,7 +146,7 @@ def test_fast_router_validates_endpoints(dd_chip_small):
 
 def test_fast_router_memoizes_landmark_tables(dd_chip_small):
     graph = RoutingGraph(dd_chip_small)
-    router = FastRouter(graph, RouteMemo())
+    router = FastRouter(graph)
     compact = router.graph
     router.find(CapacityUsage(), compact.node_id[tile_node(0, 1)], compact.node_id[tile_node(0, 0)])
     assert router.landmark_table_count == 1

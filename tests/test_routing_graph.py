@@ -247,14 +247,14 @@ def test_junction_rows_and_tile_access_partition_neighbors(chip):
         junction_row = graph.junction_adjacency[node_id]
         access = graph.tile_access[node_id]
         # The two rows split the neighbors: junctions ascending, tiles keyed.
-        assert [nodes[n] for n, _eid, _lanes in junction_row] == [
+        assert [nodes[n] for n, _eid in junction_row] == [
             n for n in neighbors if not graph.is_tile(n)
         ]
         assert sorted(nodes[t] for t in access) == [n for n in neighbors if graph.is_tile(n)]
-        entries = list(junction_row) + [(t, *access[t]) for t in access]
-        for neighbor, eid, lanes in entries:
+        entries = list(junction_row) + [(t, access[t]) for t in access]
+        for neighbor, eid in entries:
             assert graph.edges[eid] == edge_key(node, nodes[neighbor])
-            assert lanes == capacity[graph.edges[eid]]
+            assert graph.lanes[eid] == capacity[graph.edges[eid]]
 
 
 @settings(max_examples=80, deadline=None)

@@ -5,8 +5,9 @@ Covers the acceptance criteria of the service PR:
 * a served compile is bit-identical to the in-process
   :func:`repro.compile_circuit` path (full operation list compared);
 * a second identical request is served from warm state, observable through
-  ``/stats`` (result-cache hit + warm-chip hit);
-* the warm per-chip LRU evicts least-recently-used chips at capacity;
+  ``/stats`` (result-cache hit + routing-graph store hit);
+* ``/stats`` ``warm_state`` reports the process's routing-graph store, which
+  drops the least recently used chip shape with its chips past its budget;
 * malformed requests answer 400 with a schema-error body naming every
   offending field;
 * a byte-identical repeat is served in direct mode (no parse, no gate-list
@@ -34,14 +35,14 @@ from repro.service import (
     SchemaError,
     ServiceClient,
     ServiceError,
-    WarmStateCache,
     create_server,
     parse_batch_request,
     parse_compile_request,
     schedule_payload,
 )
+from repro.chip.routing_graph import ROUTING_GRAPHS, RoutingGraphStore
+from repro.routing.fast_router import routing_for
 from repro.service.schema import MAX_PLACEMENT_ATTEMPTS
-from repro.service.state import chip_state_key
 
 TINY_QASM = (
     'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'
@@ -102,36 +103,50 @@ def test_second_identical_request_served_warm(daemon):
     assert fresh == cached
 
 
+def _warm_delta(daemon, before: dict) -> dict:
+    """The daemon's ``warm_state`` with ``hits``/``misses``/``evictions`` as deltas from ``before``."""
+    warm = daemon.stats()["warm_state"]
+    for key in ("hits", "misses", "evictions"):
+        warm[key] -= before[key]
+    return warm
+
+
 def test_recompiles_reuse_warm_chip_state(daemon):
-    """Schedule-inlining requests always compile — through the warm chip LRU."""
+    """Schedule-inlining requests always compile — through the routing-graph store."""
+    ROUTING_GRAPHS.clear()
+    before = daemon.stats()["warm_state"]
     for _ in range(2):
         job = daemon.compile(
             circuit="dnn_n8", method="ecmas_dd_min", wait=True, include_schedule=True,
         )
         assert job["status"] == "done"
-    warm = daemon.stats()["warm_state"]
-    assert warm["entries"] == 1
-    assert warm["hits"] == 1  # second compile found the chip already warm
-    assert warm["chips"][0]["landmark_tables"] > 0
+    warm = _warm_delta(daemon, before)
+    assert (warm["chips"], warm["topologies"]) == (1, 1)
+    assert (warm["misses"], warm["hits"]) == (1, 1)  # the second compile found the chip
+    assert warm["landmark_tables"] > 0
 
 
 def test_mapping_stage_reuses_warm_chip_state(daemon):
     """Regression: corridor_load bypassed routing_for, so the bandwidth-adjust
     step of every /compile built a RoutingGraph from cold even when the chip
     was already warm.  On a 4x chip (spare lanes → corridor_load runs) the
-    mapping stage must now acquire through the warm LRU: the first compile
-    warms both the pristine and the bandwidth-adjusted chip, and a repeat
-    compile does zero cold graph builds in any stage, mapping included."""
+    mapping stage must take its graph from the store: the first compile
+    builds both the pristine and the bandwidth-adjusted chip's lane image,
+    over one shared topology, and a repeat compile does zero cold graph
+    builds in any stage, mapping included."""
+    ROUTING_GRAPHS.clear()
+    before = daemon.stats()["warm_state"]
     for _ in range(2):
         job = daemon.compile(
             circuit="dnn_n8", method="ecmas_dd_4x", wait=True, include_schedule=True,
         )
         assert job["status"] == "done"
-    warm = daemon.stats()["warm_state"]
+    warm = _warm_delta(daemon, before)
     # Pristine chip (mapping stage pre-routing) + adjusted chip (scheduler).
-    assert warm["entries"] == 2
+    assert (warm["chips"], warm["topologies"]) == (2, 1)
     assert warm["misses"] == 2  # both builds happened in the *first* compile
     assert warm["hits"] == 2  # the repeat compile was warm in every stage
+    assert warm["evictions"] == 0
 
 
 def test_engine_field_is_an_accepted_no_op(daemon):
@@ -326,7 +341,7 @@ def test_healthz_and_stats_shape(daemon):
     stats = daemon.stats()
     assert stats["api_version"] == API_VERSION
     assert "ecmas_dd_min" in stats["methods"]["methods"]
-    assert stats["warm_state"]["capacity"] >= 1
+    assert stats["warm_state"]["budget_cells"] >= 1
 
 
 # ----------------------------------------------------------- schema parsing
@@ -381,58 +396,56 @@ def test_request_job_fingerprint_matches_batch_engine():
     assert request.to_job().fingerprint() == direct.fingerprint()
 
 
-# ------------------------------------------------------------- warm LRU
+# ------------------------------------------------------- routing-graph store
 def test_warm_state_cache_lru_eviction():
-    cache = WarmStateCache(capacity=2)
+    """The routing-graph store drops the least recently used chip shape with its chips."""
     chips = [
         Chip.with_tile_array(SurfaceCodeModel.DOUBLE_DEFECT, 3, n, n, bandwidth=1)
         for n in (2, 3, 4)
     ]
+    cells = [routing_for(chip).graph.topology.cells * 2 for chip in chips]
+    store = RoutingGraphStore()
+    store.budget = cells[0] + cells[2]  # the first and last shapes, not the middle one too
     for chip in chips[:2]:
-        cache.acquire(chip)
-    assert len(cache) == 2 and cache.misses == 2
+        store.graph_for(chip)
+    assert store.stats()["chips"] == 2 and store.misses == 2
 
     # Touch chip 0 so chip 1 becomes least recently used, then overflow.
-    cache.acquire(chips[0])
-    assert cache.hits == 1
-    cache.acquire(chips[2])
-    assert len(cache) == 2
-    assert cache.evictions == 1
-    assert cache.keys() == [chip_state_key(chips[0]), chip_state_key(chips[2])]
+    store.graph_for(chips[0])
+    assert store.hits == 1
+    store.graph_for(chips[2])
+    assert store.evictions == 1
+    assert [t.key for t in store.topologies()] == [
+        store.graph_for(chip).topology.key for chip in (chips[0], chips[2])
+    ]
 
     # The evicted chip is a miss again; the survivor is still warm.
-    router_before = cache.acquire(chips[0])
-    router_again = cache.acquire(chips[0])
-    assert router_before.graph is router_again.graph
-    cache.acquire(chips[1])
-    assert cache.misses == 4  # chips 0, 1, 2 cold + chip 1 re-entry
-
-    stats = cache.stats()
-    assert stats["capacity"] == 2 and stats["entries"] == 2
+    assert store.graph_for(chips[0]) is store.graph_for(chips[0])
+    store.graph_for(chips[1])
+    assert store.misses == 4  # chips 0, 1, 2 cold + chip 1 re-entry
+    assert store.stats()["budget_cells"] == store.budget
 
 
 def test_warm_state_cache_shares_fast_router():
-    cache = WarmStateCache(capacity=2)
+    """Routers of one chip share its stored graph and its topology's memo."""
     chip = Chip.with_tile_array(SurfaceCodeModel.DOUBLE_DEFECT, 3, 3, 3, bandwidth=1)
-    router1 = cache.acquire(chip)
-    router2 = cache.acquire(chip)
+    router1 = routing_for(chip)
+    router2 = routing_for(chip)
+    assert router1 is not router2
     assert router1.graph is router2.graph
     assert router1.memo is router2.memo
 
 
 def test_warm_state_provider_round_trip_schedules_identical():
-    """Compiling through an installed warm provider changes nothing in the output."""
+    """Compiling through a warm routing-graph store changes nothing in the output."""
     circuit = get_benchmark("dnn_n8").build()
+    ROUTING_GRAPHS.clear()
     cold = compile_circuit(circuit, scheduler="limited")
-    cache = WarmStateCache(capacity=2)
-    cache.install()
-    try:
-        warm_first = compile_circuit(circuit, scheduler="limited")
-        warm_second = compile_circuit(circuit, scheduler="limited")
-    finally:
-        cache.uninstall()
+    hits = ROUTING_GRAPHS.hits
+    warm_first = compile_circuit(circuit, scheduler="limited")
+    warm_second = compile_circuit(circuit, scheduler="limited")
     assert schedule_payload(cold) == schedule_payload(warm_first) == schedule_payload(warm_second)
-    assert cache.hits >= 1
+    assert ROUTING_GRAPHS.hits - hits >= 2
 
 
 # -------------------------------------------------------------- direct mode
@@ -515,6 +528,7 @@ def test_direct_mode_keeps_stats_counters(live, tmp_path, monkeypatch):
     from repro.service import service as service_module
 
     server, client = live
+    ROUTING_GRAPHS.clear()  # both streams start cold: engine counters read the store
     direct = _serve_stream(client)
     assert len(server.service._direct) == 3  # tiny (named, unnamed), dnn_n8
 
@@ -524,6 +538,7 @@ def test_direct_mode_keeps_stats_counters(live, tmp_path, monkeypatch):
     thread.start()
     plain_client = ServiceClient(port=plain_server.server_address[1])
     try:
+        ROUTING_GRAPHS.clear()
         plain = _serve_stream(plain_client)
         assert not plain_server.service._direct
         stats = [c.stats() for c in (client, plain_client)]
