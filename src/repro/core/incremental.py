@@ -57,13 +57,10 @@ class IncrementalReadyQueue:
     def discard(self, node: int) -> None:
         """Remove a dispatched node from the ready view."""
         node_key = self._keys.pop(node, None)
-        if node_key is None:
-            return
-        # A (key, node) 2-tuple sorts immediately before the 4-tuple entry it
-        # prefixes, so bisect_left lands exactly on the node's entry.
-        index = bisect_left(self._entries, (node_key, node))
-        if index < len(self._entries) and self._entries[index][1] == node:
-            del self._entries[index]
+        if node_key is not None:
+            # A (key, node) 2-tuple sorts immediately before the 4-tuple
+            # entry it prefixes, so bisect_left lands exactly on it.
+            del self._entries[bisect_left(self._entries, (node_key, node))]
 
     def available(self, busy_until: dict[int, int], cycle: int) -> list[int]:
         """Ready nodes whose operand tiles are free, smallest key first."""

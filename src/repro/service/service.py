@@ -1,8 +1,8 @@
 """The compile service core: requests in, records out, everything warm.
 
 :class:`CompileService` is the daemon's brain, independent of HTTP: it owns
-the streaming result cache (:class:`~repro.pipeline.batch.ResultCache`), and the
-single-worker :class:`~repro.service.jobs.JobManager`, and it executes parsed
+the streaming result cache (:class:`~repro.pipeline.batch.ResultCache`) and
+the single-worker :class:`~repro.service.jobs.JobManager`, and it executes parsed
 :class:`~repro.service.schema.CompileRequest` /
 :class:`~repro.service.schema.BatchRequest` objects through the exact same
 batch engine the CLI uses — so a record served over HTTP is bit-identical to
