@@ -2,7 +2,7 @@
 
 HTTP handler threads only *enqueue* work and *read* job state; every compile
 runs on one background worker thread that drains the queue in submission
-order.  That single-writer discipline is what lets the warm per-chip state
+order.  That single-writer discipline is what lets the warm routing state
 (:mod:`repro.service.state`) be shared without fine-grained locking of the
 router memo tables, while ``/batch`` jobs can still fan out across a
 multiprocessing pool *inside* the worker via
